@@ -99,19 +99,15 @@ def _prior_from_args(args: argparse.Namespace) -> PriorSpec:
     return PriorSpec(**fields)
 
 
-def _config_from_args(
-    args: argparse.Namespace, structure_search: bool
-) -> SearchConfig:
+def _config_from_args(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(
         r_max=args.r_max,
         epsilon=args.epsilon,
         max_sweeps=args.max_sweeps,
         init=_parse_init(args.init),
-        structure_search=structure_search,
         max_parents=args.max_parents,
         interleave_period=args.interleave_period,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -155,8 +151,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         "--interleave-period", type=int, default=1,
         help="accepted edits between re-discretizations (default 1)",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (default 1)")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -311,7 +305,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     dataset = _load_data(args)
     prior = _prior_from_args(args)
-    config = _config_from_args(args, structure_search=False)
+    config = _config_from_args(args)
     structure = empty_structure(dataset.n_variables)
     policy = initial_policy(dataset, config)
     policy, trace = coordinate_ascent(policy, structure, dataset, prior, config)
@@ -349,7 +343,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     dataset = _load_data(args)
     prior = _prior_from_args(args)
-    config = _config_from_args(args, structure_search=True)
+    config = _config_from_args(args)
     structure, policy, trace = hill_climb_structure(dataset, prior, config)
     total = network_score(policy, structure, dataset, prior).total
 

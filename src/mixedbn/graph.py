@@ -167,15 +167,6 @@ def ancestors(structure: DagStructure, node: int) -> set[int]:
     return out
 
 
-def markov_blanket(structure: DagStructure, node: int) -> set[int]:
-    """Parents, children, and the children's other parents of ``node``."""
-    blanket = set(structure.parents[node]) | set(structure.children[node])
-    for child in structure.children[node]:
-        blanket |= structure.parents[child]
-    blanket.discard(node)
-    return blanket
-
-
 def d_separated(
     structure: DagStructure, i: int, j: int, given: Iterable[int] = ()
 ) -> bool:
@@ -222,23 +213,6 @@ def d_separated(
             if node in opens:
                 frontier.extend((p, up) for p in structure.parents[node])
     return True
-
-
-def augment(structure: DagStructure) -> DagStructure:
-    """Two-layer graph pairing each observed node with a latent code node.
-
-    For an input over nodes ``0..n-1``, the result has ``2n`` nodes: index
-    ``i`` is the latent code of variable ``i`` and index ``n + i`` the
-    observed variable, whose only parent is its code.  Latent nodes inherit
-    the input edges.
-    """
-    n = structure.n
-    sets: list[frozenset[int]] = []
-    for i in range(n):
-        sets.append(structure.parents[i])
-    for i in range(n):
-        sets.append(frozenset((i,)))
-    return validate_dag(sets)
 
 
 def to_dot(structure: DagStructure, names: Sequence[str] | None = None) -> str:

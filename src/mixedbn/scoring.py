@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -25,7 +25,6 @@ from .dataset import (
     NetworkPolicy,
     ValidationError,
     apply_policy,
-    candidate_thresholds,
     discretize_all,
 )
 from .graph import DagStructure
@@ -36,13 +35,6 @@ UNIFORM_PRIOR = "uniform"
 POISSON_PRIOR = "poisson"
 UNIFORM_DENSITY = "uniform"
 MULTINOMIAL_DENSITY = "multinomial"
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``."""
-    if x <= 0:
-        raise ValidationError(f"log_gamma needs a positive argument, got {x}")
-    return float(gammaln(x))
 
 
 @dataclass(frozen=True)
@@ -155,6 +147,22 @@ def discrete_family_score(counts: FamilyCounts, prior: PriorSpec) -> float:
     return float(row_part + cell_part)
 
 
+def family_score(
+    codes: np.ndarray,
+    arities: Sequence[int],
+    child: int,
+    parent_set: Iterable[int],
+    prior: PriorSpec,
+) -> float:
+    """Discrete score of one family read from a full code matrix.
+
+    Only the child's and the parents' columns of ``codes`` are read.
+    """
+    return discrete_family_score(
+        family_counts(codes, arities, child, sorted(parent_set)), prior
+    )
+
+
 def continuous_component(
     column: np.ndarray, policy: DiscretizationPolicy
 ) -> float:
@@ -173,54 +181,6 @@ def continuous_component(
     return float(-np.sum(counts * np.log(widths)))
 
 
-def _grouped_marginal(
-    value_counts: np.ndarray, groups: np.ndarray, prior: PriorSpec
-) -> float:
-    """Sum of within-group Dirichlet-multinomial marginals.
-
-    ``value_counts[v]`` is the number of cases taking value ``v`` and
-    ``groups[v]`` the group that value belongs to.  Every group is scored as
-    its own family over its member values.
-    """
-    n_groups = int(groups.max()) + 1 if len(groups) else 0
-    sizes = np.bincount(groups, minlength=n_groups)
-    if (sizes == 0).any():
-        empty = int(np.flatnonzero(sizes == 0)[0])
-        raise ValidationError(f"grouping leaves group {empty} empty")
-    totals = np.bincount(groups, weights=value_counts, minlength=n_groups)
-    score = 0.0
-    for g in range(n_groups):
-        members = value_counts[groups == g]
-        a_cell = prior.cell_weight(int(sizes[g]), 1)
-        a_group = a_cell * sizes[g]
-        score += gammaln(a_group) - gammaln(a_group + totals[g])
-        score += float(np.sum(gammaln(a_cell + members) - gammaln(a_cell)))
-    return float(score)
-
-
-def abstraction_component(
-    column: np.ndarray, grouping: Sequence[int], prior: PriorSpec
-) -> float:
-    """Within-group marginal of a discrete column under a value grouping.
-
-    ``grouping[v]`` names the group of original value ``v``; groups must be
-    numbered ``0..G-1`` with no empty group.  The identity grouping scores
-    exactly zero.
-    """
-    groups = np.asarray(grouping, dtype=np.int64)
-    if groups.ndim != 1 or len(groups) == 0:
-        raise ValidationError("grouping must be a non-empty 1-d sequence")
-    if groups.min() < 0:
-        raise ValidationError("group ids must be non-negative")
-    codes = np.asarray(column, dtype=np.int64)
-    if codes.min() < 0 or codes.max() >= len(groups):
-        raise ValidationError(
-            f"column contains values outside 0..{len(groups) - 1}"
-        )
-    value_counts = np.bincount(codes, minlength=len(groups))
-    return _grouped_marginal(value_counts, groups, prior)
-
-
 def multinomial_component(
     column: np.ndarray, policy: DiscretizationPolicy, prior: PriorSpec
 ) -> float:
@@ -237,8 +197,18 @@ def multinomial_component(
     groups = apply_policy(distinct, policy)
     # Intervals holding no data are legal here; compact group ids first.
     present = np.unique(groups)
-    remap = np.searchsorted(present, groups)
-    return _grouped_marginal(counts, remap, prior)
+    groups = np.searchsorted(present, groups)
+    n_groups = len(present)
+    sizes = np.bincount(groups, minlength=n_groups)
+    totals = np.bincount(groups, weights=counts, minlength=n_groups)
+    score = 0.0
+    for g in range(n_groups):
+        members = counts[groups == g]
+        a_cell = prior.cell_weight(int(sizes[g]), 1)
+        a_group = a_cell * sizes[g]
+        score += gammaln(a_group) - gammaln(a_group + totals[g])
+        score += float(np.sum(gammaln(a_cell + members) - gammaln(a_cell)))
+    return float(score)
 
 
 def emission_component(
@@ -297,26 +267,6 @@ def policy_log_prior(
     return interval_count_log_prior(policy.arity, n_candidates, prior, n_cases)
 
 
-def univariate_score(
-    column: np.ndarray, policy: DiscretizationPolicy, prior: PriorSpec
-) -> float:
-    """Parent-free score of one continuous column under a policy.
-
-    The sum of the code marginal likelihood, the within-interval emission
-    term, and the policy's log prior.
-    """
-    values = np.asarray(column, dtype=np.float64)
-    codes = apply_policy(values, policy)
-    table = np.bincount(codes, minlength=policy.arity).reshape(1, -1)
-    counts = FamilyCounts(policy.arity, 1, table, table.sum(axis=1))
-    discrete = discrete_family_score(counts, prior)
-    emission = emission_component(values, policy, prior)
-    log_prior = policy_log_prior(
-        policy, len(candidate_thresholds(values)), prior, len(values)
-    )
-    return emission + discrete + log_prior
-
-
 @dataclass(frozen=True)
 class ScoreBreakdown:
     """Per-variable score components; discrete variables have zero emission
@@ -343,18 +293,6 @@ class ScoreBreakdown:
         return {"schema_version": 1, "total": self.total, "variables": variables}
 
 
-def _family_score_from_codes(
-    codes: np.ndarray,
-    arities: Sequence[int],
-    child: int,
-    parent_set: frozenset[int],
-    prior: PriorSpec,
-) -> float:
-    return discrete_family_score(
-        family_counts(codes, arities, child, sorted(parent_set)), prior
-    )
-
-
 def network_score(
     policy: NetworkPolicy,
     structure: DagStructure,
@@ -379,9 +317,7 @@ def network_score(
     discrete = np.zeros(n)
     log_prior = np.zeros(n)
     for i in range(n):
-        discrete[i] = _family_score_from_codes(
-            codes, arities, i, structure.parents[i], prior
-        )
+        discrete[i] = family_score(codes, arities, i, structure.parents[i], prior)
         if dataset.is_continuous(i):
             column = dataset.column(i)
             emission[i] = emission_component(column, policy[i], prior)
@@ -408,26 +344,18 @@ def local_score(
     for child in structure.children[i]:
         needed.add(child)
         needed |= set(structure.parents[child])
-    columns: dict[int, np.ndarray] = {
-        v: apply_policy(dataset.column(v), policy[v]) for v in needed
-    }
-    n_cases = dataset.n_cases
+    # Columns outside these families are never read, so they stay zero.
+    codes = np.zeros((dataset.n_cases, dataset.n_variables), dtype=np.int64)
+    for v in needed:
+        codes[:, v] = apply_policy(dataset.column(v), policy[v])
     arities = policy.arities()
 
-    def codes_view(child: int, parent_set: frozenset[int]) -> float:
-        members = [child, *sorted(parent_set)]
-        block = np.column_stack([columns[v] for v in members])
-        local_arities = [arities[v] for v in members]
-        return discrete_family_score(
-            family_counts(block, local_arities, 0, range(1, len(members))), prior
-        )
-
-    score = codes_view(i, structure.parents[i])
+    score = family_score(codes, arities, i, structure.parents[i], prior)
     for child in sorted(structure.children[i]):
-        score += codes_view(child, structure.parents[child])
+        score += family_score(codes, arities, child, structure.parents[child], prior)
     if dataset.is_continuous(i):
         score += emission_component(dataset.column(i), policy[i], prior)
         score += policy_log_prior(
-            policy[i], len(dataset.candidate_thresholds(i)), prior, n_cases
+            policy[i], len(dataset.candidate_thresholds(i)), prior, dataset.n_cases
         )
     return float(score)

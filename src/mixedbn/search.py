@@ -12,7 +12,6 @@ smaller threshold sets.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import deque
@@ -47,8 +46,7 @@ from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
     PriorSpec,
-    discrete_family_score,
-    family_counts,
+    family_score,
     interval_count_log_prior,
     local_score,
     network_score,
@@ -57,8 +55,6 @@ from .scoring import (
 EQFREQ = "eqfreq"
 EQWIDTH = "eqwidth"
 GIVEN = "given"
-
-EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
 # Distinct threshold sets can score identically in exact arithmetic, for
 # example when the emission depends only on interval sizes; float rounding
@@ -96,19 +92,16 @@ class SearchConfig:
     ``r_max`` of ``None`` resolves to ``min(12, n_cases - 1)``.  ``epsilon``
     is the minimum total-score gain that keeps either loop going.  ``seed``
     only breaks ties among equally scored structure edits; it never affects
-    scores.  ``threads`` caps worker parallelism (the current implementation
-    evaluates sequentially, which always respects the cap).
+    scores.
     """
 
     r_max: int | None = None
     epsilon: float = 1e-6
     max_sweeps: int = 50
     init: InitSpec = InitSpec()
-    structure_search: bool = True
     max_parents: int = 3
     interleave_period: int = 1
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.r_max is not None and self.r_max < 1:
@@ -123,8 +116,6 @@ class SearchConfig:
             raise ValidationError(
                 f"interleave_period must be >= 1, got {self.interleave_period}"
             )
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
 
     def resolved_r_max(self, n_cases: int) -> int:
         if self.r_max is not None:
@@ -460,56 +451,6 @@ def optimize_variable(
     return problem.solve(r_cap)
 
 
-def exhaustive_policy_search(
-    i: int,
-    policy: NetworkPolicy,
-    structure: DagStructure,
-    dataset: Dataset,
-    prior: PriorSpec,
-    r_max: int,
-) -> tuple[DiscretizationPolicy, float]:
-    """Score every admissible threshold subset of variable ``i`` directly.
-
-    Independent reference for :func:`optimize_variable`; subsets are visited
-    by size then lexicographic order, and the first one scoring within
-    ``TIE_TOLERANCE`` of the maximum wins, so ties break identically.
-    """
-    if not dataset.is_continuous(i):
-        raise ValidationError(
-            f"variable {dataset.names[i]!r} is discrete; nothing to optimize"
-        )
-    cands = dataset.candidate_thresholds(i)
-    m = len(cands)
-    if m > EXHAUSTIVE_CANDIDATE_LIMIT:
-        raise ValidationError(
-            f"refusing exhaustive search over {m} candidates "
-            f"(limit {EXHAUSTIVE_CANDIDATE_LIMIT})"
-        )
-    lo, hi = dataset.policy_bounds(i)
-
-    def subsets() -> Iterable[tuple[int, ...]]:
-        for size in range(0, min(r_max - 1, m) + 1):
-            yield from itertools.combinations(range(m), size)
-
-    def scored(combo: tuple[int, ...]) -> tuple[DiscretizationPolicy, float]:
-        cand = DiscretizationPolicy(
-            tuple(float(cands[c]) for c in combo), lo, hi
-        )
-        return cand, local_score(
-            i, policy.with_policy(i, cand), structure, dataset, prior
-        )
-
-    scores = [scored(combo)[1] for combo in subsets()]
-    best_score = max(scores)
-    winner = next(
-        combo
-        for combo, score in zip(subsets(), scores)
-        if score >= best_score - TIE_TOLERANCE
-    )
-    best_policy, score = scored(winner)
-    return best_policy, score
-
-
 def affected_set(
     structure: DagStructure, i: int, discrete_vars: Iterable[int]
 ) -> set[int]:
@@ -666,16 +607,12 @@ def hill_climb_structure(
     discrete_vars = set(dataset.discrete_indices())
     pending = 0
 
-    def family_term(codes, arities, child, parent_set) -> float:
-        return discrete_family_score(
-            family_counts(codes, arities, child, sorted(parent_set)), prior
-        )
-
     while True:
         codes = discretize_all(dataset, policy)
         arities = policy.arities()
         current = [
-            family_term(codes, arities, v, structure.parents[v]) for v in range(n)
+            family_score(codes, arities, v, structure.parents[v], prior)
+            for v in range(n)
         ]
         candidates = _edit_candidates(structure, config.max_parents)
         order = rng.permutation(len(candidates))
@@ -685,19 +622,19 @@ def hill_climb_structure(
             op, u, v = candidates[idx]
             if op == "add":
                 delta = (
-                    family_term(codes, arities, v, structure.parents[v] | {u})
+                    family_score(codes, arities, v, structure.parents[v] | {u}, prior)
                     - current[v]
                 )
             elif op == "delete":
                 delta = (
-                    family_term(codes, arities, v, structure.parents[v] - {u})
+                    family_score(codes, arities, v, structure.parents[v] - {u}, prior)
                     - current[v]
                 )
             else:
                 delta = (
-                    family_term(codes, arities, v, structure.parents[v] - {u})
+                    family_score(codes, arities, v, structure.parents[v] - {u}, prior)
                     - current[v]
-                    + family_term(codes, arities, u, structure.parents[u] | {v})
+                    + family_score(codes, arities, u, structure.parents[u] | {v}, prior)
                     - current[u]
                 )
             if delta > best_delta:

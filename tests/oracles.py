@@ -3,15 +3,31 @@
 Each oracle takes a deliberately different route from the code under test:
 the sequential chain rule instead of log-gamma ratios, moralization instead
 of trail reachability, and subset enumeration instead of the ancestral
-shortcut.  Everything here sticks to plain Python loops and math calls.
+shortcut or the segmentation dynamic program.  Everything here sticks to
+plain Python loops and math calls, except :func:`exhaustive_policy_search`,
+which scores each enumerated subset with the package's ``local_score``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 import numpy as np
+
+from mixedbn import (
+    Dataset,
+    DagStructure,
+    DiscretizationPolicy,
+    NetworkPolicy,
+    PriorSpec,
+    ValidationError,
+    local_score,
+)
+from mixedbn.search import TIE_TOLERANCE
+
+EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
 
 def sequential_log_marginal(
@@ -154,3 +170,53 @@ def brute_univariate_best(values, lower, upper, candidates, alpha=1.0):
             if best is None or score > best[1]:
                 best = (subset, score)
     return best
+
+
+def exhaustive_policy_search(
+    i: int,
+    policy: NetworkPolicy,
+    structure: DagStructure,
+    dataset: Dataset,
+    prior: PriorSpec,
+    r_max: int,
+) -> tuple[DiscretizationPolicy, float]:
+    """Score every admissible threshold subset of variable ``i`` directly.
+
+    Independent reference for :func:`optimize_variable`; subsets are visited
+    by size then lexicographic order, and the first one scoring within
+    ``TIE_TOLERANCE`` of the maximum wins, so ties break identically.
+    """
+    if not dataset.is_continuous(i):
+        raise ValidationError(
+            f"variable {dataset.names[i]!r} is discrete; nothing to optimize"
+        )
+    cands = dataset.candidate_thresholds(i)
+    m = len(cands)
+    if m > EXHAUSTIVE_CANDIDATE_LIMIT:
+        raise ValidationError(
+            f"refusing exhaustive search over {m} candidates "
+            f"(limit {EXHAUSTIVE_CANDIDATE_LIMIT})"
+        )
+    lo, hi = dataset.policy_bounds(i)
+
+    def subsets() -> Iterable[tuple[int, ...]]:
+        for size in range(0, min(r_max - 1, m) + 1):
+            yield from itertools.combinations(range(m), size)
+
+    def scored(combo: tuple[int, ...]) -> tuple[DiscretizationPolicy, float]:
+        cand = DiscretizationPolicy(
+            tuple(float(cands[c]) for c in combo), lo, hi
+        )
+        return cand, local_score(
+            i, policy.with_policy(i, cand), structure, dataset, prior
+        )
+
+    scores = [scored(combo)[1] for combo in subsets()]
+    best_score = max(scores)
+    winner = next(
+        combo
+        for combo, score in zip(subsets(), scores)
+        if score >= best_score - TIE_TOLERANCE
+    )
+    best_policy, score = scored(winner)
+    return best_policy, score

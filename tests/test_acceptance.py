@@ -31,7 +31,6 @@ from mixedbn import (
     coordinate_ascent,
     d_separated,
     discrete_family_score,
-    exhaustive_policy_search,
     family_counts,
     hill_climb_structure,
     initial_policy,
@@ -45,6 +44,7 @@ from mixedbn import (
 from mixedbn.graph import empty_structure, validate_dag
 from oracles import (
     brute_univariate_best,
+    exhaustive_policy_search,
     ks_statistic,
     moral_dsep,
     sequential_log_marginal,

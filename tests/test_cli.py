@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mixedbn import InternalError, load_dataset
+from mixedbn import InternalError, SearchConfig, load_dataset
 from mixedbn.cli import build_parser, load_structure, main
 
 
@@ -230,6 +231,27 @@ class TestLearn:
             "--out", str(tmp_path / "fit"),
         )
         assert rc == 3
+
+    def test_search_options_pinned(self, tmp_path):
+        prefix = simulate(tmp_path)
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv",
+            "--threads", "2", "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
+        assert set(manifest["search"]) == {
+            "r_max", "epsilon", "max_sweeps", "init", "max_parents",
+            "interleave_period", "seed",
+        }
+        assert set(manifest["search"]) == {
+            f.name for f in dataclasses.fields(SearchConfig)
+        }
 
 
 class TestScore:

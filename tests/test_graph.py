@@ -12,13 +12,11 @@ from mixedbn import (
     d_separated,
     empty_structure,
     has_path,
-    markov_blanket,
     remove_edge,
     reverse_edge,
     to_dot,
     validate_dag,
 )
-from mixedbn.graph import augment
 from oracles import moral_dsep
 
 
@@ -112,25 +110,6 @@ class TestAncestorsAndBlanket:
         assert ancestors(s, 3) == {0, 1, 2}
         assert ancestors(s, 0) == set()
 
-    def test_markov_blanket_includes_coparents(self):
-        # 0 -> 2 <- 1, 2 -> 3
-        s = validate_dag([set(), set(), {0, 1}, {2}])
-        assert markov_blanket(s, 0) == {1, 2}
-        assert markov_blanket(s, 2) == {0, 1, 3}
-
-    def test_blanket_membership_is_symmetric(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            s = validate_dag(random_parent_sets(rng, n))
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    assert (j in markov_blanket(s, i)) == (
-                        i in markov_blanket(s, j)
-                    )
-
 
 class TestDSeparation:
     def test_chain_blocked_by_middle(self):
@@ -188,31 +167,6 @@ class TestDSeparation:
                         assert d_separated(s, i, j, z) == moral_dsep(
                             parents, i, j, z
                         )
-
-
-class TestAugment:
-    def test_shape(self):
-        s = chain(2)
-        aug = augment(s)
-        assert aug.n == 4
-        # latent layer keeps the input edge, observed nodes hang off codes
-        assert (0, 1) in aug.edges()
-        assert aug.parents[2] == frozenset({0})
-        assert aug.parents[3] == frozenset({1})
-
-    def test_observed_shielded_by_its_code(self):
-        """Conditioning on its own code isolates each observed node."""
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            s = validate_dag(random_parent_sets(rng, n))
-            aug = augment(s)
-            for i in range(n):
-                observed = n + i
-                for other in range(2 * n):
-                    if other in (observed, i):
-                        continue
-                    assert d_separated(aug, observed, other, {i})
 
 
 class TestToDot:

@@ -14,9 +14,9 @@ from conftest import (
 from mixedbn import (
     Dataset,
     DiscretizationPolicy,
+    NetworkPolicy,
     PriorSpec,
     ValidationError,
-    abstraction_component,
     candidate_thresholds,
     continuous_component,
     discrete_family_score,
@@ -24,34 +24,12 @@ from mixedbn import (
     family_counts,
     interval_count_log_prior,
     local_score,
-    log_gamma,
     network_score,
     policy_log_prior,
-    univariate_score,
 )
 from mixedbn.graph import empty_structure, validate_dag
 from mixedbn.scoring import multinomial_component
 from oracles import sequential_log_marginal
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_recurrence(self):
-        for x in (0.3, 1.7, 8.0, 40.5):
-            assert log_gamma(x + 1.0) == pytest.approx(
-                log_gamma(x) + math.log(x), rel=1e-12
-            )
-
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            log_gamma(0.0)
-        with pytest.raises(ValidationError):
-            log_gamma(-1.0)
 
 
 class TestPriorSpec:
@@ -206,26 +184,6 @@ class TestContinuousComponent:
             )
 
 
-class TestAbstractionComponent:
-    def test_identity_grouping_is_zero(self):
-        column = np.array([0, 1, 0, 2, 1])
-        assert abstraction_component(column, [0, 1, 2], PriorSpec()) == 0.0
-
-    def test_single_group_hand_value(self):
-        """Both values in one group: the 1/12 marginal again."""
-        column = np.array([0, 0, 1])
-        got = abstraction_component(column, [0, 0], PriorSpec())
-        assert got == pytest.approx(math.log(1.0 / 12.0), abs=1e-12)
-
-    def test_group_ids_must_be_dense(self):
-        with pytest.raises(ValidationError):
-            abstraction_component(np.array([0, 1]), [0, 2], PriorSpec())
-
-    def test_values_must_fit_grouping(self):
-        with pytest.raises(ValidationError):
-            abstraction_component(np.array([0, 3]), [0, 1], PriorSpec())
-
-
 class TestMultinomialComponent:
     def test_single_interval_hand_value(self):
         policy = DiscretizationPolicy(thresholds=(), lower=-1.0, upper=2.0)
@@ -309,18 +267,24 @@ class TestPolicyPrior:
 
 
 class TestUnivariateScore:
+    """Parent-free score of one continuous column on [0, 10]."""
+
+    @staticmethod
+    def score(thresholds):
+        ds = continuous_dataset(
+            np.array([[0.0], [1.0], [9.0], [10.0]]), bounds=[(0.0, 10.0)]
+        )
+        policy = NetworkPolicy(
+            (DiscretizationPolicy(thresholds=thresholds, lower=0.0, upper=10.0),)
+        )
+        return network_score(policy, empty_structure(1), ds, PriorSpec()).total
+
     def test_worked_optimum_value(self):
-        x = np.array([0.0, 1.0, 9.0, 10.0])
-        policy = DiscretizationPolicy(thresholds=(0.5, 9.5), lower=0.0, upper=10.0)
-        got = univariate_score(x, policy, PriorSpec())
+        got = self.score((0.5, 9.5))
         assert got == pytest.approx(-math.log(3645.0), abs=1e-9)
 
     def test_single_interval_is_pure_emission(self):
-        x = np.array([0.0, 1.0, 9.0, 10.0])
-        policy = DiscretizationPolicy(thresholds=(), lower=0.0, upper=10.0)
-        assert univariate_score(x, policy, PriorSpec()) == pytest.approx(
-            -4.0 * math.log(10.0), rel=1e-12
-        )
+        assert self.score(()) == pytest.approx(-4.0 * math.log(10.0), rel=1e-12)
 
 
 def shuffled_dataset(dataset, rng):

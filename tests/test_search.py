@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -19,7 +20,6 @@ from mixedbn import (
     ValidationError,
     affected_set,
     coordinate_ascent,
-    exhaustive_policy_search,
     hill_climb_structure,
     initial_policy,
     local_score,
@@ -30,8 +30,15 @@ from mixedbn import (
     trivial_network_policy,
 )
 from mixedbn.generator import Mechanism
-from mixedbn.graph import empty_structure, validate_dag
-from oracles import separates_by_subset
+from mixedbn.graph import (
+    CycleError,
+    add_edge,
+    empty_structure,
+    remove_edge,
+    reverse_edge,
+    validate_dag,
+)
+from oracles import exhaustive_policy_search, separates_by_subset
 
 
 def dependent_pair_mechanism(seed, flip=0.1):
@@ -62,15 +69,25 @@ def independent_pair_mechanism(seed):
     )
 
 
-def random_prior(rng):
-    mode = int(rng.integers(0, 4))
-    if mode == 0:
-        return PriorSpec(alpha=float(rng.uniform(0.5, 2.0)))
-    if mode == 1:
-        return PriorSpec(dirichlet_mode="bdeu", ess=float(rng.uniform(1.0, 6.0)))
-    if mode == 2:
-        return PriorSpec(policy_prior="poisson", poisson_rate=2.0)
-    return PriorSpec(density_model="multinomial")
+PRIOR_COMBINATIONS = tuple(
+    itertools.product(
+        ("k2", "bdeu"), ("uniform", "poisson"), ("uniform", "multinomial")
+    )
+)
+
+
+def cycled_prior(trial, rng):
+    """Dirichlet mode x policy prior x density, one combination per trial."""
+    mode, policy_prior, density = PRIOR_COMBINATIONS[trial % len(PRIOR_COMBINATIONS)]
+    weight = float(rng.uniform(0.5, 6.0))
+    return PriorSpec(
+        dirichlet_mode=mode,
+        alpha=weight if mode == "k2" else 1.0,
+        ess=weight if mode == "bdeu" else 1.0,
+        policy_prior=policy_prior,
+        poisson_rate=2.0,
+        density_model=density,
+    )
 
 
 class TestConfigs:
@@ -91,8 +108,6 @@ class TestConfigs:
             SearchConfig(max_sweeps=0)
         with pytest.raises(ValidationError):
             SearchConfig(max_parents=0)
-        with pytest.raises(ValidationError):
-            SearchConfig(threads=0)
 
     def test_resolved_r_max(self):
         assert SearchConfig().resolved_r_max(100) == 12
@@ -199,11 +214,11 @@ class TestOptimizeVariable:
 
     def test_matches_exhaustive_univariate(self):
         rng = np.random.default_rng(17)
-        for _ in range(20):
+        for trial in range(4 * len(PRIOR_COMBINATIONS)):
             n_cases = int(rng.integers(3, 10))
             values = np.round(rng.uniform(0.0, 4.0, size=n_cases), 1)
             ds = continuous_dataset(values.reshape(-1, 1), bounds=[(-0.5, 4.5)])
-            prior = random_prior(rng)
+            prior = cycled_prior(trial, rng)
             config = SearchConfig()
             policy0 = trivial_network_policy(ds)
             structure = empty_structure(1)
@@ -221,7 +236,7 @@ class TestOptimizeVariable:
     def test_matches_exhaustive_with_family(self):
         """Middle of a chain: parent and child terms enter the objective."""
         rng = np.random.default_rng(23)
-        for _ in range(10):
+        for trial in range(2 * len(PRIOR_COMBINATIONS)):
             n_cases = int(rng.integers(5, 10))
             ds = mixed_dataset(
                 [
@@ -232,7 +247,7 @@ class TestOptimizeVariable:
             )
             structure = validate_dag([set(), {0}, {1}])
             policy = random_network_policy(rng, ds)
-            prior = random_prior(rng)
+            prior = cycled_prior(trial, rng)
             config = SearchConfig()
             got = optimize_variable(1, policy, structure, ds, prior, config)
             want, _ = exhaustive_policy_search(
@@ -428,6 +443,56 @@ class TestHillClimb:
             empty_policy, empty_structure(ds.n_variables), ds, prior
         ).total
         assert learned >= baseline - 1e-9
+
+
+class TestJointFixedPoint:
+    """The learned pair is a joint fixed point and its trace total is exact."""
+
+    @pytest.mark.parametrize(
+        "prior, seed",
+        [
+            (PriorSpec(), 7),
+            (PriorSpec(), 3),
+            (
+                PriorSpec(dirichlet_mode="bdeu", ess=8.0, density_model="multinomial"),
+                31,
+            ),
+        ],
+        ids=["k2-uniform-7", "k2-uniform-3", "bdeu-multinomial-31"],
+    )
+    def test_hill_climb_result(self, prior, seed):
+        ds, _ = sample_dataset(random_mechanism(4, 2, 2, seed=seed), 30)
+        config = SearchConfig()
+        structure, policy, trace = hill_climb_structure(ds, prior, config)
+        total = network_score(policy, structure, ds, prior).total
+        scale = max(1.0, abs(total))
+        assert abs(trace.final_total - total) <= 1e-6 * scale
+
+        for i in ds.continuous_indices():
+            best = optimize_variable(i, policy, structure, ds, prior, config)
+            learned = local_score(i, policy, structure, ds, prior)
+            solved = local_score(
+                i, policy.with_policy(i, best), structure, ds, prior
+            )
+            assert solved <= learned + 1e-9 * max(1.0, abs(learned))
+
+        assert structure.edges()
+        edits = []
+        for u, v in itertools.permutations(range(ds.n_variables), 2):
+            if u in structure.parents[v]:
+                edits.append((remove_edge, u, v))
+                if len(structure.parents[u]) < config.max_parents:
+                    edits.append((reverse_edge, u, v))
+            elif len(structure.parents[v]) < config.max_parents:
+                edits.append((add_edge, u, v))
+        for edit, u, v in edits:
+            try:
+                edited = edit(structure, u, v)
+            except CycleError:
+                continue
+            gain = network_score(policy, edited, ds, prior).total - total
+            # Edits were scored by family deltas; allow summation-order noise.
+            assert gain <= config.epsilon + 1e-9 * scale
 
 
 class TestSearchTrace:
