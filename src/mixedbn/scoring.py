@@ -235,24 +235,40 @@ def interval_count_log_prior(
     threshold subsets of that size; single-interval policies get no mass
     under it.
     """
-    if r - 1 > n_candidates:
+    return interval_count_log_priors(r, n_candidates, prior, n_cases)[-1]
+
+
+def interval_count_log_priors(
+    r_cap: int, n_candidates: int, prior: PriorSpec, n_cases: int
+) -> list[float]:
+    """:func:`interval_count_log_prior` for every count ``1..r_cap``.
+
+    The Poisson normalizer is computed once for the whole range.
+    """
+    if r_cap - 1 > n_candidates:
         raise ValidationError(
-            f"policy uses {r - 1} thresholds but only {n_candidates} candidates exist"
+            f"policy uses {r_cap - 1} thresholds but only {n_candidates} "
+            "candidates exist"
         )
     if prior.policy_prior == UNIFORM_PRIOR:
-        return 0.0
+        return [0.0] * r_cap
     top = n_cases - 1
     if prior.poisson_rate > max(top, 2):
         raise ValidationError(
             f"poisson_rate {prior.poisson_rate} exceeds the truncation "
             f"bound {top}"
         )
-    if r < 2 or r > top:
-        return float("-inf")
     support = np.arange(2, top + 1)
     log_weights = support * math.log(prior.poisson_rate) - gammaln(support + 1)
-    log_pmf = r * math.log(prior.poisson_rate) - float(gammaln(r + 1))
-    return log_pmf - float(logsumexp(log_weights)) - _log_comb(n_candidates, r - 1)
+    log_norm = float(logsumexp(log_weights))
+    out = []
+    for r in range(1, r_cap + 1):
+        if r < 2 or r > top:
+            out.append(float("-inf"))
+            continue
+        log_pmf = r * math.log(prior.poisson_rate) - float(gammaln(r + 1))
+        out.append(log_pmf - log_norm - _log_comb(n_candidates, r - 1))
+    return out
 
 
 def policy_log_prior(

@@ -6,8 +6,10 @@ only on the interval count, so the best threshold subset of each size falls
 out of a segmentation dynamic program over the candidate cut points.
 Coordinate ascent sweeps variables with that optimizer until a sweep stops
 paying, and greedy edge edits interleave re-discretization with structure
-moves.  Ties always resolve toward fewer intervals, then lexicographically
-smaller threshold sets.
+moves.  One search state reuses every family score and policy solve whose
+inputs have not changed, so rescans and confirming sweeps cost lookups.
+Ties always resolve toward fewer intervals, then lexicographically smaller
+threshold sets.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .dataset import (
     NetworkPolicy,
     ValidationError,
     apply_policy,
-    discretize_all,
     trivial_network_policy,
     validate_network_policy,
 )
@@ -38,7 +39,6 @@ from .graph import (
     ancestors,
     d_separated,
     empty_structure,
-    has_path,
     remove_edge,
     reverse_edge,
 )
@@ -47,7 +47,7 @@ from .scoring import (
     MULTINOMIAL_DENSITY,
     PriorSpec,
     family_score,
-    interval_count_log_prior,
+    interval_count_log_priors,
     local_score,
     network_score,
 )
@@ -194,7 +194,8 @@ class _CutProblem:
     per-interval costs, a per-row penalty depending only on the interval
     count, and the interval-count prior.  Interval costs live in a matrix
     ``G[u, v]``; under per-cell pseudo-counts the matrix is shared by every
-    interval count, under shared sample size it is rebuilt per count.
+    interval count, under shared sample size it is rebuilt per count from
+    the emission costs, which do not depend on the count.
     """
 
     def __init__(
@@ -271,6 +272,7 @@ class _CutProblem:
         self.counts = np.maximum(
             self.positions[None, :] - self.positions[:, None], 0
         )
+        self.density = self._density_matrix()
         self._g_cache: dict[int | None, np.ndarray] = {}
 
     def _lut(self, a: float) -> np.ndarray:
@@ -330,13 +332,12 @@ class _CutProblem:
         if cached is not None:
             return cached
         r_for_cells = 1 if key is None else key
-        g = self._density_matrix()
         a_own = (
             self.prior.alpha
             if key is None
             else self.prior.cell_weight(r_for_cells, self.q_own)
         )
-        g += self._slice_terms(self.own_prefix, a_own, 1)
+        g = self.density + self._slice_terms(self.own_prefix, a_own, 1)
         for r_child, q_other, cell_prefix, margin_prefix in self.child_tables:
             a_cell = (
                 self.prior.alpha
@@ -355,9 +356,6 @@ class _CutProblem:
         return float(
             np.sum(gammaln(a_row) - gammaln(a_row + self.own_totals))
         )
-
-    def count_prior(self, r: int) -> float:
-        return interval_count_log_prior(r, self.m, self.prior, self.n_cases)
 
     def _dp_layers(self, g: np.ndarray, k_max: int) -> list[np.ndarray]:
         size = self.m + 2
@@ -394,6 +392,7 @@ class _CutProblem:
 
     def solve(self, r_cap: int) -> DiscretizationPolicy:
         per_r = self.prior.dirichlet_mode == BDEU
+        log_priors = interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
         totals: list[float] = []
         shared: tuple[np.ndarray, list[np.ndarray]] | None = None
         if not per_r:
@@ -406,7 +405,7 @@ class _CutProblem:
             else:
                 g, layers = shared
             totals.append(
-                layers[r][0] + self.count_penalty(r) + self.count_prior(r)
+                layers[r][0] + self.count_penalty(r) + log_priors[r - 1]
             )
         best_total = max(totals)
         if not np.isfinite(best_total):
@@ -476,6 +475,170 @@ def affected_set(
     return out
 
 
+class _SearchState:
+    """Structure, policy and running total of one search, plus its caches.
+
+    The code matrix follows the policy one column at a time.  A family
+    score is cached per (child, parent set) and stamped with the policy
+    versions of the family's members, so it is reused only while none of
+    those policies has changed.  A policy solve is memoized on exactly what
+    the cut problem reads: the variable's parents, its children and the
+    children's other parents, each with its policy.  The caches hold floats
+    and policies only, and live as long as the state.
+    """
+
+    def __init__(
+        self,
+        structure: DagStructure,
+        policy: NetworkPolicy,
+        dataset: Dataset,
+        prior: PriorSpec,
+        config: SearchConfig,
+    ) -> None:
+        self.structure = structure
+        self.policy = policy
+        self.dataset = dataset
+        self.prior = prior
+        self.config = config
+        self.discrete = set(dataset.discrete_indices())
+        n = dataset.n_variables
+        self.codes = np.empty((dataset.n_cases, n), dtype=np.int64)
+        for v in range(n):
+            self.codes[:, v] = apply_policy(dataset.column(v), policy[v])
+        self.arities = list(policy.arities())
+        self.versions = [0] * n
+        self.total = network_score(policy, structure, dataset, prior).total
+        self._families: dict[tuple[int, frozenset[int]], tuple[int, float]] = {}
+        self._solves: dict[tuple, DiscretizationPolicy] = {}
+        self.solve_hits = 0
+
+    def set_policy(self, v: int, new: DiscretizationPolicy) -> None:
+        self.policy = self.policy.with_policy(v, new)
+        self.codes[:, v] = apply_policy(self.dataset.column(v), new)
+        self.arities[v] = new.arity
+        self.versions[v] += 1
+
+    def family(self, child: int, parents: frozenset[int]) -> float:
+        """``family_score`` of one family under the current policy."""
+        # Versions only grow, so their sum over the family's members is
+        # unchanged exactly when every member's version is.
+        versions = self.versions
+        stamp = versions[child] + sum([versions[p] for p in parents])
+        key = (child, parents)
+        entry = self._families.get(key)
+        if entry is not None and entry[0] == stamp:
+            return entry[1]
+        score = family_score(self.codes, self.arities, child, parents, self.prior)
+        self._families[key] = (stamp, score)
+        return score
+
+    def edit_delta(self, edit: tuple[str, int, int]) -> float:
+        """Total-score change of one edge edit under the current policy."""
+        op, u, v = edit
+        parents = self.structure.parents
+        if op == "add":
+            return self.family(v, parents[v] | {u}) - self.family(v, parents[v])
+        if op == "delete":
+            return self.family(v, parents[v] - {u}) - self.family(v, parents[v])
+        return (
+            self.family(v, parents[v] - {u})
+            - self.family(v, parents[v])
+            + self.family(u, parents[u] | {v})
+            - self.family(u, parents[u])
+        )
+
+    def apply_edit(self, edit: tuple[str, int, int], delta: float) -> None:
+        op, u, v = edit
+        if op == "add":
+            self.structure = add_edge(self.structure, u, v)
+        elif op == "delete":
+            self.structure = remove_edge(self.structure, u, v)
+        else:
+            self.structure = reverse_edge(self.structure, u, v)
+        self.total += delta
+
+    def solve(self, i: int) -> DiscretizationPolicy:
+        """``optimize_variable`` for ``i``, reused while its inputs stand."""
+        structure, policy = self.structure, self.policy
+        key = (
+            i,
+            tuple((p, policy[p]) for p in sorted(structure.parents[i])),
+            tuple(
+                (
+                    c,
+                    policy[c],
+                    tuple((p, policy[p]) for p in sorted(structure.parents[c] - {i})),
+                )
+                for c in sorted(structure.children[i])
+            ),
+        )
+        cached = self._solves.get(key)
+        if cached is not None:
+            self.solve_hits += 1
+            return cached
+        result = optimize_variable(
+            i, policy, structure, self.dataset, self.prior, self.config
+        )
+        self._solves[key] = result
+        return result
+
+    def ascend(self, subset: Iterable[int] | None = None) -> SearchTrace:
+        """Coordinate ascent from the current state; see :func:`coordinate_ascent`."""
+        allowed = None if subset is None else set(subset)
+        universe = [
+            v
+            for v in self.structure.topo_order
+            if v not in self.discrete and (allowed is None or v in allowed)
+        ]
+        universe_set = set(universe)
+        trace = SearchTrace()
+        trace.termination = "max_sweeps"
+        for sweep in range(1, self.config.max_sweeps + 1):
+            sweep_start = self.total
+            queue = deque(universe)
+            queued = set(universe)
+            while queue:
+                v = queue.popleft()
+                queued.discard(v)
+                candidate = self.solve(v)
+                current = self.policy[v]
+                if candidate.thresholds == current.thresholds:
+                    continue
+                old_local = local_score(
+                    v, self.policy, self.structure, self.dataset, self.prior
+                )
+                new_local = local_score(
+                    v,
+                    self.policy.with_policy(v, candidate),
+                    self.structure,
+                    self.dataset,
+                    self.prior,
+                )
+                delta = new_local - old_local
+                if delta <= 0:
+                    continue
+                self.set_policy(v, candidate)
+                self.total += delta
+                trace.add(
+                    "policy",
+                    variable=v,
+                    old_r=current.arity,
+                    new_r=candidate.arity,
+                    delta=delta,
+                    total=self.total,
+                )
+                for j in sorted(affected_set(self.structure, v, self.discrete)):
+                    if j in universe_set and j not in queued:
+                        queue.append(j)
+                        queued.add(j)
+            trace.add("sweep", sweep=sweep, total=self.total)
+            if self.total - sweep_start < self.config.epsilon:
+                trace.termination = "converged"
+                break
+        trace.final_total = self.total
+        return trace
+
+
 def coordinate_ascent(
     policy: NetworkPolicy,
     structure: DagStructure,
@@ -483,7 +646,6 @@ def coordinate_ascent(
     prior: PriorSpec,
     config: SearchConfig,
     subset: Iterable[int] | None = None,
-    total0: float | None = None,
 ) -> tuple[NetworkPolicy, SearchTrace]:
     """Sweep continuous variables, re-optimizing each policy in turn.
 
@@ -492,93 +654,40 @@ def coordinate_ascent(
     a full sweep gains less than ``epsilon`` or after ``max_sweeps``.
     """
     validate_network_policy(policy, dataset)
-    discrete_vars = set(dataset.discrete_indices())
-    universe = [
-        v
-        for v in structure.topo_order
-        if v not in discrete_vars and (subset is None or v in set(subset))
-    ]
-    trace = SearchTrace()
-    total = (
-        network_score(policy, structure, dataset, prior).total
-        if total0 is None
-        else total0
-    )
-    trace.termination = "max_sweeps"
-    universe_set = set(universe)
-    for sweep in range(1, config.max_sweeps + 1):
-        sweep_start = total
-        queue = deque(universe)
-        queued = set(universe)
-        while queue:
-            v = queue.popleft()
-            queued.discard(v)
-            candidate = optimize_variable(v, policy, structure, dataset, prior, config)
-            if candidate.thresholds == policy[v].thresholds:
-                continue
-            old_local = local_score(v, policy, structure, dataset, prior)
-            updated = policy.with_policy(v, candidate)
-            new_local = local_score(v, updated, structure, dataset, prior)
-            delta = new_local - old_local
-            if delta <= 0:
-                continue
-            old_r = policy[v].arity
-            policy = updated
-            total += delta
-            trace.add(
-                "policy",
-                variable=v,
-                old_r=old_r,
-                new_r=candidate.arity,
-                delta=delta,
-                total=total,
-            )
-            for j in sorted(affected_set(structure, v, discrete_vars)):
-                if j in universe_set and j not in queued:
-                    queue.append(j)
-                    queued.add(j)
-        trace.add("sweep", sweep=sweep, total=total)
-        if total - sweep_start < config.epsilon:
-            trace.termination = "converged"
-            break
-    trace.final_total = total
-    return policy, trace
+    state = _SearchState(structure, policy, dataset, prior, config)
+    trace = state.ascend(subset)
+    return state.policy, trace
 
 
 def _edit_candidates(
     structure: DagStructure, max_parents: int
 ) -> list[tuple[str, int, int]]:
+    parents = structure.parents
+    anc = [ancestors(structure, v) for v in range(structure.n)]
     out: list[tuple[str, int, int]] = []
-    n = structure.n
-    for u in range(n):
-        for v in range(n):
-            if u == v or u in structure.parents[v]:
+    for u in range(structure.n):
+        for v in range(structure.n):
+            if u == v or u in parents[v]:
                 continue
-            if len(structure.parents[v]) >= max_parents:
+            if len(parents[v]) >= max_parents:
                 continue
-            if has_path(structure, v, u):
+            # Adding u -> v closes a cycle exactly when v is an ancestor of u.
+            if v in anc[u]:
                 continue
             out.append(("add", u, v))
-    for u, v in structure.edges():
+    edges = structure.edges()
+    for u, v in edges:
         out.append(("delete", u, v))
-    for u, v in structure.edges():
-        if len(structure.parents[u]) >= max_parents:
+    for u, v in edges:
+        if len(parents[u]) >= max_parents:
             continue
-        if has_path(remove_edge(structure, u, v), u, v):
+        # Reversing u -> v closes a cycle exactly when u reaches v another
+        # way, that is, when u is an ancestor of another parent of v; such
+        # a path cannot use u -> v itself, which would make a cycle.
+        if any(u in anc[p] for p in parents[v] - {u}):
             continue
         out.append(("reverse", u, v))
     return out
-
-
-def _apply_edit(
-    structure: DagStructure, edit: tuple[str, int, int]
-) -> DagStructure:
-    op, u, v = edit
-    if op == "add":
-        return add_edge(structure, u, v)
-    if op == "delete":
-        return remove_edge(structure, u, v)
-    return reverse_edge(structure, u, v)
 
 
 def hill_climb_structure(
@@ -598,84 +707,50 @@ def hill_climb_structure(
     The loop ends at a joint fixed point where no edit helps and a full
     policy sweep accepts nothing.
     """
-    n = dataset.n_variables
-    structure = empty_structure(n)
-    policy = initial_policy(dataset, config)
+    state = _SearchState(
+        empty_structure(dataset.n_variables),
+        initial_policy(dataset, config),
+        dataset,
+        prior,
+        config,
+    )
     trace = SearchTrace()
-    total = network_score(policy, structure, dataset, prior).total
     rng = np.random.default_rng(config.seed)
-    discrete_vars = set(dataset.discrete_indices())
     pending = 0
 
     while True:
-        codes = discretize_all(dataset, policy)
-        arities = policy.arities()
-        current = [
-            family_score(codes, arities, v, structure.parents[v], prior)
-            for v in range(n)
-        ]
-        candidates = _edit_candidates(structure, config.max_parents)
+        candidates = _edit_candidates(state.structure, config.max_parents)
         order = rng.permutation(len(candidates))
         best_edit: tuple[str, int, int] | None = None
         best_delta = -np.inf
         for idx in order:
-            op, u, v = candidates[idx]
-            if op == "add":
-                delta = (
-                    family_score(codes, arities, v, structure.parents[v] | {u}, prior)
-                    - current[v]
-                )
-            elif op == "delete":
-                delta = (
-                    family_score(codes, arities, v, structure.parents[v] - {u}, prior)
-                    - current[v]
-                )
-            else:
-                delta = (
-                    family_score(codes, arities, v, structure.parents[v] - {u}, prior)
-                    - current[v]
-                    + family_score(codes, arities, u, structure.parents[u] | {v}, prior)
-                    - current[u]
-                )
+            delta = state.edit_delta(candidates[idx])
             if delta > best_delta:
                 best_delta = delta
-                best_edit = (op, u, v)
+                best_edit = candidates[idx]
         if best_edit is None or best_delta <= config.epsilon:
             # No edit helps under the current policies; re-optimize them all
             # and rescan, since better thresholds can expose new edits.
-            policy, sub_trace = coordinate_ascent(
-                policy, structure, dataset, prior, config, total0=total
-            )
+            sub_trace = state.ascend()
             trace.extend(sub_trace)
-            total = sub_trace.final_total
             pending = 0
-            moved = any(r["kind"] == "policy" for r in sub_trace.records)
-            if moved:
+            if any(r["kind"] == "policy" for r in sub_trace.records):
                 continue
             break
-        structure = _apply_edit(structure, best_edit)
-        total += best_delta
+        state.apply_edit(best_edit, best_delta)
         op, u, v = best_edit
-        trace.add("edge", op=op, parent=u, child=v, delta=float(best_delta), total=total)
+        trace.add(
+            "edge", op=op, parent=u, child=v, delta=float(best_delta), total=state.total
+        )
         pending += 1
         if pending >= config.interleave_period:
             touched = (
-                affected_set(structure, u, discrete_vars)
-                | affected_set(structure, v, discrete_vars)
-                | ({u, v} - discrete_vars)
+                affected_set(state.structure, u, state.discrete)
+                | affected_set(state.structure, v, state.discrete)
+                | ({u, v} - state.discrete)
             )
-            policy, sub_trace = coordinate_ascent(
-                policy,
-                structure,
-                dataset,
-                prior,
-                config,
-                subset=touched,
-                total0=total,
-            )
-            trace.extend(sub_trace)
-            total = sub_trace.final_total
+            trace.extend(state.ascend(touched))
             pending = 0
     trace.termination = "no_improving_edit"
-    trace.final_total = total
-    return structure, policy, trace
+    trace.final_total = state.total
+    return state.structure, state.policy, trace

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from conftest import (
     continuous_dataset,
@@ -28,7 +29,7 @@ from mixedbn import (
     policy_log_prior,
 )
 from mixedbn.graph import empty_structure, validate_dag
-from mixedbn.scoring import multinomial_component
+from mixedbn.scoring import interval_count_log_priors, multinomial_component
 from oracles import sequential_log_marginal
 
 
@@ -242,6 +243,37 @@ class TestPolicyPrior:
             log_p = interval_count_log_prior(r, n_candidates, prior, n_cases)
             total += math.exp(log_p) * math.comb(n_candidates, r - 1)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_all_counts_match_single_count(self):
+        """One normalizer for every count gives exactly the per-count values."""
+        for prior in (
+            PriorSpec(),
+            PriorSpec(policy_prior="poisson", poisson_rate=2.5),
+        ):
+            for n_cases, n_candidates in ((20, 10), (9, 20), (6, 4), (4, 2)):
+                r_cap = min(n_candidates + 1, 12)
+                priors = interval_count_log_priors(r_cap, n_candidates, prior, n_cases)
+                assert priors == [
+                    interval_count_log_prior(r, n_candidates, prior, n_cases)
+                    for r in range(1, r_cap + 1)
+                ]
+                if prior.policy_prior == "uniform":
+                    assert priors == [0.0] * r_cap
+                    continue
+                # The per-count arithmetic, normalizer recomputed each time.
+                rate = prior.poisson_rate
+                for r in range(2, min(r_cap, n_cases - 1) + 1):
+                    support = np.arange(2, n_cases)
+                    log_norm = float(
+                        logsumexp(support * math.log(rate) - gammaln(support + 1))
+                    )
+                    log_comb = float(
+                        gammaln(n_candidates + 1)
+                        - gammaln(r)
+                        - gammaln(n_candidates - r + 2)
+                    )
+                    log_pmf = r * math.log(rate) - float(gammaln(r + 1))
+                    assert priors[r - 1] == log_pmf - log_norm - log_comb
 
     def test_poisson_gives_single_interval_no_mass(self):
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)

@@ -29,6 +29,7 @@ from mixedbn import (
     sample_dataset,
     trivial_network_policy,
 )
+from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
 from mixedbn.graph import (
     CycleError,
@@ -38,6 +39,8 @@ from mixedbn.graph import (
     reverse_edge,
     validate_dag,
 )
+from mixedbn.scoring import family_score
+from mixedbn.search import _edit_candidates, _SearchState
 from oracles import exhaustive_policy_search, separates_by_subset
 
 
@@ -493,6 +496,86 @@ class TestJointFixedPoint:
             gain = network_score(policy, edited, ds, prior).total - total
             # Edits were scored by family deltas; allow summation-order noise.
             assert gain <= config.epsilon + 1e-9 * scale
+
+
+class TestEditCandidates:
+    def test_matches_cycle_checks(self):
+        """Ancestor-set legality equals building each edited graph."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            max_parents = int(rng.integers(1, 4))
+            expected = []
+            for u in range(n):
+                for v in range(n):
+                    if u == v or u in structure.parents[v]:
+                        continue
+                    if len(structure.parents[v]) >= max_parents:
+                        continue
+                    try:
+                        add_edge(structure, u, v)
+                    except CycleError:
+                        continue
+                    expected.append(("add", u, v))
+            expected += [("delete", u, v) for u, v in structure.edges()]
+            for u, v in structure.edges():
+                if len(structure.parents[u]) >= max_parents:
+                    continue
+                try:
+                    reverse_edge(structure, u, v)
+                except CycleError:
+                    continue
+                expected.append(("reverse", u, v))
+            assert _edit_candidates(structure, max_parents) == expected
+
+
+class TestSearchState:
+    """Cached family scores and memoized solves equal fresh computations."""
+
+    def check(self, state, ds, prior, config):
+        codes = discretize_all(ds, state.policy)
+        arities = state.policy.arities()
+        families = set(state._families)
+        families |= {(v, state.structure.parents[v]) for v in range(ds.n_variables)}
+        for child, parents in families:
+            fresh = family_score(codes, arities, child, parents, prior)
+            assert state.family(child, parents) == fresh
+        for v in ds.continuous_indices():
+            fresh = optimize_variable(
+                v, state.policy, state.structure, ds, prior, config
+            )
+            assert state.solve(v) == fresh
+
+    def test_scripted_edits_and_policy_changes(self):
+        ds, _ = sample_dataset(random_mechanism(4, 2, 3, seed=11), 60)
+        prior, config = PriorSpec(), SearchConfig()
+        state = _SearchState(
+            empty_structure(4), initial_policy(ds, config), ds, prior, config
+        )
+        lo, hi = ds.policy_bounds(1)
+        coarse = DiscretizationPolicy((), lo, hi)
+
+        def edit(op, u, v):
+            state.apply_edit((op, u, v), state.edit_delta((op, u, v)))
+
+        steps = [
+            lambda: edit("add", 0, 2),
+            lambda: edit("add", 1, 2),
+            lambda: edit("add", 3, 1),
+            # 1 is a co-parent of 0 in the family of 2.
+            lambda: state.set_policy(1, coarse),
+            lambda: state.set_policy(2, state.solve(2)),
+            lambda: edit("reverse", 0, 2),
+            lambda: state.set_policy(0, state.solve(0)),
+            lambda: edit("delete", 3, 1),
+            lambda: edit("add", 3, 0),
+        ]
+        self.check(state, ds, prior, config)
+        for step in steps:
+            step()
+            self.check(state, ds, prior, config)
+        assert state.solve_hits > 0
 
 
 class TestSearchTrace:
