@@ -28,7 +28,6 @@ from .generator import (
     Mechanism,
     load_mechanism,
     mechanism_from_obj,
-    mechanism_policy,
     mechanism_to_obj,
     random_mechanism,
     sample_dataset,
@@ -40,7 +39,6 @@ from .graph import (
     ancestors,
     d_separated,
     empty_structure,
-    has_path,
     remove_edge,
     reverse_edge,
     to_dot,
@@ -55,7 +53,6 @@ from .scoring import (
     emission_component,
     family_counts,
     interval_count_log_prior,
-    local_score,
     network_score,
     policy_log_prior,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "Mechanism",
     "load_mechanism",
     "mechanism_from_obj",
-    "mechanism_policy",
     "mechanism_to_obj",
     "random_mechanism",
     "sample_dataset",
@@ -101,7 +97,6 @@ __all__ = [
     "ancestors",
     "d_separated",
     "empty_structure",
-    "has_path",
     "remove_edge",
     "reverse_edge",
     "to_dot",
@@ -114,7 +109,6 @@ __all__ = [
     "emission_component",
     "family_counts",
     "interval_count_log_prior",
-    "local_score",
     "network_score",
     "policy_log_prior",
     "InitSpec",

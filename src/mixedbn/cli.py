@@ -42,6 +42,7 @@ from .scoring import BDEU, K2, POISSON_PRIOR, PriorSpec, network_score
 from .search import (
     InitSpec,
     SearchConfig,
+    SearchTrace,
     coordinate_ascent,
     hill_climb_structure,
     initial_policy,
@@ -283,6 +284,17 @@ def _manifest(
     return manifest
 
 
+def _score_drift(total: float, trace: SearchTrace) -> float:
+    """Fresh total minus the search's running total; raises when they part."""
+    drift = total - trace.final_total
+    if not abs(drift) <= 1e-6 * max(1.0, abs(total)):
+        raise InternalError(
+            f"search running total {trace.final_total!r} is {drift!r} away "
+            f"from the fresh network score {total!r}"
+        )
+    return drift
+
+
 def _load_data(args: argparse.Namespace) -> Dataset:
     schema = load_schema(args.schema) if args.schema else None
     return load_dataset(args.data, schema)
@@ -310,6 +322,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     policy = initial_policy(dataset, config)
     policy, trace = coordinate_ascent(policy, structure, dataset, prior, config)
     total = network_score(policy, structure, dataset, prior).total
+    drift = _score_drift(total, trace)
 
     out = Path(args.out)
     prefix = _out_prefix(args.out)
@@ -328,6 +341,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
             config,
             {
                 "total_score": total,
+                "score_drift": drift,
                 "termination": trace.termination,
                 "n_cases": dataset.n_cases,
                 "n_variables": dataset.n_variables,
@@ -346,6 +360,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     structure, policy, trace = hill_climb_structure(dataset, prior, config)
     total = network_score(policy, structure, dataset, prior).total
+    drift = _score_drift(total, trace)
 
     prefix = _out_prefix(args.out)
     paths = {
@@ -369,6 +384,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             config,
             {
                 "total_score": total,
+                "score_drift": drift,
                 "termination": trace.termination,
                 "n_cases": dataset.n_cases,
                 "n_variables": dataset.n_variables,

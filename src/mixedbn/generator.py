@@ -18,7 +18,6 @@ from .dataset import (
     CONTINUOUS,
     Dataset,
     DiscretizationPolicy,
-    NetworkPolicy,
     ValidationError,
     VariableMeta,
 )
@@ -157,11 +156,6 @@ def sample_dataset(
         for idx, name in enumerate(mechanism.names())
     ]
     return Dataset(metas, values), codes
-
-
-def mechanism_policy(mechanism: Mechanism) -> NetworkPolicy:
-    """The mechanism's policies as a network policy."""
-    return NetworkPolicy(mechanism.policies)
 
 
 def mechanism_to_obj(mechanism: Mechanism) -> dict:

@@ -138,23 +138,6 @@ def reverse_edge(structure: DagStructure, parent: int, child: int) -> DagStructu
     return validate_dag(sets)
 
 
-def has_path(structure: DagStructure, source: int, target: int) -> bool:
-    """True when a directed path from ``source`` to ``target`` exists."""
-    if source == target:
-        return True
-    stack = [source]
-    seen = {source}
-    while stack:
-        node = stack.pop()
-        for c in structure.children[node]:
-            if c == target:
-                return True
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
-
-
 def ancestors(structure: DagStructure, node: int) -> set[int]:
     """Proper ancestors of ``node``."""
     out: set[int] = set()

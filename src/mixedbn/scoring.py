@@ -342,36 +342,3 @@ def network_score(
             )
     return ScoreBreakdown(emission, discrete, log_prior)
 
-
-def local_score(
-    i: int,
-    policy: NetworkPolicy,
-    structure: DagStructure,
-    dataset: Dataset,
-    prior: PriorSpec,
-) -> float:
-    """Every score term that depends on the policy of variable ``i``.
-
-    Covers the variable's own family, its emission term and policy prior,
-    and the families of its children, where its codes act as a parent.
-    Maximizing this over policies of ``i`` maximizes the network score.
-    """
-    needed: set[int] = {i} | set(structure.parents[i])
-    for child in structure.children[i]:
-        needed.add(child)
-        needed |= set(structure.parents[child])
-    # Columns outside these families are never read, so they stay zero.
-    codes = np.zeros((dataset.n_cases, dataset.n_variables), dtype=np.int64)
-    for v in needed:
-        codes[:, v] = apply_policy(dataset.column(v), policy[v])
-    arities = policy.arities()
-
-    score = family_score(codes, arities, i, structure.parents[i], prior)
-    for child in sorted(structure.children[i]):
-        score += family_score(codes, arities, child, structure.parents[child], prior)
-    if dataset.is_continuous(i):
-        score += emission_component(dataset.column(i), policy[i], prior)
-        score += policy_log_prior(
-            policy[i], len(dataset.candidate_thresholds(i)), prior, dataset.n_cases
-        )
-    return float(score)

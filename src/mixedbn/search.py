@@ -46,10 +46,11 @@ from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
     PriorSpec,
+    emission_component,
     family_score,
     interval_count_log_priors,
-    local_score,
     network_score,
+    policy_log_prior,
 )
 
 EQFREQ = "eqfreq"
@@ -61,6 +62,13 @@ GIVEN = "given"
 # then orders them arbitrarily.  Scores this close count as tied so that
 # the fewer-intervals-then-lexicographic preference decides instead.
 TIE_TOLERANCE = 1e-9
+
+# Largest dense-matrix footprint of one policy solve, checked before the
+# solve allocates.  A cut problem over M candidates holds (M+2)² float64
+# matrices: up to eight working ones while it builds, plus one cost matrix
+# per interval count under shared sample size, or one in all under per-cell
+# pseudo-counts.
+CUT_MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -258,22 +266,17 @@ class _CutProblem:
             margin_prefix = cell_prefix.reshape(q_other, r_child, -1).sum(axis=1)
             self.child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
 
-        self.distinct, occ = np.unique(sorted_vals, return_counts=True)
-        row_distinct = np.searchsorted(self.distinct, sorted_vals)
-        d_pos = np.empty(self.m + 2, dtype=np.int64)
-        for m, p in enumerate(self.positions):
-            d_pos[m] = row_distinct[p] if p < self.n_cases else len(self.distinct)
-        self.d_pos = d_pos
-        self.occ = occ
+        distinct, self.occ = np.unique(sorted_vals, return_counts=True)
+        row_distinct = np.searchsorted(distinct, sorted_vals)
+        self.d_pos = np.append(row_distinct, len(distinct))[self.positions]
 
-        size = self.m + 2
-        cols = np.arange(size)
+        cols = np.arange(self.m + 2)
         self.valid = cols[None, :] > cols[:, None]
         self.counts = np.maximum(
             self.positions[None, :] - self.positions[:, None], 0
         )
         self.density = self._density_matrix()
-        self._g_cache: dict[int | None, np.ndarray] = {}
+        self._tables: dict[int | None, tuple[np.ndarray, list[np.ndarray]]] = {}
 
     def _lut(self, a: float) -> np.ndarray:
         return gammaln(a + np.arange(self.n_cases + 1))
@@ -296,59 +299,53 @@ class _CutProblem:
             widths = self.values[None, :] - self.values[:, None]
             safe = np.where(widths > 0, widths, 1.0)
             return -self.counts * np.log(safe)
+        # As in multinomial_component, an interval holding k distinct values
+        # gives each a pseudo-count of cell_weight(k, 1).  Its cell terms
+        # group those values by occurrence count c, with one prefix count
+        # of values per c.
         k = np.maximum(self.d_pos[None, :] - self.d_pos[:, None], 0)
-        if self.prior.dirichlet_mode == BDEU:
-            return self._bdeu_multinomial_matrix(k)
-        a = self.prior.alpha
-        cum = np.concatenate(([0.0], np.cumsum(gammaln(a + self.occ) - gammaln(a))))
-        cells = cum[self.d_pos][None, :] - cum[self.d_pos][:, None]
-        group_a = a * np.maximum(k, 1)
+        group = np.maximum(k, 1)
+        a = self.prior.cell_weight(group, 1)
+        base = gammaln(a)
+        cells = np.zeros(k.shape)
+        for c in np.unique(self.occ):
+            seen = np.concatenate(([0], np.cumsum(self.occ == c)))[self.d_pos]
+            cells += (seen[None, :] - seen[:, None]) * (gammaln(a + c) - base)
+        group_a = a * group
         margins = gammaln(group_a) - gammaln(group_a + self.counts)
         return np.where(k > 0, margins + cells, 0.0)
 
-    def _bdeu_multinomial_matrix(self, k: np.ndarray) -> np.ndarray:
-        # Group pseudo-counts depend on the interval's member count, so no
-        # prefix trick applies; quadratic loop, intended for small problems.
-        out = np.zeros_like(self.counts, dtype=np.float64)
-        size = self.m + 2
-        for u in range(size):
-            for v in range(u + 1, size):
-                members = self.occ[self.d_pos[u]: self.d_pos[v]]
-                if len(members) == 0:
-                    continue
-                a = self.prior.ess / len(members)
-                group_a = a * len(members)
-                out[u, v] = float(
-                    gammaln(group_a)
-                    - gammaln(group_a + members.sum())
-                    + np.sum(gammaln(a + members) - gammaln(a))
-                )
-        return out
-
-    def interval_matrix(self, r: int | None) -> np.ndarray:
-        """Cost matrix ``G``; ``r`` is needed only for shared sample size."""
-        key = r if self.prior.dirichlet_mode == BDEU else None
-        cached = self._g_cache.get(key)
-        if cached is not None:
-            return cached
-        r_for_cells = 1 if key is None else key
-        a_own = (
-            self.prior.alpha
-            if key is None
-            else self.prior.cell_weight(r_for_cells, self.q_own)
+    def _interval_matrix(self, r: int) -> np.ndarray:
+        """Cost matrix ``G`` for ``r`` intervals."""
+        g = self.density + self._slice_terms(
+            self.own_prefix, self.prior.cell_weight(r, self.q_own), 1
         )
-        g = self.density + self._slice_terms(self.own_prefix, a_own, 1)
         for r_child, q_other, cell_prefix, margin_prefix in self.child_tables:
-            a_cell = (
-                self.prior.alpha
-                if key is None
-                else self.prior.cell_weight(r_child, r_for_cells * q_other)
-            )
+            a_cell = self.prior.cell_weight(r_child, r * q_other)
             g += self._slice_terms(cell_prefix, a_cell, 1)
             g += self._slice_terms(margin_prefix, a_cell * r_child, -1)
-        g = np.where(self.valid, g, -np.inf)
-        self._g_cache[key] = g
-        return g
+        return np.where(self.valid, g, -np.inf)
+
+    def _table(self, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Cost matrix for ``r`` intervals and its DP layers ``0..r``.
+
+        ``layers[k][u]`` is the best score of ``k`` intervals covering cuts
+        ``u..M+1``.  Per-cell pseudo-counts share one matrix across interval
+        counts; shared sample size builds one per count.
+        """
+        key = r if self.prior.dirichlet_mode == BDEU else None
+        table = self._tables.get(key)
+        if table is None:
+            g = self._interval_matrix(r)
+            table = (g, [np.full(self.m + 2, -np.inf), g[:, -1].copy()])
+            self._tables[key] = table
+        g, layers = table
+        interior = slice(1, self.m + 1)
+        while len(layers) <= r:
+            scores = g[:, interior] + layers[-1][interior][None, :]
+            scores = np.where(self.valid[:, interior], scores, -np.inf)
+            layers.append(scores.max(axis=1, initial=-np.inf))
+        return g, layers
 
     def count_penalty(self, r: int) -> float:
         """Own-family row terms; they depend only on the interval count."""
@@ -356,21 +353,6 @@ class _CutProblem:
         return float(
             np.sum(gammaln(a_row) - gammaln(a_row + self.own_totals))
         )
-
-    def _dp_layers(self, g: np.ndarray, k_max: int) -> list[np.ndarray]:
-        size = self.m + 2
-        end = size - 1
-        layers: list[np.ndarray] = [np.full(size, -np.inf)]
-        layers.append(g[:, end].copy())
-        if k_max >= 2:
-            interior = np.arange(1, self.m + 1)
-            rows = np.arange(size)[:, None]
-            mask = interior[None, :] > rows
-            for _ in range(2, k_max + 1):
-                scores = g[:, 1: self.m + 1] + layers[-1][1: self.m + 1][None, :]
-                scores = np.where(mask, scores, -np.inf)
-                layers.append(scores.max(axis=1, initial=-np.inf))
-        return layers
 
     def _reconstruct(
         self, g: np.ndarray, layers: list[np.ndarray], r: int
@@ -391,34 +373,18 @@ class _CutProblem:
         return tuple(float(self.cands[c - 1]) for c in cuts)
 
     def solve(self, r_cap: int) -> DiscretizationPolicy:
-        per_r = self.prior.dirichlet_mode == BDEU
         log_priors = interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
-        totals: list[float] = []
-        shared: tuple[np.ndarray, list[np.ndarray]] | None = None
-        if not per_r:
-            g = self.interval_matrix(None)
-            shared = (g, self._dp_layers(g, r_cap))
-        for r in range(1, r_cap + 1):
-            if per_r:
-                g = self.interval_matrix(r)
-                layers = self._dp_layers(g, r)
-            else:
-                g, layers = shared
-            totals.append(
-                layers[r][0] + self.count_penalty(r) + log_priors[r - 1]
-            )
+        totals = [
+            self._table(r)[1][r][0] + self.count_penalty(r) + log_priors[r - 1]
+            for r in range(1, r_cap + 1)
+        ]
         best_total = max(totals)
         if not np.isfinite(best_total):
             return DiscretizationPolicy((), self.lower, self.upper)
         r = 1 + next(
             k for k, t in enumerate(totals) if t >= best_total - TIE_TOLERANCE
         )
-        if per_r:
-            g = self.interval_matrix(r)
-            layers = self._dp_layers(g, r)
-        else:
-            g, layers = shared
-        thresholds = self._reconstruct(g, layers, r)
+        thresholds = self._reconstruct(*self._table(r), r)
         return DiscretizationPolicy(thresholds, self.lower, self.upper)
 
 
@@ -446,6 +412,16 @@ def optimize_variable(
     r_cap = min(config.resolved_r_max(dataset.n_cases), m + 1)
     if m == 0 or r_cap <= 1:
         return DiscretizationPolicy((), lo, hi)
+    n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
+    estimate = 8 * (m + 2) ** 2 * (8 + n_costs)
+    if estimate > CUT_MEMORY_LIMIT_BYTES:
+        raise ValidationError(
+            f"variable {dataset.names[i]!r}: a policy solve over N={dataset.n_cases} "
+            f"cases and M={m} candidate thresholds needs about "
+            f"{estimate / 2**20:.0f} MiB (limit {CUT_MEMORY_LIMIT_BYTES / 2**20:.0f} "
+            "MiB); round the column to fewer distinct values or declare it "
+            "discrete in the schema"
+        )
     problem = _CutProblem(i, policy, structure, dataset, prior)
     return problem.solve(r_cap)
 
@@ -532,6 +508,27 @@ class _SearchState:
         self._families[key] = (stamp, score)
         return score
 
+    def local(self, v: int) -> float:
+        """Every score term that depends on the policy of variable ``v``.
+
+        Its own family, its children's families in sorted order, then its
+        emission term and policy prior when continuous.
+        """
+        parents = self.structure.parents
+        score = self.family(v, parents[v])
+        for child in sorted(self.structure.children[v]):
+            score += self.family(child, parents[child])
+        if v not in self.discrete:
+            dataset = self.dataset
+            score += emission_component(dataset.column(v), self.policy[v], self.prior)
+            score += policy_log_prior(
+                self.policy[v],
+                len(dataset.candidate_thresholds(v)),
+                self.prior,
+                dataset.n_cases,
+            )
+        return float(score)
+
     def edit_delta(self, edit: tuple[str, int, int]) -> float:
         """Total-score change of one edge edit under the current policy."""
         op, u, v = edit
@@ -604,20 +601,14 @@ class _SearchState:
                 current = self.policy[v]
                 if candidate.thresholds == current.thresholds:
                     continue
-                old_local = local_score(
-                    v, self.policy, self.structure, self.dataset, self.prior
-                )
-                new_local = local_score(
-                    v,
-                    self.policy.with_policy(v, candidate),
-                    self.structure,
-                    self.dataset,
-                    self.prior,
-                )
-                delta = new_local - old_local
-                if delta <= 0:
-                    continue
+                old_local = self.local(v)
                 self.set_policy(v, candidate)
+                delta = self.local(v) - old_local
+                if delta <= 0:
+                    # A revert is one more version bump, so no family score
+                    # computed under the candidate is reused.
+                    self.set_policy(v, current)
+                    continue
                 self.total += delta
                 trace.add(
                     "policy",

@@ -4,8 +4,9 @@ Each oracle takes a deliberately different route from the code under test:
 the sequential chain rule instead of log-gamma ratios, moralization instead
 of trail reachability, and subset enumeration instead of the ancestral
 shortcut or the segmentation dynamic program.  Everything here sticks to
-plain Python loops and math calls, except :func:`exhaustive_policy_search`,
-which scores each enumerated subset with the package's ``local_score``.
+plain Python loops and math calls, except :func:`local_score`, which sums
+the package's score terms on a freshly coded matrix, and
+:func:`exhaustive_policy_search`, which scores each enumerated subset with it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from mixedbn import (
     NetworkPolicy,
     PriorSpec,
     ValidationError,
-    local_score,
+    apply_policy,
 )
+from mixedbn.scoring import emission_component, family_score, policy_log_prior
 from mixedbn.search import TIE_TOLERANCE
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
@@ -170,6 +172,40 @@ def brute_univariate_best(values, lower, upper, candidates, alpha=1.0):
             if best is None or score > best[1]:
                 best = (subset, score)
     return best
+
+
+def local_score(
+    i: int,
+    policy: NetworkPolicy,
+    structure: DagStructure,
+    dataset: Dataset,
+    prior: PriorSpec,
+) -> float:
+    """Every score term that depends on the policy of variable ``i``.
+
+    Covers the variable's own family, its emission term and policy prior,
+    and the families of its children, where its codes act as a parent.
+    Maximizing this over policies of ``i`` maximizes the network score.
+    """
+    needed: set[int] = {i} | set(structure.parents[i])
+    for child in structure.children[i]:
+        needed.add(child)
+        needed |= set(structure.parents[child])
+    # Columns outside these families are never read, so they stay zero.
+    codes = np.zeros((dataset.n_cases, dataset.n_variables), dtype=np.int64)
+    for v in needed:
+        codes[:, v] = apply_policy(dataset.column(v), policy[v])
+    arities = policy.arities()
+
+    score = family_score(codes, arities, i, structure.parents[i], prior)
+    for child in sorted(structure.children[i]):
+        score += family_score(codes, arities, child, structure.parents[child], prior)
+    if dataset.is_continuous(i):
+        score += emission_component(dataset.column(i), policy[i], prior)
+        score += policy_log_prior(
+            policy[i], len(dataset.candidate_thresholds(i)), prior, dataset.n_cases
+        )
+    return float(score)
 
 
 def exhaustive_policy_search(

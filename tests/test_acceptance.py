@@ -34,7 +34,6 @@ from mixedbn import (
     family_counts,
     hill_climb_structure,
     initial_policy,
-    local_score,
     network_score,
     optimize_variable,
     random_mechanism,
@@ -46,6 +45,7 @@ from oracles import (
     brute_univariate_best,
     exhaustive_policy_search,
     ks_statistic,
+    local_score,
     moral_dsep,
     sequential_log_marginal,
 )

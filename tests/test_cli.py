@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from mixedbn import InternalError, SearchConfig, load_dataset
+from mixedbn import InternalError, SearchConfig, load_dataset, search
 from mixedbn.cli import build_parser, load_structure, main
+from mixedbn.search import _SearchState
 
 
 def run_cli(*args):
@@ -131,6 +132,8 @@ class TestDiscretize:
         assert manifest["search"]["init"] == {"kind": "eqfreq", "r0": 3}
         assert manifest["prior"]["dirichlet_mode"] == "k2"
         assert "total_score" in manifest
+        scale = max(1.0, abs(manifest["total_score"]))
+        assert abs(manifest["score_drift"]) <= 1e-6 * scale
 
     def test_missing_data_file(self, tmp_path):
         rc = run_cli(
@@ -198,6 +201,9 @@ class TestLearn:
         assert records[-1]["kind"] == "termination"
         dot = (tmp_path / "fit.structure.dot").read_text()
         assert dot.startswith("digraph")
+        manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
+        scale = max(1.0, abs(manifest["total_score"]))
+        assert abs(manifest["score_drift"]) <= 1e-6 * scale
         data = load_dataset(str(prefix) + ".csv")
         loaded = load_structure(tmp_path / "fit.structure.json", data)
         assert [
@@ -218,6 +224,38 @@ class TestLearn:
                 (tmp_path / ("fit1" + suffix)).read_bytes()
                 == (tmp_path / ("fit2" + suffix)).read_bytes()
             )
+
+    @pytest.mark.parametrize(
+        "command, out", [("learn", "fit"), ("discretize", "fit.json")]
+    )
+    def test_drifted_total_exits_3(self, tmp_path, monkeypatch, capsys, command, out):
+        prefix = simulate(tmp_path)
+        calls = []
+        local = _SearchState.local
+
+        def corrupted(self, v):
+            # The second call scores the first candidate policy, so its
+            # accepted delta comes out one nat too high.
+            calls.append(v)
+            return local(self, v) + (1.0 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(_SearchState, "local", corrupted)
+        rc = run_cli(
+            command, "--data", str(prefix) + ".csv", "--out", str(tmp_path / out)
+        )
+        assert rc == 3
+        assert "fresh network score" in capsys.readouterr().err
+        assert not (tmp_path / "fit.manifest.json").exists()
+
+    def test_oversized_solve_exits_2(self, tmp_path, monkeypatch, capsys):
+        prefix = simulate(tmp_path)
+        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", 1)
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        assert "N=40" in capsys.readouterr().err
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         prefix = simulate(tmp_path)

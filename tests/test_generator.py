@@ -11,7 +11,6 @@ from mixedbn import (
     apply_policy,
     load_mechanism,
     mechanism_from_obj,
-    mechanism_policy,
     mechanism_to_obj,
     random_mechanism,
     sample_dataset,
@@ -208,9 +207,3 @@ class TestMechanismJson:
             mechanism_from_obj({"schema_version": 1})
         with pytest.raises(ValidationError):
             load_mechanism(io.StringIO("not json"))
-
-    def test_mechanism_policy_view(self):
-        mech = two_node_mechanism()
-        policy = mechanism_policy(mech)
-        assert len(policy) == 2
-        assert policy[0].thresholds == (0.0,)

@@ -11,7 +11,6 @@ from mixedbn import (
     ancestors,
     d_separated,
     empty_structure,
-    has_path,
     remove_edge,
     reverse_edge,
     to_dot,
@@ -96,12 +95,6 @@ class TestEdits:
         s = validate_dag([set(), {0}, {0, 1}])
         with pytest.raises(CycleError):
             reverse_edge(s, 0, 2)
-
-    def test_has_path(self):
-        s = chain(4)
-        assert has_path(s, 0, 3)
-        assert has_path(s, 1, 1)
-        assert not has_path(s, 3, 0)
 
 
 class TestAncestorsAndBlanket:

@@ -24,13 +24,12 @@ from mixedbn import (
     emission_component,
     family_counts,
     interval_count_log_prior,
-    local_score,
     network_score,
     policy_log_prior,
 )
 from mixedbn.graph import empty_structure, validate_dag
 from mixedbn.scoring import interval_count_log_priors, multinomial_component
-from oracles import sequential_log_marginal
+from oracles import local_score, sequential_log_marginal
 
 
 class TestPriorSpec:

@@ -20,9 +20,9 @@ from mixedbn import (
     ValidationError,
     affected_set,
     coordinate_ascent,
+    emission_component,
     hill_climb_structure,
     initial_policy,
-    local_score,
     network_score,
     optimize_variable,
     random_mechanism,
@@ -39,9 +39,10 @@ from mixedbn.graph import (
     reverse_edge,
     validate_dag,
 )
+from mixedbn import search
 from mixedbn.scoring import family_score
-from mixedbn.search import _edit_candidates, _SearchState
-from oracles import exhaustive_policy_search, separates_by_subset
+from mixedbn.search import _CutProblem, _edit_candidates, _SearchState
+from oracles import exhaustive_policy_search, local_score, separates_by_subset
 
 
 def dependent_pair_mechanism(seed, flip=0.1):
@@ -270,6 +271,67 @@ class TestOptimizeVariable:
                 PriorSpec(),
                 4,
             )
+
+
+class TestCutProblem:
+    """Interval costs of the segmentation add up to the score terms."""
+
+    @pytest.mark.parametrize("density", ["uniform", "multinomial"])
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    def test_density_sums_match_emission(self, mode, density):
+        rng = np.random.default_rng(41)
+        distinct = np.sort(rng.choice(1000, size=70, replace=False)) / 100.0
+        values = np.repeat(distinct, rng.integers(1, 6, size=len(distinct)))
+        assert set(np.unique(values, return_counts=True)[1]) == {1, 2, 3, 4, 5}
+        ds = continuous_dataset(
+            rng.permutation(values).reshape(-1, 1), bounds=[(-1.0, 11.0)]
+        )
+        prior = PriorSpec(
+            dirichlet_mode=mode, alpha=2.5, ess=4.0, density_model=density
+        )
+        problem = _CutProblem(
+            0, trivial_network_policy(ds), empty_structure(1), ds, prior
+        )
+        cands = ds.candidate_thresholds(0)
+        lo, hi = ds.policy_bounds(0)
+        for _ in range(20):
+            size = int(rng.integers(0, 15))
+            cuts = sorted(rng.choice(np.arange(1, len(cands) + 1), size, replace=False))
+            chain = [0, *cuts, len(cands) + 1]
+            got = sum(problem.density[u, v] for u, v in zip(chain, chain[1:]))
+            policy = DiscretizationPolicy(
+                tuple(float(cands[c - 1]) for c in cuts), lo, hi
+            )
+            want = emission_component(ds.column(0), policy, prior)
+            assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestMemoryGuard:
+    """Solves too large for the dense-matrix budget fail before allocating."""
+
+    def solve(self, ds, prior):
+        return optimize_variable(
+            0, trivial_network_policy(ds), empty_structure(1), ds, prior,
+            SearchConfig(),
+        )
+
+    def test_message_names_the_problem(self, monkeypatch):
+        ds = continuous_dataset(np.arange(40.0).reshape(-1, 1), names=["depth"])
+        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", 1)
+        with pytest.raises(ValidationError) as info:
+            self.solve(ds, PriorSpec())
+        message = str(info.value)
+        for part in ("'depth'", "N=40", "M=39", "round the column", "discrete"):
+            assert part in message
+
+    def test_shared_sample_size_counts_every_cost_matrix(self, monkeypatch):
+        ds = continuous_dataset(np.arange(40.0).reshape(-1, 1))
+        # Eight working matrices plus K2's single cost matrix fit exactly;
+        # BDeu holds one cost matrix per interval count (twelve here).
+        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", 8 * 41**2 * 9)
+        self.solve(ds, PriorSpec())
+        with pytest.raises(ValidationError):
+            self.solve(ds, PriorSpec(dirichlet_mode="bdeu"))
 
 
 class TestAffectedSet:
@@ -546,6 +608,9 @@ class TestSearchState:
                 v, state.policy, state.structure, ds, prior, config
             )
             assert state.solve(v) == fresh
+        for v in range(ds.n_variables):
+            fresh = local_score(v, state.policy, state.structure, ds, prior)
+            assert state.local(v) == fresh
 
     def test_scripted_edits_and_policy_changes(self):
         ds, _ = sample_dataset(random_mechanism(4, 2, 3, seed=11), 60)
@@ -559,12 +624,20 @@ class TestSearchState:
         def edit(op, u, v):
             state.apply_edit((op, u, v), state.edit_delta((op, u, v)))
 
+        def try_and_revert(v, candidate):
+            # The ascent's reject path: score the candidate, then set back.
+            current = state.policy[v]
+            state.set_policy(v, candidate)
+            state.local(v)
+            state.set_policy(v, current)
+
         steps = [
             lambda: edit("add", 0, 2),
             lambda: edit("add", 1, 2),
             lambda: edit("add", 3, 1),
             # 1 is a co-parent of 0 in the family of 2.
             lambda: state.set_policy(1, coarse),
+            lambda: try_and_revert(0, DiscretizationPolicy((), *ds.policy_bounds(0))),
             lambda: state.set_policy(2, state.solve(2)),
             lambda: edit("reverse", 0, 2),
             lambda: state.set_policy(0, state.solve(0)),
@@ -576,6 +649,27 @@ class TestSearchState:
             step()
             self.check(state, ds, prior, config)
         assert state.solve_hits > 0
+
+    def test_ascent_rejects_a_worse_candidate(self, monkeypatch):
+        ds, _ = sample_dataset(random_mechanism(3, 2, 2, seed=11), 60)
+        prior, config = PriorSpec(), SearchConfig()
+        state = _SearchState(
+            validate_dag([set(), {0}, {1}]), initial_policy(ds, config), ds, prior,
+            config,
+        )
+        state.ascend()
+        policy, total = state.policy, state.total
+        assert all(policy[v].arity > 1 for v in range(3))
+        # Offer a single interval, worse than each learned policy.
+        monkeypatch.setattr(
+            state, "solve", lambda v: DiscretizationPolicy((), *ds.policy_bounds(v))
+        )
+        trace = state.ascend()
+        assert [r["kind"] for r in trace.records] == ["sweep"]
+        assert state.policy == policy
+        assert state.total == total
+        monkeypatch.undo()
+        self.check(state, ds, prior, config)
 
 
 class TestSearchTrace:
