@@ -5,8 +5,10 @@ the sequential chain rule instead of log-gamma ratios, moralization instead
 of trail reachability, and subset enumeration instead of the ancestral
 shortcut or the segmentation dynamic program.  Everything here sticks to
 plain Python loops and math calls, except :func:`local_score`, which sums
-the package's score terms on a freshly coded matrix, and
-:func:`exhaustive_policy_search`, which scores each enumerated subset with it.
+the package's score terms on a freshly coded matrix,
+:func:`exhaustive_policy_search`, which scores each enumerated subset with it,
+and :class:`DenseCutProblem`, the segmentation DP over whole dense cost
+matrices, which the row-blocked DP must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from typing import Iterable
 
 import numpy as np
+from scipy.special import gammaln
 
 from mixedbn import (
     Dataset,
@@ -26,8 +29,15 @@ from mixedbn import (
     ValidationError,
     apply_policy,
 )
-from mixedbn.scoring import emission_component, family_score, policy_log_prior
-from mixedbn.search import TIE_TOLERANCE
+from mixedbn.scoring import (
+    BDEU,
+    MULTINOMIAL_DENSITY,
+    emission_component,
+    family_score,
+    interval_count_log_priors,
+    policy_log_prior,
+)
+from mixedbn.search import TIE_TOLERANCE, _CutProblem
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
@@ -256,3 +266,115 @@ def exhaustive_policy_search(
     )
     best_policy, score = scored(winner)
     return best_policy, score
+
+
+class DenseCutProblem(_CutProblem):
+    """The segmentation DP over dense (M+2)² cost matrices.
+
+    Shares the prefix tables of :class:`_CutProblem` but builds every cost
+    matrix whole, lower triangle included and masked to ``-inf``, with one
+    matrix per interval count under shared sample size.  Reference for the
+    row-blocked DP, which must match it exactly.
+    """
+
+    def __init__(self, i, policy, structure, dataset, prior):
+        super().__init__(i, policy, structure, dataset, prior)
+        sorted_vals = dataset.column(i)[dataset.sort_index(i)]
+        distinct, self.occ = np.unique(sorted_vals, return_counts=True)
+        row_distinct = np.searchsorted(distinct, sorted_vals)
+        self.d_pos = np.append(row_distinct, len(distinct))[self.positions]
+        cols = np.arange(self.m + 2)
+        self.valid = cols[None, :] > cols[:, None]
+        self.counts = np.maximum(
+            self.positions[None, :] - self.positions[:, None], 0
+        )
+        self.density = self._density_matrix()
+        self._tables = {}
+
+    def _dense_slice_terms(self, prefix, a, sign):
+        """Sum over non-empty states of ``sign * (lnG(a + n) - lnG(a))``."""
+        lut = gammaln(a + np.arange(self.n_cases + 1))
+        out = np.zeros_like(self.counts, dtype=np.float64)
+        for row in prefix:
+            if row[-1] == 0:
+                continue
+            n = np.maximum(row[None, :] - row[:, None], 0)
+            out += lut[n]
+            out -= lut[0]
+        return sign * out
+
+    def _density_matrix(self):
+        """Per-interval emission cost for every cut pair."""
+        if self.prior.density_model != MULTINOMIAL_DENSITY:
+            widths = self.values[None, :] - self.values[:, None]
+            safe = np.where(widths > 0, widths, 1.0)
+            return -self.counts * np.log(safe)
+        k = np.maximum(self.d_pos[None, :] - self.d_pos[:, None], 0)
+        group = np.maximum(k, 1)
+        a = self.prior.cell_weight(group, 1)
+        base = gammaln(a)
+        cells = np.zeros(k.shape)
+        for c in np.unique(self.occ):
+            seen = np.concatenate(([0], np.cumsum(self.occ == c)))[self.d_pos]
+            cells += (seen[None, :] - seen[:, None]) * (gammaln(a + c) - base)
+        group_a = a * group
+        margins = gammaln(group_a) - gammaln(group_a + self.counts)
+        return np.where(k > 0, margins + cells, 0.0)
+
+    def _interval_matrix(self, r):
+        """Cost matrix ``G`` for ``r`` intervals."""
+        g = self.density + self._dense_slice_terms(
+            self.own_prefix, self.prior.cell_weight(r, self.q_own), 1
+        )
+        for r_child, q_other, cell_prefix, margin_prefix in self.child_tables:
+            a_cell = self.prior.cell_weight(r_child, r * q_other)
+            g += self._dense_slice_terms(cell_prefix, a_cell, 1)
+            g += self._dense_slice_terms(margin_prefix, a_cell * r_child, -1)
+        return np.where(self.valid, g, -np.inf)
+
+    def table(self, r):
+        """Cost matrix for ``r`` intervals and its DP layers ``0..r``.
+
+        ``layers[k][u]`` is the best score of ``k`` intervals covering cuts
+        ``u..M+1``.
+        """
+        key = r if self.prior.dirichlet_mode == BDEU else None
+        table = self._tables.get(key)
+        if table is None:
+            g = self._interval_matrix(r)
+            table = (g, [np.full(self.m + 2, -np.inf), g[:, -1].copy()])
+            self._tables[key] = table
+        g, layers = table
+        interior = slice(1, self.m + 1)
+        while len(layers) <= r:
+            scores = g[:, interior] + layers[-1][interior][None, :]
+            scores = np.where(self.valid[:, interior], scores, -np.inf)
+            layers.append(scores.max(axis=1, initial=-np.inf))
+        return g, layers
+
+    def _dense_reconstruct(self, g, layers, r):
+        cuts = []
+        u = 0
+        for k in range(r, 1, -1):
+            scores = g[u, 1: self.m + 1] + layers[k - 1][1: self.m + 1]
+            scores = np.where(np.arange(1, self.m + 1) > u, scores, -np.inf)
+            top = scores.max(initial=-np.inf)
+            v = int(np.argmax(scores >= top - TIE_TOLERANCE)) + 1
+            cuts.append(v)
+            u = v
+        return tuple(float(self.cands[c - 1]) for c in cuts)
+
+    def solve(self, r_cap):
+        log_priors = interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
+        totals = [
+            self.table(r)[1][r][0] + self.count_penalty(r) + log_priors[r - 1]
+            for r in range(1, r_cap + 1)
+        ]
+        best_total = max(totals)
+        if not np.isfinite(best_total):
+            return DiscretizationPolicy((), self.lower, self.upper)
+        r = 1 + next(
+            k for k, t in enumerate(totals) if t >= best_total - TIE_TOLERANCE
+        )
+        thresholds = self._dense_reconstruct(*self.table(r), r)
+        return DiscretizationPolicy(thresholds, self.lower, self.upper)

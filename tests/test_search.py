@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,12 @@ from mixedbn.graph import (
 from mixedbn import search
 from mixedbn.scoring import family_score
 from mixedbn.search import _CutProblem, _edit_candidates, _SearchState
-from oracles import exhaustive_policy_search, local_score, separates_by_subset
+from oracles import (
+    DenseCutProblem,
+    exhaustive_policy_search,
+    local_score,
+    separates_by_subset,
+)
 
 
 def dependent_pair_mechanism(seed, flip=0.1):
@@ -298,7 +304,10 @@ class TestCutProblem:
             size = int(rng.integers(0, 15))
             cuts = sorted(rng.choice(np.arange(1, len(cands) + 1), size, replace=False))
             chain = [0, *cuts, len(cands) + 1]
-            got = sum(problem.density[u, v] for u, v in zip(chain, chain[1:]))
+            got = sum(
+                problem._emission(u, u + 1)[0, v - u - 1]
+                for u, v in zip(chain, chain[1:])
+            )
             policy = DiscretizationPolicy(
                 tuple(float(cands[c - 1]) for c in cuts), lo, hi
             )
@@ -306,8 +315,93 @@ class TestCutProblem:
             assert got == pytest.approx(want, abs=1e-9)
 
 
+class TestBlockedCutProblem:
+    """The row-blocked DP equals the dense-matrix DP bit for bit."""
+
+    @staticmethod
+    def problem_inputs():
+        rng = np.random.default_rng(17)
+        n = 48
+        x = np.round(rng.uniform(0.0, 3.0, n), 1)
+        parent = (x + rng.normal(0.0, 0.8, n) > 1.5).astype(float)
+        child = np.round(x + rng.normal(0.0, 1.0, n), 1)
+        other = np.round(rng.uniform(0.0, 1.0, n), 2)
+        ds = continuous_dataset(np.c_[x, parent, child, other])
+        policy = trivial_network_policy(ds)
+        for v, cuts in ((1, (0.5,)), (2, (0.8, 1.6, 2.4)), (3, (0.5,))):
+            policy = policy.with_policy(
+                v, DiscretizationPolicy(cuts, *ds.policy_bounds(v))
+            )
+        family = validate_dag([{1}, set(), {0, 3}, set()])
+        return ds, policy, family
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("with_family", [False, True])
+    @pytest.mark.parametrize("mode,policy_prior,density", PRIOR_COMBINATIONS)
+    def test_matches_dense_reference(
+        self, monkeypatch, rows, with_family, mode, policy_prior, density
+    ):
+        ds, policy, family = self.problem_inputs()
+        structure = family if with_family else empty_structure(4)
+        prior = PriorSpec(
+            dirichlet_mode=mode, alpha=1.5, ess=3.0, policy_prior=policy_prior,
+            poisson_rate=2.0, density_model=density,
+        )
+        m = len(ds.candidate_thresholds(0))
+        assert m > 20
+        if rows is not None:
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+        r_cap = 12
+        dense = DenseCutProblem(0, policy, structure, ds, prior)
+        problem = _CutProblem(0, policy, structure, ds, prior)
+        per_count = mode == "bdeu"
+        layers = problem._layers(range(1, r_cap + 1) if per_count else [r_cap])
+        for r in range(1, r_cap + 1):
+            table = layers[r if per_count else r_cap]
+            want = dense.table(r)[1]
+            assert table[r - 1, 0] == want[r][0]
+            for k in range(1, r + 1):
+                assert np.array_equal(table[k - 1], want[k])
+            # Backtracking every interval count walks rows on both sides
+            # of the kept top block.
+            cost_r = r if per_count else r_cap
+            assert problem._reconstruct(cost_r, table, r) == (
+                dense._dense_reconstruct(*dense.table(r), r)
+            )
+        got = _CutProblem(0, policy, structure, ds, prior).solve(r_cap)
+        assert got == dense.solve(r_cap)
+
+    def test_bdeu_solve_memory(self):
+        rng = np.random.default_rng(1)
+        n = 600
+        x0 = rng.uniform(0.0, 1.0, n)
+        x1 = x0 + rng.normal(0.0, 0.3, n)
+        x2 = x1 + rng.normal(0.0, 0.3, n)
+        ds = continuous_dataset(np.c_[x0, x1, x2])
+        policy = trivial_network_policy(ds)
+        for v in (0, 2):
+            cut = (float(np.median(ds.column(v))),)
+            policy = policy.with_policy(
+                v, DiscretizationPolicy(cut, *ds.policy_bounds(v))
+            )
+        structure = validate_dag([set(), {0}, {1}])
+        m = len(ds.candidate_thresholds(1))
+        assert m == 599
+        tracemalloc.start()
+        try:
+            optimize_variable(
+                1, policy, structure, ds, PriorSpec(dirichlet_mode="bdeu"),
+                SearchConfig(),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The dense DP peaked at 18.3 such matrices here.
+        assert peak < 4 * 8 * (m + 2) ** 2
+
+
 class TestMemoryGuard:
-    """Solves too large for the dense-matrix budget fail before allocating."""
+    """Solves too large for the memory budget fail before allocating."""
 
     def solve(self, ds, prior):
         return optimize_variable(
@@ -326,9 +420,12 @@ class TestMemoryGuard:
 
     def test_shared_sample_size_counts_every_cost_matrix(self, monkeypatch):
         ds = continuous_dataset(np.arange(40.0).reshape(-1, 1))
-        # Eight working matrices plus K2's single cost matrix fit exactly;
-        # BDeu holds one cost matrix per interval count (twelve here).
-        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", 8 * 41**2 * 9)
+        # M=39, r_cap=12, no family: one prefix table, the working blocks,
+        # 12 layer vectors and 12 log-gamma tables fit.  K2 needs one table;
+        # BDeu needs all 12, and 1+2+...+12 = 78 layer vectors.
+        blocks = search._WORK_BLOCKS * search._BLOCK_FLOATS
+        limit = 8 * ((1 + 12) * 41 + 12 * 41 + blocks)
+        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", limit)
         self.solve(ds, PriorSpec())
         with pytest.raises(ValidationError):
             self.solve(ds, PriorSpec(dirichlet_mode="bdeu"))
