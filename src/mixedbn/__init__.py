@@ -60,7 +60,6 @@ from .search import (
     InitSpec,
     SearchConfig,
     SearchTrace,
-    affected_set,
     coordinate_ascent,
     hill_climb_structure,
     initial_policy,
@@ -114,7 +113,6 @@ __all__ = [
     "InitSpec",
     "SearchConfig",
     "SearchTrace",
-    "affected_set",
     "coordinate_ascent",
     "hill_climb_structure",
     "initial_policy",

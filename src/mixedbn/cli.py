@@ -107,7 +107,6 @@ def _config_from_args(args: argparse.Namespace) -> SearchConfig:
         max_sweeps=args.max_sweeps,
         init=_parse_init(args.init),
         max_parents=args.max_parents,
-        interleave_period=args.interleave_period,
         seed=args.seed,
     )
 
@@ -148,10 +147,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
                         help="tie-breaking seed (default 0)")
     parser.add_argument("--max-parents", type=int, default=3,
                         help="parent count cap per node (default 3)")
-    parser.add_argument(
-        "--interleave-period", type=int, default=1,
-        help="accepted edits between re-discretizations (default 1)",
-    )
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:

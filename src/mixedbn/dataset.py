@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -429,7 +430,7 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
                     f"non-numeric value {token!r} in column {name!r} "
                     f"at data row {row_num}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValidationError(
                     f"non-finite value {token!r} in column {name!r} "
                     f"at data row {row_num}"

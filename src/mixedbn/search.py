@@ -37,7 +37,6 @@ from .graph import (
     DagStructure,
     add_edge,
     ancestors,
-    d_separated,
     empty_structure,
     remove_edge,
     reverse_edge,
@@ -115,7 +114,6 @@ class SearchConfig:
     max_sweeps: int = 50
     init: InitSpec = InitSpec()
     max_parents: int = 3
-    interleave_period: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -127,10 +125,6 @@ class SearchConfig:
             raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.max_parents < 1:
             raise ValidationError(f"max_parents must be >= 1, got {self.max_parents}")
-        if self.interleave_period < 1:
-            raise ValidationError(
-                f"interleave_period must be >= 1, got {self.interleave_period}"
-            )
 
     def resolved_r_max(self, n_cases: int) -> int:
         if self.r_max is not None:
@@ -496,41 +490,17 @@ def optimize_variable(
     return problem.solve(r_cap)
 
 
-def affected_set(
-    structure: DagStructure, i: int, discrete_vars: Iterable[int]
-) -> set[int]:
-    """Continuous variables whose optimal policy can shift with variable ``i``.
-
-    A variable is unaffected when it is d-separated from ``i`` by the empty
-    set or by discrete variables alone; checking the discrete variables that
-    are ancestors of either endpoint decides the latter.  Used only to order
-    re-optimization; correctness never depends on it.
-    """
-    d = set(discrete_vars)
-    anc_i = ancestors(structure, i)
-    out: set[int] = set()
-    for j in range(structure.n):
-        if j == i or j in d:
-            continue
-        if d_separated(structure, i, j, ()):
-            continue
-        z = (d - {i, j}) & (anc_i | ancestors(structure, j))
-        if z and d_separated(structure, i, j, z):
-            continue
-        out.add(j)
-    return out
-
-
 class _SearchState:
     """Structure, policy and running total of one search, plus its caches.
 
     The code matrix follows the policy one column at a time.  A family
     score is cached per (child, parent set) and stamped with the policy
     versions of the family's members, so it is reused only while none of
-    those policies has changed.  A policy solve is memoized on exactly what
-    the cut problem reads: the variable's parents, its children and the
-    children's other parents, each with its policy.  The caches hold floats
-    and policies only, and live as long as the state.
+    those policies has changed.  A policy solve is memoized on
+    :meth:`solve_key`, exactly what the cut problem reads.  That key also
+    decides what to solve again: a policy change at ``v`` changes the keys
+    of ``blanket(v)`` and nothing else.  The caches hold floats and
+    policies only, and live as long as the state.
     """
 
     def __init__(
@@ -614,7 +584,10 @@ class _SearchState:
             - self.family(u, parents[u])
         )
 
-    def apply_edit(self, edit: tuple[str, int, int], delta: float) -> None:
+    def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
+        """Apply one edge edit; returns the variables whose solve key it
+        changed: both endpoints, the child's other parents and, after a
+        reversal, the new child's parents."""
         op, u, v = edit
         if op == "add":
             self.structure = add_edge(self.structure, u, v)
@@ -623,11 +596,17 @@ class _SearchState:
         else:
             self.structure = reverse_edge(self.structure, u, v)
         self.total += delta
+        parents = self.structure.parents
+        rekeyed = {u, v} | parents[v]
+        if op == "reverse":
+            rekeyed |= parents[u]
+        return rekeyed
 
-    def solve(self, i: int) -> DiscretizationPolicy:
-        """``optimize_variable`` for ``i``, reused while its inputs stand."""
+    def solve_key(self, i: int) -> tuple:
+        """What the cut problem of ``i`` reads: its parents, its children and
+        the children's other parents, each with its policy."""
         structure, policy = self.structure, self.policy
-        key = (
+        return (
             i,
             tuple((p, policy[p]) for p in sorted(structure.parents[i])),
             tuple(
@@ -639,31 +618,47 @@ class _SearchState:
                 for c in sorted(structure.children[i])
             ),
         )
+
+    def blanket(self, v: int) -> set[int]:
+        """The variables whose solve key holds the policy of ``v``: its
+        parents, its children and its children's other parents."""
+        parents = self.structure.parents
+        out = set(parents[v])
+        for c in self.structure.children[v]:
+            out.add(c)
+            out |= parents[c]
+        out.discard(v)
+        return out
+
+    def solve(self, i: int) -> DiscretizationPolicy:
+        """``optimize_variable`` for ``i``, reused while its inputs stand."""
+        key = self.solve_key(i)
         cached = self._solves.get(key)
         if cached is not None:
             self.solve_hits += 1
             return cached
         result = optimize_variable(
-            i, policy, structure, self.dataset, self.prior, self.config
+            i, self.policy, self.structure, self.dataset, self.prior, self.config
         )
         self._solves[key] = result
         return result
 
-    def ascend(self, subset: Iterable[int] | None = None) -> SearchTrace:
-        """Coordinate ascent from the current state; see :func:`coordinate_ascent`."""
-        allowed = None if subset is None else set(subset)
-        universe = [
-            v
-            for v in self.structure.topo_order
-            if v not in self.discrete and (allowed is None or v in allowed)
-        ]
-        universe_set = set(universe)
+    def ascend(self, start: Iterable[int] | None = None) -> SearchTrace:
+        """Coordinate ascent from the current state; see :func:`coordinate_ascent`.
+
+        Sweeps the continuous members of ``start``, every continuous
+        variable when ``None``.  The variables an accepted change re-queues
+        join the swept set, so later sweeps visit them too.
+        """
+        if start is None:
+            start = range(self.structure.n)
+        swept = set(start) - self.discrete
         trace = SearchTrace()
         trace.termination = "max_sweeps"
         for sweep in range(1, self.config.max_sweeps + 1):
             sweep_start = self.total
-            queue = deque(universe)
-            queued = set(universe)
+            queue = deque(v for v in self.structure.topo_order if v in swept)
+            queued = set(swept)
             while queue:
                 v = queue.popleft()
                 queued.discard(v)
@@ -688,10 +683,11 @@ class _SearchState:
                     delta=delta,
                     total=self.total,
                 )
-                for j in sorted(affected_set(self.structure, v, self.discrete)):
-                    if j in universe_set and j not in queued:
+                for j in sorted(self.blanket(v) - self.discrete):
+                    if j not in queued:
                         queue.append(j)
                         queued.add(j)
+                        swept.add(j)
             trace.add("sweep", sweep=sweep, total=self.total)
             if self.total - sweep_start < self.config.epsilon:
                 trace.termination = "converged"
@@ -706,17 +702,18 @@ def coordinate_ascent(
     dataset: Dataset,
     prior: PriorSpec,
     config: SearchConfig,
-    subset: Iterable[int] | None = None,
 ) -> tuple[NetworkPolicy, SearchTrace]:
     """Sweep continuous variables, re-optimizing each policy in turn.
 
-    Variables are visited in topological order; each accepted change
-    re-queues the variables it can affect within the same sweep.  Stops when
-    a full sweep gains less than ``epsilon`` or after ``max_sweeps``.
+    Variables are visited in topological order.  An accepted change at
+    ``v`` re-queues, within the same sweep, the continuous variables of
+    v's Markov blanket (its parents, children and children's other
+    parents): exactly the variables whose solve reads v's policy.  Stops
+    when a full sweep gains less than ``epsilon`` or after ``max_sweeps``.
     """
     validate_network_policy(policy, dataset)
     state = _SearchState(structure, policy, dataset, prior, config)
-    trace = state.ascend(subset)
+    trace = state.ascend()
     return state.policy, trace
 
 
@@ -760,8 +757,10 @@ def hill_climb_structure(
 
     Each round scores every legal single-edge addition, deletion, and
     reversal under the current discretization, applies the best one when it
-    gains more than ``epsilon``, and re-optimizes the policies the touched
-    endpoints can affect (every ``interleave_period`` accepted edits).
+    gains more than ``epsilon``, and runs an ascent from the variables whose
+    solve inputs the edit changed: both endpoints, the child's other
+    parents and, after a reversal, the new child's parents.  The ascent
+    re-queues Markov blankets as in :func:`coordinate_ascent`.
     Edits are scanned from the initial coarse discretization rather than a
     pre-optimized one: optimizing policies under the empty graph first can
     collapse dependent variables to single intervals and hide every edge.
@@ -777,7 +776,6 @@ def hill_climb_structure(
     )
     trace = SearchTrace()
     rng = np.random.default_rng(config.seed)
-    pending = 0
 
     while True:
         candidates = _edit_candidates(state.structure, config.max_parents)
@@ -794,24 +792,15 @@ def hill_climb_structure(
             # and rescan, since better thresholds can expose new edits.
             sub_trace = state.ascend()
             trace.extend(sub_trace)
-            pending = 0
             if any(r["kind"] == "policy" for r in sub_trace.records):
                 continue
             break
-        state.apply_edit(best_edit, best_delta)
+        rekeyed = state.apply_edit(best_edit, best_delta)
         op, u, v = best_edit
         trace.add(
             "edge", op=op, parent=u, child=v, delta=float(best_delta), total=state.total
         )
-        pending += 1
-        if pending >= config.interleave_period:
-            touched = (
-                affected_set(state.structure, u, state.discrete)
-                | affected_set(state.structure, v, state.discrete)
-                | ({u, v} - state.discrete)
-            )
-            trace.extend(state.ascend(touched))
-            pending = 0
+        trace.extend(state.ascend(rekeyed))
     trace.termination = "no_improving_edit"
     trace.final_total = state.total
     return state.structure, state.policy, trace

@@ -1,7 +1,13 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from mixedbn import Dataset, DiscretizationPolicy, NetworkPolicy, VariableMeta
+from mixedbn import (
+    Dataset,
+    DiscretizationPolicy,
+    NetworkPolicy,
+    VariableMeta,
+    sample_dataset,
+)
 from mixedbn.graph import validate_dag
 
 settings.register_profile(
@@ -105,6 +111,21 @@ def random_mixed_dataset(rng, n_vars=4, n_cases=20):
             arity = int(rng.integers(2, 4))
             spec.append(("d", rng.integers(0, arity, size=n_cases), arity))
     return mixed_dataset(spec)
+
+
+def odd_columns_discrete(mechanism, n_cases):
+    """``sample_dataset`` table whose odd-indexed columns are replaced by
+    their latent codes and declared discrete."""
+    ds, codes = sample_dataset(mechanism, n_cases)
+    values = ds.values.copy()
+    variables = list(ds.variables)
+    for i in range(1, mechanism.n, 2):
+        values[:, i] = codes[:, i]
+        variables[i] = VariableMeta(
+            name=variables[i].name, kind="discrete", column_index=i,
+            arity=mechanism.policies[i].arity,
+        )
+    return Dataset(variables=tuple(variables), values=values)
 
 
 def random_network_policy(rng, dataset, r_hi=4):

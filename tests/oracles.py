@@ -2,13 +2,13 @@
 
 Each oracle takes a deliberately different route from the code under test:
 the sequential chain rule instead of log-gamma ratios, moralization instead
-of trail reachability, and subset enumeration instead of the ancestral
-shortcut or the segmentation dynamic program.  Everything here sticks to
-plain Python loops and math calls, except :func:`local_score`, which sums
-the package's score terms on a freshly coded matrix,
-:func:`exhaustive_policy_search`, which scores each enumerated subset with it,
-and :class:`DenseCutProblem`, the segmentation DP over whole dense cost
-matrices, which the row-blocked DP must match bit for bit.
+of trail reachability, and subset enumeration instead of the segmentation
+dynamic program.  Everything here sticks to plain Python loops and math
+calls, except :func:`local_score`, which sums the package's score terms on
+a freshly coded matrix, :func:`exhaustive_policy_search`, which scores each
+enumerated subset with it, and :class:`DenseCutProblem`, the segmentation
+DP over whole dense cost matrices, which the row-blocked DP must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -126,19 +126,6 @@ def moral_dsep(parent_sets, i, j, given=()):
                 reached.add(w)
                 frontier.append(w)
     return True
-
-
-def separates_by_subset(parent_sets, i, j, pool):
-    """True when some subset of ``pool`` d-separates ``i`` from ``j``.
-
-    Exhaustive over all subsets, smallest first; the empty set counts.
-    """
-    pool = sorted(set(pool) - {i, j})
-    for size in range(len(pool) + 1):
-        for z in itertools.combinations(pool, size):
-            if moral_dsep(parent_sets, i, j, z):
-                return True
-    return False
 
 
 def ks_statistic(sample, cdf):

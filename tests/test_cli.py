@@ -279,13 +279,17 @@ class TestLearn:
         assert rc == 2
         rc = run_cli(
             "learn", "--data", str(prefix) + ".csv",
+            "--interleave-period", "2", "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv",
             "--out", str(tmp_path / "fit"),
         )
         assert rc == 0
         manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
         assert set(manifest["search"]) == {
-            "r_max", "epsilon", "max_sweeps", "init", "max_parents",
-            "interleave_period", "seed",
+            "r_max", "epsilon", "max_sweeps", "init", "max_parents", "seed",
         }
         assert set(manifest["search"]) == {
             f.name for f in dataclasses.fields(SearchConfig)

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     continuous_dataset,
     mixed_dataset,
+    odd_columns_discrete,
     random_mixed_dataset,
     random_network_policy,
     random_parent_sets,
@@ -19,7 +20,6 @@ from mixedbn import (
     PriorSpec,
     SearchConfig,
     ValidationError,
-    affected_set,
     coordinate_ascent,
     emission_component,
     hill_climb_structure,
@@ -47,7 +47,6 @@ from oracles import (
     DenseCutProblem,
     exhaustive_policy_search,
     local_score,
-    separates_by_subset,
 )
 
 
@@ -431,44 +430,6 @@ class TestMemoryGuard:
             self.solve(ds, PriorSpec(dirichlet_mode="bdeu"))
 
 
-class TestAffectedSet:
-    def test_chain_through_discrete_is_blocked(self):
-        # continuous 0 -> discrete 1 -> continuous 2
-        structure = validate_dag([set(), {0}, {1}])
-        assert affected_set(structure, 0, {1}) == set()
-
-    def test_chain_through_continuous_is_not_blocked(self):
-        structure = validate_dag([set(), {0}, {1}])
-        assert affected_set(structure, 0, set()) == {1, 2}
-
-    def test_collider_keeps_independence(self):
-        # 0 -> 2 <- 1 with everything continuous
-        structure = validate_dag([set(), set(), {0, 1}])
-        assert affected_set(structure, 0, set()) == {2}
-
-    def test_matches_subset_enumeration(self):
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            parent_sets = random_parent_sets(rng, n)
-            structure = validate_dag(parent_sets)
-            discrete = {
-                int(v) for v in range(n) if rng.random() < 0.4
-            }
-            for i in range(n):
-                if i in discrete:
-                    continue
-                got = affected_set(structure, i, discrete)
-                want = {
-                    j
-                    for j in range(n)
-                    if j != i
-                    and j not in discrete
-                    and not separates_by_subset(parent_sets, i, j, discrete)
-                }
-                assert got == want
-
-
 class TestCoordinateAscent:
     def test_improves_and_is_monotone(self):
         rng = np.random.default_rng(41)
@@ -516,14 +477,14 @@ class TestCoordinateAscent:
     def test_subset_restriction(self):
         rng = np.random.default_rng(53)
         ds = random_mixed_dataset(rng, n_vars=4, n_cases=30)
-        structure = empty_structure(4)
         config = SearchConfig()
         policy0 = initial_policy(ds, config)
-        continuous = ds.continuous_indices()
-        target = continuous[0]
-        policy, _ = coordinate_ascent(
-            policy0, structure, ds, PriorSpec(), config, subset={target}
-        )
+        target = ds.continuous_indices()[0]
+        # Under the empty structure every blanket is empty, so an ascent
+        # started at the target never leaves it.
+        state = _SearchState(empty_structure(4), policy0, ds, PriorSpec(), config)
+        state.ascend({target})
+        policy = state.policy
         for i in range(4):
             if i != target:
                 assert policy[i].thresholds == policy0[i].thresholds
@@ -611,21 +572,35 @@ class TestJointFixedPoint:
     """The learned pair is a joint fixed point and its trace total is exact."""
 
     @pytest.mark.parametrize(
-        "prior, seed",
+        "prior, seed, n_cases, mixed",
         [
-            (PriorSpec(), 7),
-            (PriorSpec(), 3),
+            (PriorSpec(), 7, 30, False),
+            (PriorSpec(), 3, 30, False),
             (
                 PriorSpec(dirichlet_mode="bdeu", ess=8.0, density_model="multinomial"),
                 31,
+                30,
+                False,
             ),
+            (PriorSpec(), 9, 100, True),
         ],
-        ids=["k2-uniform-7", "k2-uniform-3", "bdeu-multinomial-31"],
+        ids=["k2-uniform-7", "k2-uniform-3", "bdeu-multinomial-31", "k2-mixed-9"],
     )
-    def test_hill_climb_result(self, prior, seed):
-        ds, _ = sample_dataset(random_mechanism(4, 2, 2, seed=seed), 30)
+    def test_hill_climb_result(self, prior, seed, n_cases, mixed):
+        mechanism = random_mechanism(4, 2, 2, seed=seed)
+        if mixed:
+            ds = odd_columns_discrete(mechanism, n_cases)
+        else:
+            ds, _ = sample_dataset(mechanism, n_cases)
         config = SearchConfig()
         structure, policy, trace = hill_climb_structure(ds, prior, config)
+        if mixed:
+            # A discrete child with two continuous parents: each parent's
+            # solve reads the other's policy through the child's family.
+            discrete = set(ds.discrete_indices())
+            assert any(
+                len(structure.parents[c] - discrete) >= 2 for c in discrete
+            )
         total = network_score(policy, structure, ds, prior).total
         scale = max(1.0, abs(total))
         assert abs(trace.final_total - total) <= 1e-6 * scale
@@ -767,6 +742,98 @@ class TestSearchState:
         assert state.total == total
         monkeypatch.undo()
         self.check(state, ds, prior, config)
+
+    def test_solve_keys_change_exactly_where_requeued(self):
+        """A policy change at v re-keys exactly blanket(v); an edit re-keys
+        exactly the variables ``apply_edit`` returns."""
+        rng = np.random.default_rng(67)
+        prior, config = PriorSpec(), SearchConfig()
+        for _ in range(25):
+            n = int(rng.integers(2, 7))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            state = _SearchState(
+                structure, random_network_policy(rng, ds), ds, prior, config
+            )
+            continuous = set(ds.continuous_indices())
+
+            def keys():
+                return {j: state.solve_key(j) for j in continuous}
+
+            def changed(before):
+                after = keys()
+                return {j for j in continuous if after[j] != before[j]}
+
+            for v in range(n):
+                current = state.policy[v]
+                if current.trivial:
+                    other = DiscretizationPolicy.identity(current.arity + 1)
+                elif current.thresholds:
+                    other = DiscretizationPolicy((), current.lower, current.upper)
+                else:
+                    cut = float(ds.candidate_thresholds(v)[0])
+                    other = DiscretizationPolicy((cut,), current.lower, current.upper)
+                before = keys()
+                state.set_policy(v, other)
+                assert changed(before) == state.blanket(v) & continuous
+                state.set_policy(v, current)
+
+            for edit in _edit_candidates(state.structure, 3):
+                saved = state.structure
+                before = keys()
+                rekeyed = state.apply_edit(edit, 0.0)
+                assert changed(before) == rekeyed & continuous, edit
+                state.structure = saved
+
+    def test_coparent_across_discrete_collider_is_requeued(self, monkeypatch):
+        # j -> d <- v with d discrete: j and v are d-separated by the empty
+        # set, yet j's solve reads v's policy through the family of d.
+        j, d, v = 0, 1, 2
+        flat = DiscretizationPolicy((0.5,), 0.0, 1.0)
+        mechanism = Mechanism(
+            structure=validate_dag([set(), {j, v}, set()]),
+            cpts=(
+                np.array([[0.5, 0.5]]),
+                np.array([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5], [0.1, 0.9]]),
+                np.array([[0.5, 0.5]]),
+            ),
+            policies=(flat, flat, flat),
+            seed=3,
+        )
+        ds = odd_columns_discrete(mechanism, 120)
+        assert ds.discrete_indices() == (d,)
+        assert mechanism.structure.topo_order.index(j) < (
+            mechanism.structure.topo_order.index(v)
+        )
+
+        def run(start, config):
+            state = _SearchState(
+                mechanism.structure, initial_policy(ds, config), ds, PriorSpec(),
+                config,
+            )
+            calls = []
+            solve = state.solve
+
+            def recording(i):
+                calls.append(i)
+                return solve(i)
+
+            monkeypatch.setattr(state, "solve", recording)
+            trace = state.ascend(start)
+            changed = [r["variable"] for r in trace.records if r["kind"] == "policy"]
+            sweeps = [r for r in trace.records if r["kind"] == "sweep"]
+            return calls, changed, len(sweeps)
+
+        # One sweep: v's accepted change re-queues j behind it.
+        calls, changed, _ = run(None, SearchConfig(max_sweeps=1))
+        assert changed[:2] == [j, v]
+        assert calls[:3] == [j, v, j]
+        # Started at v alone, the ascent still re-solves j, and j joins the
+        # swept set: the second sweep visits j, then v, in topological order.
+        calls, changed, sweeps = run({v}, SearchConfig())
+        assert changed[:2] == [v, j]
+        assert sweeps == 2
+        assert calls[-2:] == [j, v]
 
 
 class TestSearchTrace:
