@@ -430,6 +430,59 @@ class TestMemoryGuard:
             self.solve(ds, PriorSpec(dirichlet_mode="bdeu"))
 
 
+class TestBlanket:
+    """Hand-built structures for the re-solve sets of ``_SearchState``."""
+
+    def state(self, parent_sets, discrete=()):
+        rng = np.random.default_rng(59)
+        spec = [
+            ("d", rng.integers(0, 2, size=30), 2) if i in discrete
+            else ("c", rng.random(30), None)
+            for i in range(len(parent_sets))
+        ]
+        ds = mixed_dataset(spec)
+        config = SearchConfig()
+        return _SearchState(
+            validate_dag(parent_sets), initial_policy(ds, config), ds,
+            PriorSpec(), config,
+        )
+
+    def test_chain_through_discrete_is_blocked(self, monkeypatch):
+        # continuous 0 -> discrete 1 -> continuous 2
+        state = self.state([set(), {0}, {1}], discrete={1})
+        assert state.blanket(0) == {1}
+        calls = []
+        solve = state.solve
+        monkeypatch.setattr(state, "solve", lambda i: calls.append(i) or solve(i))
+        state.ascend({0})
+        assert set(calls) == {0}
+
+    def test_chain_through_continuous_stops_at_neighbour(self):
+        # 0 -> 1 -> 2 all continuous: the solve of 2 reads 1, never 0.
+        state = self.state([set(), {0}, {1}])
+        assert state.blanket(0) == {1}
+        assert state.blanket(1) == {0, 2}
+        assert state.blanket(2) == {1}
+
+    def test_collider_queues_coparent(self):
+        # 0 -> 2 <- 1: each parent's solve reads the other through 2's family.
+        state = self.state([set(), set(), {0, 1}])
+        assert state.blanket(0) == {1, 2}
+        assert state.blanket(1) == {0, 2}
+        assert state.blanket(2) == {0, 1}
+
+    def test_reversal_rekeys_both_families(self):
+        # 4 -> 3 -> 0 -> 1 <- 2; reversing 0 -> 1 gives 3 -> 0 <- 1 <- 2.
+        # 2 loses co-parent 0 and 3 gains co-parent 1; 4's key is untouched.
+        state = self.state([{3}, {0, 2}, set(), {4}, set()])
+        before = {j: state.solve_key(j) for j in range(5)}
+        rekeyed = state.apply_edit(("reverse", 0, 1), 0.0)
+        assert rekeyed == {0, 1, 2, 3}
+        assert rekeyed == {j for j in range(5) if state.solve_key(j) != before[j]}
+        assert state.structure.parents[0] == {1, 3}
+        assert state.structure.parents[1] == {2}
+
+
 class TestCoordinateAscent:
     def test_improves_and_is_monotone(self):
         rng = np.random.default_rng(41)
