@@ -35,12 +35,9 @@ from .generator import (
 from .graph import (
     CycleError,
     DagStructure,
-    add_edge,
     ancestors,
     d_separated,
     empty_structure,
-    remove_edge,
-    reverse_edge,
     to_dot,
     validate_dag,
 )
@@ -92,12 +89,9 @@ __all__ = [
     "sample_dataset",
     "CycleError",
     "DagStructure",
-    "add_edge",
     "ancestors",
     "d_separated",
     "empty_structure",
-    "remove_edge",
-    "reverse_edge",
     "to_dot",
     "validate_dag",
     "FamilyCounts",

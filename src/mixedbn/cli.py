@@ -230,11 +230,13 @@ def structure_from_obj(payload: dict, dataset: Dataset) -> DagStructure:
     if not isinstance(payload, dict) or "edges" not in payload:
         raise ValidationError("structure JSON must be an object with 'edges'")
     declared = payload.get("variables")
-    if declared is not None and list(declared) != list(dataset.names):
+    if declared is not None and declared != list(dataset.names):
         raise ValidationError(
             "structure variables do not match the dataset columns: "
             f"{declared} vs {list(dataset.names)}"
         )
+    if not isinstance(payload["edges"], list):
+        raise ValidationError("structure 'edges' must be a list")
     parent_sets: list[set[int]] = [set() for _ in range(dataset.n_variables)]
     for pos, edge in enumerate(payload["edges"]):
         if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
@@ -272,9 +274,7 @@ def _manifest(
     if prior is not None:
         manifest["prior"] = dataclasses.asdict(prior)
     if config is not None:
-        cfg = dataclasses.asdict(config)
-        cfg["init"] = {"kind": config.init.kind, "r0": config.init.r0}
-        manifest["search"] = cfg
+        manifest["search"] = dataclasses.asdict(config)
     manifest.update(extra)
     return manifest
 

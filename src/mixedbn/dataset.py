@@ -483,21 +483,26 @@ def load_schema(source) -> list[VariableMeta]:
                 f"schema entry {pos}: unknown fields {sorted(unknown)}"
             )
         bounds = entry.get("bounds")
-        if bounds is not None:
-            if not (isinstance(bounds, list) and len(bounds) == 2):
-                raise ValidationError(
-                    f"schema entry {pos}: bounds must be a [lower, upper] pair"
-                )
-            bounds = (float(bounds[0]), float(bounds[1]))
-        metas.append(
-            VariableMeta(
-                str(entry["name"]),
-                str(entry["kind"]),
-                pos,
-                arity=entry.get("arity"),
-                bounds=bounds,
+        if bounds is not None and not (isinstance(bounds, list) and len(bounds) == 2):
+            raise ValidationError(
+                f"schema entry {pos}: bounds must be a [lower, upper] pair"
             )
-        )
+        try:
+            if bounds is not None:
+                bounds = (float(bounds[0]), float(bounds[1]))
+            metas.append(
+                VariableMeta(
+                    str(entry["name"]),
+                    str(entry["kind"]),
+                    pos,
+                    arity=entry.get("arity"),
+                    bounds=bounds,
+                )
+            )
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"schema entry {pos} is malformed: {exc}") from None
     return metas
 
 
@@ -526,6 +531,29 @@ def policy_to_obj(policy: NetworkPolicy, names: Sequence[str]) -> dict:
     return {"schema_version": 1, "variables": variables}
 
 
+def _policy_entry(meta: VariableMeta, entry: dict) -> DiscretizationPolicy:
+    if entry.get("trivial", False):
+        if meta.kind != DISCRETE:
+            raise ValidationError(
+                f"variable {meta.name!r} is continuous but the policy "
+                "marks it trivial"
+            )
+        return DiscretizationPolicy.identity(meta.arity)
+    if meta.kind == DISCRETE:
+        raise ValidationError(
+            f"variable {meta.name!r} is discrete but the policy gives thresholds"
+        )
+    thresholds = entry.get("thresholds", [])
+    bounds = entry.get("bounds")
+    if bounds is None or len(bounds) != 2:
+        raise ValidationError(
+            f"variable {meta.name!r}: policy needs [lower, upper] bounds"
+        )
+    return DiscretizationPolicy(
+        tuple(float(t) for t in thresholds), float(bounds[0]), float(bounds[1])
+    )
+
+
 def policy_from_obj(payload: dict, dataset: Dataset) -> NetworkPolicy:
     """Rebuild a network policy from its JSON form, typed against a dataset."""
     if not isinstance(payload, dict) or "variables" not in payload:
@@ -538,32 +566,14 @@ def policy_from_obj(payload: dict, dataset: Dataset) -> NetworkPolicy:
         entry = table.get(meta.name)
         if entry is None:
             raise ValidationError(f"policy JSON is missing variable {meta.name!r}")
-        trivial = bool(entry.get("trivial", False))
-        if trivial:
-            if meta.kind != DISCRETE:
-                raise ValidationError(
-                    f"variable {meta.name!r} is continuous but the policy "
-                    "marks it trivial"
-                )
-            policies.append(DiscretizationPolicy.identity(meta.arity))
-            continue
-        if meta.kind == DISCRETE:
+        try:
+            policies.append(_policy_entry(meta, entry))
+        except ValidationError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(
-                f"variable {meta.name!r} is discrete but the policy gives thresholds"
-            )
-        thresholds = entry.get("thresholds", [])
-        bounds = entry.get("bounds")
-        if bounds is None or len(bounds) != 2:
-            raise ValidationError(
-                f"variable {meta.name!r}: policy needs [lower, upper] bounds"
-            )
-        policies.append(
-            DiscretizationPolicy(
-                tuple(float(t) for t in thresholds),
-                float(bounds[0]),
-                float(bounds[1]),
-            )
-        )
+                f"policy variable {meta.name!r} is malformed: {exc}"
+            ) from None
     policy = NetworkPolicy(tuple(policies))
     validate_network_policy(policy, dataset)
     return policy

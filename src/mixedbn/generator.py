@@ -201,7 +201,9 @@ def mechanism_from_obj(payload: dict) -> Mechanism:
                     float(bounds[1]),
                 )
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(
                 f"mechanism variable {pos} is malformed: {exc}"
             ) from None

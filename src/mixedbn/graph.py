@@ -110,34 +110,6 @@ def empty_structure(n: int) -> DagStructure:
     return validate_dag([()] * n)
 
 
-def add_edge(structure: DagStructure, parent: int, child: int) -> DagStructure:
-    """New structure with ``parent -> child`` added; may raise CycleError."""
-    if parent in structure.parents[child]:
-        raise ValidationError(f"edge {parent} -> {child} already present")
-    sets = [set(ps) for ps in structure.parents]
-    sets[child].add(parent)
-    return validate_dag(sets)
-
-
-def remove_edge(structure: DagStructure, parent: int, child: int) -> DagStructure:
-    """New structure with ``parent -> child`` removed."""
-    if parent not in structure.parents[child]:
-        raise ValidationError(f"edge {parent} -> {child} not present")
-    sets = [set(ps) for ps in structure.parents]
-    sets[child].remove(parent)
-    return validate_dag(sets)
-
-
-def reverse_edge(structure: DagStructure, parent: int, child: int) -> DagStructure:
-    """New structure with ``parent -> child`` reversed; may raise CycleError."""
-    if parent not in structure.parents[child]:
-        raise ValidationError(f"edge {parent} -> {child} not present")
-    sets = [set(ps) for ps in structure.parents]
-    sets[child].remove(parent)
-    sets[parent].add(child)
-    return validate_dag(sets)
-
-
 def ancestors(structure: DagStructure, node: int) -> set[int]:
     """Proper ancestors of ``node``."""
     out: set[int] = set()

@@ -33,14 +33,7 @@ from .dataset import (
     trivial_network_policy,
     validate_network_policy,
 )
-from .graph import (
-    DagStructure,
-    add_edge,
-    ancestors,
-    empty_structure,
-    remove_edge,
-    reverse_edge,
-)
+from .graph import DagStructure, ancestors, empty_structure, validate_dag
 from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
@@ -54,7 +47,6 @@ from .scoring import (
 
 EQFREQ = "eqfreq"
 EQWIDTH = "eqwidth"
-GIVEN = "given"
 
 # Distinct threshold sets can score identically in exact arithmetic, for
 # example when the emission depends only on interval sizes; float rounding
@@ -80,22 +72,17 @@ _WORK_BLOCKS = 16
 @dataclass(frozen=True)
 class InitSpec:
     """Starting discretization: equal-frequency or equal-width with ``r0``
-    intervals, or a caller-supplied policy."""
+    intervals."""
 
     kind: str = EQFREQ
     r0: int = 3
-    policy: NetworkPolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (EQFREQ, EQWIDTH, GIVEN):
+        if self.kind not in (EQFREQ, EQWIDTH):
             raise ValidationError(
-                f"init kind must be {EQFREQ!r}, {EQWIDTH!r} or {GIVEN!r}, "
-                f"got {self.kind!r}"
+                f"init kind must be {EQFREQ!r} or {EQWIDTH!r}, got {self.kind!r}"
             )
-        if self.kind == GIVEN:
-            if self.policy is None:
-                raise ValidationError("init kind 'given' needs a policy")
-        elif self.r0 < 2:
+        if self.r0 < 2:
             raise ValidationError(f"initial interval count must be >= 2, got {self.r0}")
 
 
@@ -168,10 +155,6 @@ def _nearest_index(values: np.ndarray, target: float) -> int:
 def initial_policy(dataset: Dataset, config: SearchConfig) -> NetworkPolicy:
     """Starting policies per the config; thresholds snap to candidates."""
     init = config.init
-    if init.kind == GIVEN:
-        assert init.policy is not None
-        validate_network_policy(init.policy, dataset)
-        return init.policy
     policies = list(trivial_network_policy(dataset).policies)
     for i in dataset.continuous_indices():
         cands = dataset.candidate_thresholds(i)
@@ -569,37 +552,40 @@ class _SearchState:
             )
         return float(score)
 
-    def edit_delta(self, edit: tuple[str, int, int]) -> float:
-        """Total-score change of one edge edit under the current policy."""
+    def replaced(self, edit: tuple[str, int, int]) -> list[tuple[int, frozenset[int]]]:
+        """The families one edge edit replaces, as (child, new parent set):
+        the child's for an addition or deletion, then also the parent's for
+        a reversal.  Every other family is unchanged."""
         op, u, v = edit
         parents = self.structure.parents
         if op == "add":
-            return self.family(v, parents[v] | {u}) - self.family(v, parents[v])
-        if op == "delete":
-            return self.family(v, parents[v] - {u}) - self.family(v, parents[v])
-        return (
-            self.family(v, parents[v] - {u})
-            - self.family(v, parents[v])
-            + self.family(u, parents[u] | {v})
-            - self.family(u, parents[u])
-        )
+            return [(v, parents[v] | {u})]
+        out = [(v, parents[v] - {u})]
+        if op == "reverse":
+            out.append((u, parents[u] | {v}))
+        return out
+
+    def edit_delta(self, edit: tuple[str, int, int]) -> float:
+        """Total-score change of one edge edit under the current policy."""
+        parents = self.structure.parents
+        delta = 0.0
+        for c, new in self.replaced(edit):
+            # Not ``+=``: summing left to right keeps a reversal's delta the
+            # same float as ((a - b) + c) - d.
+            delta = delta + self.family(c, new) - self.family(c, parents[c])
+        return delta
 
     def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
         """Apply one edge edit; returns the variables whose solve key it
-        changed: both endpoints, the child's other parents and, after a
-        reversal, the new child's parents."""
-        op, u, v = edit
-        if op == "add":
-            self.structure = add_edge(self.structure, u, v)
-        elif op == "delete":
-            self.structure = remove_edge(self.structure, u, v)
-        else:
-            self.structure = reverse_edge(self.structure, u, v)
+        changed: both endpoints and every parent set in :meth:`replaced`."""
+        _, u, v = edit
+        sets = list(self.structure.parents)
+        rekeyed = {u, v}
+        for c, new in self.replaced(edit):
+            sets[c] = new
+            rekeyed |= new
+        self.structure = validate_dag(sets)
         self.total += delta
-        parents = self.structure.parents
-        rekeyed = {u, v} | parents[v]
-        if op == "reverse":
-            rekeyed |= parents[u]
         return rekeyed
 
     def solve_key(self, i: int) -> tuple:
@@ -758,9 +744,9 @@ def hill_climb_structure(
     Each round scores every legal single-edge addition, deletion, and
     reversal under the current discretization, applies the best one when it
     gains more than ``epsilon``, and runs an ascent from the variables whose
-    solve inputs the edit changed: both endpoints, the child's other
-    parents and, after a reversal, the new child's parents.  The ascent
-    re-queues Markov blankets as in :func:`coordinate_ascent`.
+    solve inputs the edit changed: both endpoints and the new parent set of
+    every family the edit replaced (:meth:`_SearchState.replaced`).  The
+    ascent re-queues Markov blankets as in :func:`coordinate_ascent`.
     Edits are scanned from the initial coarse discretization rather than a
     pre-optimized one: optimizing policies under the empty graph first can
     collapse dependent variables to single intervals and hide every edge.

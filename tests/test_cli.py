@@ -357,3 +357,46 @@ class TestScore:
             "--policy", str(bad),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("fit.policy.json", ["variables", "x1"], 5),
+            ("fit.policy.json", ["variables", "x1", "thresholds"], ["abc"]),
+            ("fit.policy.json", ["variables", "x1", "bounds"], 0),
+            ("fit.structure.json", ["edges"], 5),
+            ("fit.structure.json", ["variables"], 5),
+            ("sim.schema.json", [0, "bounds"], ["a", "b"]),
+            ("sim.schema.json", [0], {"name": "x1", "kind": "discrete", "arity": "3"}),
+            ("sim.mechanism.json", ["variables", 0, "thresholds"], ["x"]),
+        ],
+        ids=[
+            "policy-entry", "policy-thresholds", "policy-bounds", "structure-edges",
+            "structure-variables", "schema-bounds", "schema-arity",
+            "mechanism-thresholds",
+        ],
+    )
+    def test_malformed_json_is_a_data_error(self, tmp_path, capsys, name, path, value):
+        prefix = self.fit(tmp_path)
+        target = tmp_path / name
+        payload = json.loads(target.read_text())
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target.write_text(json.dumps(payload))
+        if name == "sim.mechanism.json":
+            argv = [
+                "simulate", "--mechanism", str(target), "--n", "5",
+                "--out", str(tmp_path / "again"),
+            ]
+        else:
+            argv = [
+                "score", "--data", str(prefix) + ".csv",
+                "--schema", str(tmp_path / "sim.schema.json"),
+                "--structure", str(tmp_path / "fit.structure.json"),
+                "--policy", str(tmp_path / "fit.policy.json"),
+            ]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error:")

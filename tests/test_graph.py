@@ -7,12 +7,8 @@ from conftest import random_parent_sets
 from mixedbn import (
     CycleError,
     ValidationError,
-    add_edge,
     ancestors,
     d_separated,
-    empty_structure,
-    remove_edge,
-    reverse_edge,
     to_dot,
     validate_dag,
 )
@@ -56,45 +52,6 @@ class TestValidateDag:
     def test_edges_listing(self):
         structure = validate_dag([set(), {0}, {0, 1}])
         assert structure.edges() == [(0, 1), (0, 2), (1, 2)]
-
-
-class TestEdits:
-    def test_add_edge(self):
-        s = empty_structure(3)
-        s2 = add_edge(s, 0, 1)
-        assert (0, 1) in s2.edges()
-        assert s.edges() == []
-
-    def test_add_creating_cycle_raises(self):
-        s = chain(3)
-        with pytest.raises(CycleError):
-            add_edge(s, 2, 0)
-
-    def test_add_duplicate_raises(self):
-        s = chain(2)
-        with pytest.raises(ValidationError):
-            add_edge(s, 0, 1)
-
-    def test_remove_edge(self):
-        s = chain(3)
-        s2 = remove_edge(s, 0, 1)
-        assert (0, 1) not in s2.edges()
-
-    def test_remove_missing_raises(self):
-        s = empty_structure(2)
-        with pytest.raises(ValidationError):
-            remove_edge(s, 0, 1)
-
-    def test_reverse_edge(self):
-        s = chain(2)
-        s2 = reverse_edge(s, 0, 1)
-        assert s2.edges() == [(1, 0)]
-
-    def test_reverse_creating_cycle_raises(self):
-        # 0 -> 1 -> 2 and 0 -> 2; reversing 0 -> 2 closes a loop
-        s = validate_dag([set(), {0}, {0, 1}])
-        with pytest.raises(CycleError):
-            reverse_edge(s, 0, 2)
 
 
 class TestAncestorsAndBlanket:

@@ -32,14 +32,7 @@ from mixedbn import (
 )
 from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
-from mixedbn.graph import (
-    CycleError,
-    add_edge,
-    empty_structure,
-    remove_edge,
-    reverse_edge,
-    validate_dag,
-)
+from mixedbn.graph import CycleError, empty_structure, validate_dag
 from mixedbn import search
 from mixedbn.scoring import family_score
 from mixedbn.search import _CutProblem, _edit_candidates, _SearchState
@@ -48,6 +41,18 @@ from oracles import (
     exhaustive_policy_search,
     local_score,
 )
+
+
+def edited(structure, op, u, v):
+    """``structure`` after one edge edit, rebuilt from its parent sets."""
+    sets = [set(ps) for ps in structure.parents]
+    if op == "add":
+        sets[v].add(u)
+    else:
+        sets[v].remove(u)
+    if op == "reverse":
+        sets[u].add(v)
+    return validate_dag(sets)
 
 
 def dependent_pair_mechanism(seed, flip=0.1):
@@ -151,12 +156,6 @@ class TestInitialPolicy:
                 for i in ds.continuous_indices():
                     cands = set(ds.candidate_thresholds(i).tolist())
                     assert set(policy[i].thresholds) <= cands
-
-    def test_given_passthrough(self):
-        ds = continuous_dataset(np.arange(6.0).reshape(-1, 1))
-        given = trivial_network_policy(ds)
-        config = SearchConfig(init=InitSpec(kind="given", policy=given, r0=2))
-        assert initial_policy(ds, config) is given
 
     def test_constant_column_stays_single_interval(self):
         ds = continuous_dataset(np.array([[2.0], [2.0], [2.0]]))
@@ -670,17 +669,17 @@ class TestJointFixedPoint:
         edits = []
         for u, v in itertools.permutations(range(ds.n_variables), 2):
             if u in structure.parents[v]:
-                edits.append((remove_edge, u, v))
+                edits.append(("delete", u, v))
                 if len(structure.parents[u]) < config.max_parents:
-                    edits.append((reverse_edge, u, v))
+                    edits.append(("reverse", u, v))
             elif len(structure.parents[v]) < config.max_parents:
-                edits.append((add_edge, u, v))
-        for edit, u, v in edits:
+                edits.append(("add", u, v))
+        for op, u, v in edits:
             try:
-                edited = edit(structure, u, v)
+                after = edited(structure, op, u, v)
             except CycleError:
                 continue
-            gain = network_score(policy, edited, ds, prior).total - total
+            gain = network_score(policy, after, ds, prior).total - total
             # Edits were scored by family deltas; allow summation-order noise.
             assert gain <= config.epsilon + 1e-9 * scale
 
@@ -701,7 +700,7 @@ class TestEditCandidates:
                     if len(structure.parents[v]) >= max_parents:
                         continue
                     try:
-                        add_edge(structure, u, v)
+                        edited(structure, "add", u, v)
                     except CycleError:
                         continue
                     expected.append(("add", u, v))
@@ -710,7 +709,7 @@ class TestEditCandidates:
                 if len(structure.parents[u]) >= max_parents:
                     continue
                 try:
-                    reverse_edge(structure, u, v)
+                    edited(structure, "reverse", u, v)
                 except CycleError:
                     continue
                 expected.append(("reverse", u, v))
@@ -837,6 +836,41 @@ class TestSearchState:
                 rekeyed = state.apply_edit(edit, 0.0)
                 assert changed(before) == rekeyed & continuous, edit
                 state.structure = saved
+
+    def test_edits_match_edited_graphs(self):
+        """Every candidate edit's delta is the family difference summed left
+        to right, ``((a - b) + c) - d`` for a reversal, and matches a fresh
+        score of the edited graph, which ``apply_edit`` builds."""
+        rng = np.random.default_rng(73)
+        prior, config = PriorSpec(), SearchConfig()
+        # Reversals whose delta would change under ``(a - b) + (c - d)``.
+        order_sensitive = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            policy = random_network_policy(rng, ds)
+            state = _SearchState(structure, policy, ds, prior, config)
+            total = network_score(policy, structure, ds, prior).total
+            parents = structure.parents
+            for edit in _edit_candidates(structure, 3):
+                op, u, v = edit
+                new_v = parents[v] | {u} if op == "add" else parents[v] - {u}
+                expected = state.family(v, new_v) - state.family(v, parents[v])
+                if op == "reverse":
+                    c = state.family(u, parents[u] | {v})
+                    d = state.family(u, parents[u])
+                    order_sensitive += expected + (c - d) != expected + c - d
+                    expected = expected + c - d
+                delta = state.edit_delta(edit)
+                assert delta == expected, edit
+                after = edited(structure, op, u, v)
+                fresh = network_score(policy, after, ds, prior).total - total
+                assert abs(delta - fresh) <= 1e-9 * max(1.0, abs(total)), edit
+                state.apply_edit(edit, 0.0)
+                assert state.structure.parents == after.parents, edit
+                state.structure = structure
+        assert order_sensitive > 0
 
     def test_coparent_across_discrete_collider_is_requeued(self, monkeypatch):
         # j -> d <- v with d discrete: j and v are d-separated by the empty
