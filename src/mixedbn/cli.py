@@ -384,6 +384,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 "n_cases": dataset.n_cases,
                 "n_variables": dataset.n_variables,
                 "n_edges": len(structure.edges()),
+                "stats": dataclasses.asdict(trace.stats),
             },
             started,
         ),

@@ -61,9 +61,12 @@ class VariableMeta:
                 f"{CONTINUOUS!r} or {DISCRETE!r}, got {self.kind!r}"
             )
         if self.kind == DISCRETE:
-            if self.arity is None or self.arity < 2:
+            arity = self.arity
+            integral = isinstance(arity, (int, np.integer)) and not isinstance(arity, bool)
+            if not integral or arity < 2:
                 raise ValidationError(
-                    f"discrete variable {self.name!r} needs an arity of at least 2"
+                    f"discrete variable {self.name!r} needs an integer arity of "
+                    f"at least 2, got {arity!r}"
                 )
             if self.bounds is not None:
                 raise ValidationError(

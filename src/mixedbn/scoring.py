@@ -105,6 +105,15 @@ class FamilyCounts:
         return int(self.margins.sum())
 
 
+def _code_column(codes: np.ndarray, j: int, arity: int) -> np.ndarray:
+    """Column ``j`` of an int64 code matrix, checked against ``arity``."""
+    col = codes[:, j]
+    # Read as unsigned, a negative code exceeds every arity.
+    if col.view(np.uint64).max(initial=0) >= arity:
+        raise ValueError(f"column {j} holds codes outside [0, {int(arity)})")
+    return col
+
+
 def family_counts(
     codes: np.ndarray,
     arities: Sequence[int],
@@ -114,18 +123,16 @@ def family_counts(
     """Tally child codes against joint parent configurations.
 
     Parent configurations are mixed-radix numbers over the given parent list
-    with the first parent most significant.
+    with the first parent most significant.  A code outside ``[0, arity)``
+    raises ValueError.
     """
-    n_cases = codes.shape[0]
+    codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
+    cfg = 0
+    for p in parents:
+        cfg = cfg * int(arities[p]) + _code_column(codes, p, arities[p])
     r = int(arities[child])
-    if parents:
-        dims = [int(arities[p]) for p in parents]
-        cfg = np.ravel_multi_index([codes[:, p] for p in parents], dims)
-        q = int(np.prod(dims))
-    else:
-        cfg = np.zeros(n_cases, dtype=np.int64)
-        q = 1
-    flat = cfg * r + codes[:, child]
+    flat = cfg * r + _code_column(codes, child, r)
+    q = math.prod(int(arities[p]) for p in parents)
     table = np.bincount(flat, minlength=q * r).reshape(q, r)
     margins = table.sum(axis=1)
     table.setflags(write=False)

@@ -18,6 +18,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .dataset import (
     trivial_network_policy,
     validate_network_policy,
 )
-from .graph import DagStructure, ancestors, empty_structure, validate_dag
+from .graph import DagStructure, empty_structure, validate_dag
 from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
@@ -67,6 +68,9 @@ _BLOCK_FLOATS = 1 << 16
 # headroom: tracemalloc peaks of one solve measure 8 under the uniform
 # emission and 13 under the multinomial one.
 _WORK_BLOCKS = 16
+
+# Edge edit kinds, in the order the edge scan lists them.
+_EDIT_OPS = ("add", "delete", "reverse")
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,21 @@ class SearchConfig:
         return max(1, min(12, n_cases - 1))
 
 
+@dataclass
+class SearchStats:
+    """Work counts of one search, for the run manifest; no artifact holds
+    them.  ``best_edit_delta`` is the best delta of the last edge scan,
+    ``None`` before any scan or when no edit is legal."""
+
+    solves: int = 0
+    solve_hits: int = 0
+    families_computed: int = 0
+    families_reused: int = 0
+    edits_scanned: int = 0
+    table_refills: int = 0
+    best_edit_delta: float | None = None
+
+
 class SearchTrace:
     """Accepted-update log; totals are nondecreasing by construction."""
 
@@ -126,6 +145,7 @@ class SearchTrace:
         self.records: list[dict] = []
         self.termination: str = ""
         self.final_total: float = float("nan")
+        self.stats: SearchStats | None = None
 
     def add(self, kind: str, **fields) -> None:
         self.records.append({"kind": kind, **fields})
@@ -476,7 +496,8 @@ def optimize_variable(
 class _SearchState:
     """Structure, policy and running total of one search, plus its caches.
 
-    The code matrix follows the policy one column at a time.  A family
+    The code matrix follows the policy one column at a time; it is stored
+    column-major, so a family tally reads contiguous columns.  A family
     score is cached per (child, parent set) and stamped with the policy
     versions of the family's members, so it is reused only while none of
     those policies has changed.  A policy solve is memoized on
@@ -484,6 +505,14 @@ class _SearchState:
     decides what to solve again: a policy change at ``v`` changes the keys
     of ``blanket(v)`` and nothing else.  The caches hold floats and
     policies only, and live as long as the state.
+
+    The edge scan reads a table of raw family scores, ``FA[u, v] =
+    family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
+    diagonal ``FD[v, v]`` is the current family of ``v``.  Entries follow
+    the stamp rule: a new parent set at ``v`` makes column ``v`` stale,
+    and a policy change at ``w`` makes row ``w``, column ``w`` and the
+    column of every child of ``w`` stale.  :meth:`edit_deltas` refills
+    only the stale entries its candidates read, through :meth:`family`.
     """
 
     def __init__(
@@ -501,21 +530,26 @@ class _SearchState:
         self.config = config
         self.discrete = set(dataset.discrete_indices())
         n = dataset.n_variables
-        self.codes = np.empty((dataset.n_cases, n), dtype=np.int64)
+        self.codes = np.empty((dataset.n_cases, n), dtype=np.int64, order="F")
         for v in range(n):
             self.codes[:, v] = apply_policy(dataset.column(v), policy[v])
         self.arities = list(policy.arities())
         self.versions = [0] * n
         self.total = network_score(policy, structure, dataset, prior).total
+        self.stats = SearchStats()
         self._families: dict[tuple[int, frozenset[int]], tuple[int, float]] = {}
         self._solves: dict[tuple, DiscretizationPolicy] = {}
-        self.solve_hits = 0
+        # [FA, FD] and which of their entries are fresh.
+        self._table = np.zeros((2, n, n))
+        self._fresh = np.zeros((2, n, n), dtype=bool)
 
     def set_policy(self, v: int, new: DiscretizationPolicy) -> None:
         self.policy = self.policy.with_policy(v, new)
         self.codes[:, v] = apply_policy(self.dataset.column(v), new)
         self.arities[v] = new.arity
         self.versions[v] += 1
+        self._fresh[:, v] = False
+        self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
     def family(self, child: int, parents: frozenset[int]) -> float:
         """``family_score`` of one family under the current policy."""
@@ -526,9 +560,11 @@ class _SearchState:
         key = (child, parents)
         entry = self._families.get(key)
         if entry is not None and entry[0] == stamp:
+            self.stats.families_reused += 1
             return entry[1]
         score = family_score(self.codes, self.arities, child, parents, self.prior)
         self._families[key] = (stamp, score)
+        self.stats.families_computed += 1
         return score
 
     def local(self, v: int) -> float:
@@ -565,15 +601,61 @@ class _SearchState:
             out.append((u, parents[u] | {v}))
         return out
 
-    def edit_delta(self, edit: tuple[str, int, int]) -> float:
-        """Total-score change of one edge edit under the current policy."""
+    def edit_deltas(self, candidates: Sequence[tuple[str, int, int]]) -> np.ndarray:
+        """Total-score change of each edge edit under the current policy.
+
+        An addition scores ``FA[u, v] - FD[v, v]``, a deletion ``FD[u, v] -
+        FD[v, v]`` and a reversal ``((FD[u, v] - FD[v, v]) + FA[v, u]) -
+        FD[u, u]``: each replaced family's new score minus its old one,
+        summed left to right.  Stale entries the candidates read are
+        refilled first.
+        """
+        ops, us, vs = zip(*candidates)
+        kind = np.fromiter(map(_EDIT_OPS.index, ops), np.intp, len(ops))
+        u = np.array(us, dtype=np.intp)
+        v = np.array(vs, dtype=np.intp)
+        add, rev = kind == 0, kind == 2
+        # The entries read, indexed [FA or FD, edited parent, child].
+        need = np.zeros_like(self._fresh)
+        need[0, u[add], v[add]] = True
+        need[1, u[~add], v[~add]] = True
+        need[0, v[rev], u[rev]] = True
+        need[1, v, v] = True
+        need[1, u[rev], u[rev]] = True
         parents = self.structure.parents
-        delta = 0.0
-        for c, new in self.replaced(edit):
-            # Not ``+=``: summing left to right keeps a reversal's delta the
-            # same float as ((a - b) + c) - d.
-            delta = delta + self.family(c, new) - self.family(c, parents[c])
+        stale = np.nonzero(need & ~self._fresh)
+        for k, a, c in zip(*(axis.tolist() for axis in stale)):
+            new = parents[c] | {a} if k == 0 else parents[c] - {a}
+            self._table[k, a, c] = self.family(c, new)
+        self._fresh |= need
+        self.stats.table_refills += len(stale[0])
+        self.stats.edits_scanned += len(candidates)
+
+        fa, fd = self._table
+        base = fd.diagonal()
+        delta = np.where(add, fa[u, v], fd[u, v]) - base[v]
+        delta[rev] = (delta[rev] + fa[v[rev], u[rev]]) - base[u[rev]]
         return delta
+
+    def scan(self, rng: np.random.Generator) -> tuple[tuple[str, int, int] | None, float]:
+        """The best legal edge edit and its delta; ``(None, -inf)`` when no
+        edit is legal.
+
+        Candidates are scored in a random permutation drawn from ``rng``,
+        and the first maximal delta in that order wins: the edit a
+        sequential ``delta > best`` scan keeps.  The best delta is recorded
+        in :attr:`stats`.
+        """
+        candidates = _edit_candidates(self.structure, self.config.max_parents)
+        order = rng.permutation(len(candidates))
+        if not candidates:
+            self.stats.best_edit_delta = None
+            return None, -np.inf
+        deltas = self.edit_deltas(candidates)[order]
+        pick = int(np.argmax(deltas))
+        best = float(deltas[pick])
+        self.stats.best_edit_delta = best
+        return candidates[order[pick]], best
 
     def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
         """Apply one edge edit; returns the variables whose solve key it
@@ -584,6 +666,7 @@ class _SearchState:
         for c, new in self.replaced(edit):
             sets[c] = new
             rekeyed |= new
+            self._fresh[:, :, c] = False
         self.structure = validate_dag(sets)
         self.total += delta
         return rekeyed
@@ -621,8 +704,9 @@ class _SearchState:
         key = self.solve_key(i)
         cached = self._solves.get(key)
         if cached is not None:
-            self.solve_hits += 1
+            self.stats.solve_hits += 1
             return cached
+        self.stats.solves += 1
         result = optimize_variable(
             i, self.policy, self.structure, self.dataset, self.prior, self.config
         )
@@ -706,31 +790,34 @@ def coordinate_ascent(
 def _edit_candidates(
     structure: DagStructure, max_parents: int
 ) -> list[tuple[str, int, int]]:
+    """Every legal single-edge edit: additions in (parent, child) order,
+    then deletions and reversals in edge order."""
+    n = structure.n
     parents = structure.parents
-    anc = [ancestors(structure, v) for v in range(structure.n)]
+    edge = np.zeros(n * n, dtype=bool)
+    edge[[p * n + c for c, ps in enumerate(parents) for p in ps]] = True
+    edge = edge.reshape(n, n)
+    # reach[a, b]: a is a proper ancestor of b.  Each squaring doubles the
+    # path length covered; float matmul is the fast one in numpy.
+    reach = edge
+    while True:
+        steps = reach.astype(np.float64)
+        grown = reach | (steps @ steps > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    full = np.array([len(ps) >= max_parents for ps in parents], dtype=bool)
+    # Adding u -> v closes a cycle exactly when v is an ancestor of u.
+    add = ~(edge | reach.T | full)
+    np.fill_diagonal(add, False)
+    # Reversing u -> v closes a cycle exactly when u reaches v another way,
+    # that is, when u is an ancestor of another parent of v; such a path
+    # cannot use u -> v itself, which would make a cycle.
+    reverse = edge & ~(reach.astype(np.float64) @ edge > 0) & ~full[:, None]
     out: list[tuple[str, int, int]] = []
-    for u in range(structure.n):
-        for v in range(structure.n):
-            if u == v or u in parents[v]:
-                continue
-            if len(parents[v]) >= max_parents:
-                continue
-            # Adding u -> v closes a cycle exactly when v is an ancestor of u.
-            if v in anc[u]:
-                continue
-            out.append(("add", u, v))
-    edges = structure.edges()
-    for u, v in edges:
-        out.append(("delete", u, v))
-    for u, v in edges:
-        if len(parents[u]) >= max_parents:
-            continue
-        # Reversing u -> v closes a cycle exactly when u reaches v another
-        # way, that is, when u is an ancestor of another parent of v; such
-        # a path cannot use u -> v itself, which would make a cycle.
-        if any(u in anc[p] for p in parents[v] - {u}):
-            continue
-        out.append(("reverse", u, v))
+    for op, mask in zip(_EDIT_OPS, (add, edge, reverse)):
+        us, vs = np.nonzero(mask)
+        out += zip(repeat(op), us.tolist(), vs.tolist())
     return out
 
 
@@ -752,6 +839,13 @@ def hill_climb_structure(
     collapse dependent variables to single intervals and hide every edge.
     The loop ends at a joint fixed point where no edit helps and a full
     policy sweep accepts nothing.
+
+    The scan (:meth:`_SearchState.scan`) reads its deltas from a table of
+    family scores, refilled only where a new parent set or a policy change
+    made an entry stale.  Among equal deltas it keeps the first in a
+    permutation of the candidates drawn from ``config.seed``.  The returned
+    trace carries the search's :class:`SearchStats`, whose
+    ``best_edit_delta`` certifies that no edit gains more than ``epsilon``.
     """
     state = _SearchState(
         empty_structure(dataset.n_variables),
@@ -764,15 +858,7 @@ def hill_climb_structure(
     rng = np.random.default_rng(config.seed)
 
     while True:
-        candidates = _edit_candidates(state.structure, config.max_parents)
-        order = rng.permutation(len(candidates))
-        best_edit: tuple[str, int, int] | None = None
-        best_delta = -np.inf
-        for idx in order:
-            delta = state.edit_delta(candidates[idx])
-            if delta > best_delta:
-                best_delta = delta
-                best_edit = candidates[idx]
+        best_edit, best_delta = state.scan(rng)
         if best_edit is None or best_delta <= config.epsilon:
             # No edit helps under the current policies; re-optimize them all
             # and rescan, since better thresholds can expose new edits.
@@ -789,4 +875,5 @@ def hill_climb_structure(
         trace.extend(state.ascend(rekeyed))
     trace.termination = "no_improving_edit"
     trace.final_total = state.total
+    trace.stats = state.stats
     return state.structure, state.policy, trace

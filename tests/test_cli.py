@@ -178,6 +178,24 @@ class TestDiscretize:
         assert manifest["prior"]["poisson_rate"] == 3.5
 
 
+    @pytest.mark.parametrize("arity", [2.5, "3", True], ids=["float", "string", "bool"])
+    def test_non_integer_arity_is_a_data_error(self, tmp_path, capsys, arity):
+        prefix = simulate(tmp_path)
+        schema = json.loads((tmp_path / "sim.schema.json").read_text())
+        schema[1] = {"name": "x2", "kind": "discrete", "arity": arity}
+        (tmp_path / "sim.schema.json").write_text(json.dumps(schema))
+        capsys.readouterr()
+        rc = run_cli(
+            "discretize", "--data", str(prefix) + ".csv",
+            "--schema", str(tmp_path / "sim.schema.json"),
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'x2'" in err and "integer arity" in err
+        assert not (tmp_path / "p.json").exists()
+
+
 class TestLearn:
     def test_happy_path(self, tmp_path):
         prefix = simulate(tmp_path)
@@ -210,6 +228,30 @@ class TestLearn:
             [structure["variables"][p], structure["variables"][c]]
             for p, c in loaded.edges()
         ] == structure["edges"]
+
+    def test_manifest_stats(self, tmp_path):
+        prefix = simulate(tmp_path, n=60, random="4,2,2")
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv", "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
+        stats = manifest["stats"]
+        assert set(stats) == {
+            "best_edit_delta", "edits_scanned", "table_refills",
+            "families_computed", "families_reused", "solves", "solve_hits",
+        }
+        # The fixed-point certificate: no legal edit gains more than epsilon.
+        assert stats["best_edit_delta"] <= manifest["search"]["epsilon"]
+        # The first scan alone scores the 12 additions of the empty graph.
+        assert stats["edits_scanned"] >= 12
+        assert stats["table_refills"] > 0
+        assert stats["families_computed"] > 0 and stats["families_reused"] > 0
+        assert stats["solves"] > 0
+        for suffix in (".structure.json", ".structure.dot", ".policy.json",
+                       ".trace.jsonl"):
+            text = (tmp_path / ("fit" + suffix)).read_text()
+            assert "stats" not in text and "edits_scanned" not in text
 
     def test_deterministic_artifacts(self, tmp_path):
         prefix = simulate(tmp_path)

@@ -78,6 +78,32 @@ class TestFamilyCounts:
         # config index = 1 * 3 + 0 = 3
         assert counts.margins.tolist() == [0, 0, 0, 1, 0, 0]
 
+    @pytest.mark.parametrize(
+        "column, code, parents",
+        [(1, 2, [1]), (2, 2, [1, 2]), (1, -1, [1]), (0, 2, []), (0, -1, [])],
+        ids=[
+            "parent-high", "parent-aliased", "parent-negative", "child-high",
+            "child-negative",
+        ],
+    )
+    def test_out_of_range_code_raises(self, column, code, parents):
+        # In "parent-aliased" the bad code would land on configuration 2,
+        # inside the table, were it not checked.
+        codes = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 1]])
+        codes[2, column] = code
+        with pytest.raises(ValueError):
+            family_counts(codes, [2, 2, 2], child=0, parents=parents)
+
+    def test_column_major_codes_tally_alike(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            codes, arities, parent_sets = random_discrete_instance(rng)
+            child = int(rng.integers(0, len(arities)))
+            parents = sorted(parent_sets[child])
+            rows = family_counts(codes, arities, child, parents)
+            cols = family_counts(np.asfortranarray(codes), arities, child, parents)
+            assert np.array_equal(rows.table, cols.table) and rows.q == cols.q
+
     def test_margin_invariant_random(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

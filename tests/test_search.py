@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from conftest import (
     random_parent_sets,
 )
 from mixedbn import (
+    Dataset,
     DiscretizationPolicy,
     InitSpec,
     PriorSpec,
@@ -53,6 +55,18 @@ def edited(structure, op, u, v):
     if op == "reverse":
         sets[u].add(v)
     return validate_dag(sets)
+
+
+def with_twin(ds):
+    """``ds`` with its last column replaced by a copy of its first, so that
+    edits touching either score alike."""
+    values = ds.values.copy()
+    values[:, -1] = values[:, 0]
+    last = ds.n_variables - 1
+    twin = dataclasses.replace(
+        ds.variables[0], name=ds.variables[last].name, column_index=last
+    )
+    return Dataset(variables=(*ds.variables[:-1], twin), values=values)
 
 
 def dependent_pair_mechanism(seed, flip=0.1):
@@ -736,6 +750,19 @@ class TestSearchState:
             fresh = local_score(v, state.policy, state.structure, ds, prior)
             assert state.local(v) == fresh
 
+    def check_table(self, state, prior):
+        """Every fresh edge-scan table entry equals a fresh ``family_score``;
+        returns how many entries are fresh."""
+        codes = discretize_all(state.dataset, state.policy)
+        arities = state.policy.arities()
+        parents = state.structure.parents
+        fresh = np.argwhere(state._fresh).tolist()
+        for k, u, v in fresh:
+            family = parents[v] | {u} if k == 0 else parents[v] - {u}
+            expected = family_score(codes, arities, v, family, prior)
+            assert state._table[k, u, v] == expected, (k, u, v)
+        return len(fresh)
+
     def test_scripted_edits_and_policy_changes(self):
         ds, _ = sample_dataset(random_mechanism(4, 2, 3, seed=11), 60)
         prior, config = PriorSpec(), SearchConfig()
@@ -746,7 +773,9 @@ class TestSearchState:
         coarse = DiscretizationPolicy((), lo, hi)
 
         def edit(op, u, v):
-            state.apply_edit((op, u, v), state.edit_delta((op, u, v)))
+            candidates = _edit_candidates(state.structure, config.max_parents)
+            deltas = state.edit_deltas(candidates)
+            state.apply_edit((op, u, v), deltas[candidates.index((op, u, v))])
 
         def try_and_revert(v, candidate):
             # The ascent's reject path: score the candidate, then set back.
@@ -769,10 +798,17 @@ class TestSearchState:
             lambda: edit("add", 3, 0),
         ]
         self.check(state, ds, prior, config)
+        kept = []
         for step in steps:
             step()
             self.check(state, ds, prior, config)
-        assert state.solve_hits > 0
+            # Entries still fresh after the step are exact: the step made
+            # every entry it changed stale.  Then rescan and check again.
+            kept.append(self.check_table(state, prior))
+            state.edit_deltas(_edit_candidates(state.structure, config.max_parents))
+            assert self.check_table(state, prior) > kept[-1]
+        assert state.stats.solve_hits > 0
+        assert all(kept)
 
     def test_ascent_rejects_a_worse_candidate(self, monkeypatch):
         ds, _ = sample_dataset(random_mechanism(3, 2, 2, seed=11), 60)
@@ -838,9 +874,9 @@ class TestSearchState:
                 state.structure = saved
 
     def test_edits_match_edited_graphs(self):
-        """Every candidate edit's delta is the family difference summed left
-        to right, ``((a - b) + c) - d`` for a reversal, and matches a fresh
-        score of the edited graph, which ``apply_edit`` builds."""
+        """Every candidate edit's table delta is the family difference summed
+        left to right, ``((a - b) + c) - d`` for a reversal, and matches a
+        fresh score of the edited graph, which ``apply_edit`` builds."""
         rng = np.random.default_rng(73)
         prior, config = PriorSpec(), SearchConfig()
         # Reversals whose delta would change under ``(a - b) + (c - d)``.
@@ -853,7 +889,9 @@ class TestSearchState:
             state = _SearchState(structure, policy, ds, prior, config)
             total = network_score(policy, structure, ds, prior).total
             parents = structure.parents
-            for edit in _edit_candidates(structure, 3):
+            candidates = _edit_candidates(structure, 3)
+            deltas = state.edit_deltas(candidates)
+            for edit, delta in zip(candidates, deltas.tolist()):
                 op, u, v = edit
                 new_v = parents[v] | {u} if op == "add" else parents[v] - {u}
                 expected = state.family(v, new_v) - state.family(v, parents[v])
@@ -862,7 +900,6 @@ class TestSearchState:
                     d = state.family(u, parents[u])
                     order_sensitive += expected + (c - d) != expected + c - d
                     expected = expected + c - d
-                delta = state.edit_delta(edit)
                 assert delta == expected, edit
                 after = edited(structure, op, u, v)
                 fresh = network_score(policy, after, ds, prior).total - total
@@ -871,6 +908,57 @@ class TestSearchState:
                 assert state.structure.parents == after.parents, edit
                 state.structure = structure
         assert order_sensitive > 0
+
+    def test_scan_keeps_the_first_best_edit_in_scan_order(self):
+        """Through edits and policy changes on random DAGs, the table's pick
+        equals a sequential ``>`` scan over the candidates in permutation
+        order, with deltas from fresh family scores."""
+        rng = np.random.default_rng(79)
+        prior, config = PriorSpec(), SearchConfig()
+        ties = 0
+        for _ in range(15):
+            n = int(rng.integers(3, 7))
+            ds = with_twin(random_mixed_dataset(rng, n_vars=n, n_cases=20))
+            policy = random_network_policy(rng, ds)
+            policy = policy.with_policy(n - 1, policy[0])
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            state = _SearchState(structure, policy, ds, prior, config)
+            for step in range(6):
+                codes = discretize_all(ds, state.policy)
+                arities = state.policy.arities()
+                parents = state.structure.parents
+
+                def fam(c, ps):
+                    return family_score(codes, arities, c, ps, prior)
+
+                seed = int(rng.integers(2**32))
+                candidates = _edit_candidates(state.structure, config.max_parents)
+                best, best_delta, deltas = None, -np.inf, []
+                for idx in np.random.default_rng(seed).permutation(len(candidates)):
+                    op, u, v = candidates[idx]
+                    new_v = parents[v] | {u} if op == "add" else parents[v] - {u}
+                    delta = fam(v, new_v) - fam(v, parents[v])
+                    if op == "reverse":
+                        delta = delta + fam(u, parents[u] | {v}) - fam(u, parents[u])
+                    deltas.append(delta)
+                    if delta > best_delta:
+                        best, best_delta = candidates[idx], delta
+                ties += deltas.count(best_delta) > 1
+                assert state.scan(np.random.default_rng(seed)) == (best, best_delta)
+                assert state.stats.best_edit_delta == best_delta
+                if step % 2 == 0:
+                    state.apply_edit(best, best_delta)
+                    continue
+                v = int(rng.choice(ds.continuous_indices()))
+                current = state.policy[v]
+                if current.thresholds:
+                    other = DiscretizationPolicy((), current.lower, current.upper)
+                else:
+                    cut = float(ds.candidate_thresholds(v)[0])
+                    other = DiscretizationPolicy((cut,), current.lower, current.upper)
+                state.set_policy(v, other)
+        # Exact ties for the best edit, which only the scan order resolves.
+        assert ties > 0
 
     def test_coparent_across_discrete_collider_is_requeued(self, monkeypatch):
         # j -> d <- v with d discrete: j and v are d-separated by the empty
