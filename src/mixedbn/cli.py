@@ -340,6 +340,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
                 "termination": trace.termination,
                 "n_cases": dataset.n_cases,
                 "n_variables": dataset.n_variables,
+                "stats": dataclasses.asdict(trace.stats),
             },
             started,
         ),

@@ -206,11 +206,21 @@ class NetworkPolicy:
         return tuple(p.arity for p in self.policies)
 
 
+def _freeze(value) -> None:
+    """Make every array in ``value``, nested tuples included, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+
+
 class Dataset:
     """Immutable table of complete cases over typed columns.
 
-    Continuous columns cache a stable sort permutation and their candidate
-    thresholds, both reused heavily during search.
+    Continuous columns cache a stable sort permutation, their candidate
+    thresholds and where those cuts fall among the sorted cases: column-only
+    inputs that every policy solve of the column reads again.
     """
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):
@@ -264,8 +274,7 @@ class Dataset:
         self.n_variables = n_vars
         self.names = tuple(m.name for m in metas)
         self._index = {m.name: i for i, m in enumerate(metas)}
-        self._sort_index: list[np.ndarray | None] = [None] * n_vars
-        self._candidates: list[np.ndarray | None] = [None] * n_vars
+        self._memos: dict[tuple[str, int], np.ndarray | tuple] = {}
 
     def index_of(self, name: str) -> int:
         try:
@@ -279,14 +288,20 @@ class Dataset:
     def column(self, i: int) -> np.ndarray:
         return self.values[:, i]
 
+    def _memo(self, kind: str, i: int, build):
+        """Value ``kind`` of column ``i``, built once; its arrays are frozen."""
+        key = (kind, i)
+        value = self._memos.get(key)
+        if value is None:
+            value = self._memos[key] = build()
+            _freeze(value)
+        return value
+
     def sort_index(self, i: int) -> np.ndarray:
         """Stable permutation sorting column ``i`` ascending."""
-        cached = self._sort_index[i]
-        if cached is None:
-            cached = np.argsort(self.values[:, i], kind="stable")
-            cached.setflags(write=False)
-            self._sort_index[i] = cached
-        return cached
+        return self._memo(
+            "sort_index", i, lambda: np.argsort(self.values[:, i], kind="stable")
+        )
 
     def candidate_thresholds(self, i: int) -> np.ndarray:
         """Candidate cut points of continuous column ``i``."""
@@ -294,12 +309,47 @@ class Dataset:
             raise ValidationError(
                 f"variable {self.names[i]!r} is discrete and has no candidate thresholds"
             )
-        cached = self._candidates[i]
-        if cached is None:
-            cached = candidate_thresholds(self.values[:, i])
-            cached.setflags(write=False)
-            self._candidates[i] = cached
-        return cached
+        return self._memo(
+            "candidates", i, lambda: candidate_thresholds(self.values[:, i])
+        )
+
+    def _sorted_column(self, i: int) -> np.ndarray:
+        return self.values[:, i][self.sort_index(i)]
+
+    def cut_segments(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where the candidate cuts of continuous column ``i`` fall in its
+        sorted order: the cut positions framed by 0 and N, and for each case
+        in sorted order the fine segment, between adjacent cuts, holding it."""
+
+        def build():
+            cut_pos = np.searchsorted(
+                self._sorted_column(i), self.candidate_thresholds(i), side="left"
+            )
+            positions = np.concatenate(([0], cut_pos, [self.n_cases]))
+            fine = np.searchsorted(cut_pos, np.arange(self.n_cases), side="right")
+            return positions, fine
+
+        return self._memo("cut_segments", i, build)
+
+    def distinct_prefixes(
+        self, i: int
+    ) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+        """Counts of distinct values of continuous column ``i`` before each
+        cut, and per occurrence count ``c`` the distinct values seen ``c``
+        times before each cut."""
+
+        def build():
+            sorted_vals = self._sorted_column(i)
+            distinct, occ = np.unique(sorted_vals, return_counts=True)
+            row_distinct = np.searchsorted(distinct, sorted_vals)
+            d_pos = np.append(row_distinct, len(distinct))[self.cut_segments(i)[0]]
+            seen = tuple(
+                (c, np.concatenate(([0], np.cumsum(occ == c)))[d_pos])
+                for c in np.unique(occ)
+            )
+            return d_pos, seen
+
+        return self._memo("distinct_prefixes", i, build)
 
     def policy_bounds(self, i: int) -> tuple[float, float]:
         """Outer interval bounds for column ``i``: declared, else observed."""

@@ -12,7 +12,9 @@ components are log-densities; rankings are unaffected.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,6 +116,15 @@ def _code_column(codes: np.ndarray, j: int, arity: int) -> np.ndarray:
     return col
 
 
+def _joint_index(column, arities: Sequence[int], members: Sequence[int]):
+    """Mixed-radix index of the codes of ``members``, the first most
+    significant; ``column(j)`` reads column ``j`` of the code matrix."""
+    index = 0
+    for j in members:
+        index = index * int(arities[j]) + column(j)
+    return index
+
+
 def family_counts(
     codes: np.ndarray,
     arities: Sequence[int],
@@ -127,17 +138,107 @@ def family_counts(
     raises ValueError.
     """
     codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
-    cfg = 0
-    for p in parents:
-        cfg = cfg * int(arities[p]) + _code_column(codes, p, arities[p])
+    flat = _joint_index(
+        lambda j: _code_column(codes, j, arities[j]), arities, [*parents, child]
+    )
     r = int(arities[child])
-    flat = cfg * r + _code_column(codes, child, r)
     q = math.prod(int(arities[p]) for p in parents)
     table = np.bincount(flat, minlength=q * r).reshape(q, r)
     margins = table.sum(axis=1)
     table.setflags(write=False)
     margins.setflags(write=False)
     return FamilyCounts(r, q, table, margins)
+
+
+def family_tables(
+    codes: np.ndarray,
+    arities: Sequence[int],
+    families: Iterable[tuple[int, frozenset[int], Sequence[frozenset[int]]]],
+) -> list[np.ndarray]:
+    """Count tables of many families one edge edit away from a child's own.
+
+    ``families`` holds ``(child, parents, sets)``, where each of ``sets`` is
+    ``parents`` itself, or ``parents`` with one member added or one removed.
+    The tables come back in that order, each equal to
+    ``family_counts(codes, arities, child, sorted(s)).table``.  Per child one
+    base index ``cfg(sorted parents) * r + code`` is built.  An addition of
+    ``a`` tallies ``code_a * q * r + index`` and moves the axis of ``a`` to
+    its sorted place by one transpose.  A removal sums the base table over
+    the removed parent's axis, and ``parents`` itself is the base table, so
+    neither reads the cases again.  Every code column read is range-checked
+    once.
+    """
+    codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
+    checked: dict[int, np.ndarray] = {}
+
+    def column(j: int) -> np.ndarray:
+        col = checked.get(j)
+        if col is None:
+            col = checked[j] = _code_column(codes, j, arities[j])
+        return col
+
+    out = []
+    for child, parents, sets in families:
+        order = sorted(parents)
+        dims = [int(arities[p]) for p in order]
+        r = int(arities[child])
+        size = math.prod(dims) * r
+        index = _joint_index(column, arities, [*order, child])
+        base = None
+        for s in sets:
+            if len(s) > len(order):
+                (a,) = s - parents
+                d = int(arities[a])
+                joint = np.bincount(column(a) * size + index, minlength=d * size)
+                # Axes (a, parents before a, the rest): swap the first two.
+                before = math.prod(dims[: bisect_left(order, a)])
+                table = joint.reshape(d, before, -1).swapaxes(0, 1)
+            else:
+                if base is None:
+                    base = np.bincount(index, minlength=size).reshape(*dims, r)
+                table = base
+                if len(s) < len(order):
+                    (a,) = parents - s
+                    table = base.sum(axis=order.index(a))
+            out.append(table.reshape(-1, r))
+    return out
+
+
+def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]:
+    """:func:`discrete_family_score` of each count table, in one pass.
+
+    ``tables[t][j, k]`` counts cases with parent configuration ``j`` and
+    child code ``k``.  The lnΓ terms of every cell and every row of all
+    tables are taken in one vectorized call each.  Each family's row terms
+    and cell terms are then summed over its own contiguous slice with
+    numpy's pairwise ``sum``, so every score is bitwise the one it gets
+    when scored alone.
+    """
+    if not tables:
+        return []
+    shapes = [table.shape for table in tables]
+    qs = [q for q, _ in shapes]
+    sizes = [q * r for q, r in shapes]
+    a_cells = [prior.cell_weight(r, q) for q, r in shapes]
+    cells = np.concatenate([table.ravel() for table in tables])
+    cell_a = np.repeat(a_cells, sizes)
+    cell_terms = gammaln(cell_a + cells) - gammaln(cell_a)
+    row_len = np.repeat([r for _, r in shapes], qs)
+    margins = np.add.reduceat(cells, np.cumsum(row_len) - row_len)
+    row_a = np.repeat([a * r for a, (_, r) in zip(a_cells, shapes)], qs)
+    row_terms = gammaln(row_a) - gammaln(row_a + margins)
+    scores = []
+    row_end = cell_end = 0
+    for q, size in zip(qs, sizes):
+        row_start, row_end = row_end, row_end + q
+        cell_start, cell_end = cell_end, cell_end + size
+        scores.append(
+            float(
+                row_terms[row_start:row_end].sum()
+                + cell_terms[cell_start:cell_end].sum()
+            )
+        )
+    return scores
 
 
 def discrete_family_score(counts: FamilyCounts, prior: PriorSpec) -> float:
@@ -147,11 +248,7 @@ def discrete_family_score(counts: FamilyCounts, prior: PriorSpec) -> float:
     normalizers before and after observing its row of counts.  A child with a
     single code contributes exactly zero for any sample size.
     """
-    a_cell = prior.cell_weight(counts.r, counts.q)
-    a_row = a_cell * counts.r
-    row_part = np.sum(gammaln(a_row) - gammaln(a_row + counts.margins))
-    cell_part = np.sum(gammaln(a_cell + counts.table) - gammaln(a_cell))
-    return float(row_part + cell_part)
+    return family_scores([counts.table], prior)[0]
 
 
 def family_score(
@@ -245,6 +342,14 @@ def interval_count_log_prior(
     return interval_count_log_priors(r, n_candidates, prior, n_cases)[-1]
 
 
+@functools.lru_cache
+def _poisson_log_norm(rate: float, n_cases: int) -> float:
+    """Log normalizer of the Poisson law truncated to ``2..n_cases - 1``."""
+    support = np.arange(2, n_cases)
+    log_weights = support * math.log(rate) - gammaln(support + 1)
+    return float(logsumexp(log_weights))
+
+
 def interval_count_log_priors(
     r_cap: int, n_candidates: int, prior: PriorSpec, n_cases: int
 ) -> list[float]:
@@ -265,9 +370,7 @@ def interval_count_log_priors(
             f"poisson_rate {prior.poisson_rate} exceeds the truncation "
             f"bound {top}"
         )
-    support = np.arange(2, top + 1)
-    log_weights = support * math.log(prior.poisson_rate) - gammaln(support + 1)
-    log_norm = float(logsumexp(log_weights))
+    log_norm = _poisson_log_norm(prior.poisson_rate, n_cases)
     out = []
     for r in range(1, r_cap + 1):
         if r < 2 or r > top:
@@ -288,6 +391,28 @@ def policy_log_prior(
     if policy.trivial:
         return 0.0
     return interval_count_log_prior(policy.arity, n_candidates, prior, n_cases)
+
+
+def require_policy_mass(dataset: Dataset, prior: PriorSpec) -> None:
+    """Raise ValidationError naming a continuous column none of whose
+    policies the policy prior gives any mass.
+
+    The Poisson prior spreads its mass over 2 to N - 1 intervals.  A column
+    with fewer than 3 cases or no candidate cut has no such policy, so
+    every total would be -inf and no search could rank anything.
+    """
+    if prior.policy_prior != POISSON_PRIOR:
+        return
+    for i in dataset.continuous_indices():
+        cuts = len(dataset.candidate_thresholds(i))
+        if dataset.n_cases < 3 or cuts == 0:
+            raise ValidationError(
+                f"continuous variable {dataset.names[i]!r} has no policy with "
+                "mass under the poisson policy prior, which needs 2 to N - 1 "
+                "intervals, so at least 3 cases and 2 distinct values to cut "
+                f"between (N = {dataset.n_cases}, candidate cuts = {cuts}); "
+                "declare it discrete or use the uniform policy prior"
+            )
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,12 @@ from .scoring import (
     PriorSpec,
     emission_component,
     family_score,
+    family_scores,
+    family_tables,
     interval_count_log_priors,
     network_score,
     policy_log_prior,
+    require_policy_mass,
 )
 
 EQFREQ = "eqfreq"
@@ -184,8 +187,7 @@ def initial_policy(dataset: Dataset, config: SearchConfig) -> NetworkPolicy:
         n = dataset.n_cases
         picked: set[int] = set()
         if init.kind == EQFREQ:
-            sorted_vals = dataset.column(i)[dataset.sort_index(i)]
-            cut_pos = np.searchsorted(sorted_vals, cands, side="left")
+            cut_pos = dataset.cut_segments(i)[0][1:-1]
             for k in range(1, init.r0):
                 target = min(max(round(k * n / init.r0), 1), n - 1)
                 picked.add(_nearest_index(cut_pos.astype(np.float64), target))
@@ -222,19 +224,15 @@ class _CutProblem:
     ) -> None:
         self.prior = prior
         self.n_cases = dataset.n_cases
-        column = dataset.column(i)
         order = dataset.sort_index(i)
-        sorted_vals = column[order]
         cands = dataset.candidate_thresholds(i)
         lo, hi = dataset.policy_bounds(i)
         self.m = len(cands)
         self.cands = cands
         self.lower, self.upper = lo, hi
 
-        cut_pos = np.searchsorted(sorted_vals, cands, side="left")
-        self.positions = np.concatenate(([0], cut_pos, [self.n_cases]))
+        self.positions, fine_seg = dataset.cut_segments(i)
         self.values = np.concatenate(([lo], cands, [hi]))
-        fine_seg = np.searchsorted(cut_pos, np.arange(self.n_cases), side="right")
 
         def prefix(states: np.ndarray, n_states: int) -> np.ndarray:
             flat = states * (self.m + 1) + fine_seg
@@ -273,15 +271,7 @@ class _CutProblem:
             self.child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
 
         if prior.density_model == MULTINOMIAL_DENSITY:
-            # Distinct values before each cut, and per occurrence count c the
-            # distinct values seen c times before each cut.
-            distinct, occ = np.unique(sorted_vals, return_counts=True)
-            row_distinct = np.searchsorted(distinct, sorted_vals)
-            self.d_pos = np.append(row_distinct, len(distinct))[self.positions]
-            self.occurrence_prefixes = [
-                (c, np.concatenate(([0], np.cumsum(occ == c)))[self.d_pos])
-                for c in np.unique(occ)
-            ]
+            self.d_pos, self.occurrence_prefixes = dataset.distinct_prefixes(i)
         self._luts: dict[float, np.ndarray] = {}
         self._kept: tuple[int, np.ndarray] = (0, np.empty((0, 0)))
 
@@ -512,7 +502,11 @@ class _SearchState:
     the stamp rule: a new parent set at ``v`` makes column ``v`` stale,
     and a policy change at ``w`` makes row ``w``, column ``w`` and the
     column of every child of ``w`` stale.  :meth:`edit_deltas` refills
-    only the stale entries its candidates read, through :meth:`family`.
+    only the stale entries its candidates read.  A refill reads the family
+    cache first, under the same stamps as :meth:`family`, and tallies and
+    scores the misses in one batched pass (:func:`family_tables`,
+    :func:`family_scores`) whose every score is bitwise the one
+    :func:`family_score` gives.
     """
 
     def __init__(
@@ -529,6 +523,7 @@ class _SearchState:
         self.prior = prior
         self.config = config
         self.discrete = set(dataset.discrete_indices())
+        require_policy_mass(dataset, prior)
         n = dataset.n_variables
         self.codes = np.empty((dataset.n_cases, n), dtype=np.int64, order="F")
         for v in range(n):
@@ -551,20 +546,26 @@ class _SearchState:
         self._fresh[:, v] = False
         self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
-    def family(self, child: int, parents: frozenset[int]) -> float:
-        """``family_score`` of one family under the current policy."""
+    def _cached(self, child: int, parents: frozenset[int]) -> tuple[int, float | None]:
+        """The stamp of one family under the current policy, and its cached
+        score while that stamp stands (``None`` otherwise)."""
         # Versions only grow, so their sum over the family's members is
         # unchanged exactly when every member's version is.
         versions = self.versions
         stamp = versions[child] + sum([versions[p] for p in parents])
-        key = (child, parents)
-        entry = self._families.get(key)
+        entry = self._families.get((child, parents))
         if entry is not None and entry[0] == stamp:
             self.stats.families_reused += 1
-            return entry[1]
-        score = family_score(self.codes, self.arities, child, parents, self.prior)
-        self._families[key] = (stamp, score)
-        self.stats.families_computed += 1
+            return stamp, entry[1]
+        return stamp, None
+
+    def family(self, child: int, parents: frozenset[int]) -> float:
+        """``family_score`` of one family under the current policy."""
+        stamp, score = self._cached(child, parents)
+        if score is None:
+            score = family_score(self.codes, self.arities, child, parents, self.prior)
+            self._families[(child, parents)] = (stamp, score)
+            self.stats.families_computed += 1
         return score
 
     def local(self, v: int) -> float:
@@ -608,7 +609,9 @@ class _SearchState:
         FD[v, v]`` and a reversal ``((FD[u, v] - FD[v, v]) + FA[v, u]) -
         FD[u, u]``: each replaced family's new score minus its old one,
         summed left to right.  Stale entries the candidates read are
-        refilled first.
+        refilled first: cached families as :meth:`family` reuses them, the
+        others tallied per child from one base index and scored in one
+        vectorized call, bitwise equal to scoring each alone.
         """
         ops, us, vs = zip(*candidates)
         kind = np.fromiter(map(_EDIT_OPS.index, ops), np.intp, len(ops))
@@ -622,11 +625,8 @@ class _SearchState:
         need[0, v[rev], u[rev]] = True
         need[1, v, v] = True
         need[1, u[rev], u[rev]] = True
-        parents = self.structure.parents
         stale = np.nonzero(need & ~self._fresh)
-        for k, a, c in zip(*(axis.tolist() for axis in stale)):
-            new = parents[c] | {a} if k == 0 else parents[c] - {a}
-            self._table[k, a, c] = self.family(c, new)
+        self._refill(stale)
         self._fresh |= need
         self.stats.table_refills += len(stale[0])
         self.stats.edits_scanned += len(candidates)
@@ -636,6 +636,35 @@ class _SearchState:
         delta = np.where(add, fa[u, v], fd[u, v]) - base[v]
         delta[rev] = (delta[rev] + fa[v[rev], u[rev]]) - base[u[rev]]
         return delta
+
+    def _refill(self, stale: tuple[np.ndarray, ...]) -> None:
+        """Refill the table entries at the indices ``stale`` under the
+        current policy.
+
+        Each entry's family is looked up in the cache first.  The misses are
+        grouped by child; :func:`family_tables` tallies each child's group
+        from one base index and :func:`family_scores` scores them all.
+        """
+        parents = self.structure.parents
+        misses: dict[int, list[tuple[int, int, frozenset[int], int]]] = {}
+        for k, a, c in zip(*(axis.tolist() for axis in stale)):
+            new = parents[c] | {a} if k == 0 else parents[c] - {a}
+            stamp, score = self._cached(c, new)
+            if score is None:
+                misses.setdefault(c, []).append((k, a, new, stamp))
+            else:
+                self._table[k, a, c] = score
+        families = [
+            (c, parents[c], [new for _, _, new, _ in group])
+            for c, group in misses.items()
+        ]
+        tables = family_tables(self.codes, self.arities, families)
+        scores = iter(family_scores(tables, self.prior))
+        for c, group in misses.items():
+            for (k, a, new, stamp), score in zip(group, scores):
+                self._families[(c, new)] = (stamp, score)
+                self._table[k, a, c] = score
+        self.stats.families_computed += len(tables)
 
     def scan(self, rng: np.random.Generator) -> tuple[tuple[str, int, int] | None, float]:
         """The best legal edge edit and its delta; ``(None, -inf)`` when no
@@ -739,12 +768,20 @@ class _SearchState:
                 old_local = self.local(v)
                 self.set_policy(v, candidate)
                 delta = self.local(v) - old_local
-                if delta <= 0:
+                if not delta > 0:
                     # A revert is one more version bump, so no family score
                     # computed under the candidate is reused.
                     self.set_policy(v, current)
                     continue
-                self.total += delta
+                if math.isfinite(self.total):
+                    self.total += delta
+                else:
+                    # A start policy outside the prior's support holds the
+                    # total at -inf, and its replacement gains +inf; adding
+                    # them would give nan, so score the network afresh.
+                    self.total = network_score(
+                        self.policy, self.structure, self.dataset, self.prior
+                    ).total
                 trace.add(
                     "policy",
                     variable=v,
@@ -784,6 +821,7 @@ def coordinate_ascent(
     validate_network_policy(policy, dataset)
     state = _SearchState(structure, policy, dataset, prior, config)
     trace = state.ascend()
+    trace.stats = state.stats
     return state.policy, trace
 
 

@@ -85,6 +85,20 @@ def sequential_log_marginal(
     return log_p
 
 
+def closed_form_family_score(table, prior):
+    """Dirichlet ratio of one ``(q, r)`` count table in closed form.
+
+    The row terms and the cell terms are each summed with ``np.sum`` over
+    that table's own array, one table at a time.
+    """
+    q, r = table.shape
+    a_cell = prior.cell_weight(r, q)
+    a_row = a_cell * r
+    row_part = np.sum(gammaln(a_row) - gammaln(a_row + table.sum(axis=1)))
+    cell_part = np.sum(gammaln(a_cell + table) - gammaln(a_cell))
+    return float(row_part + cell_part)
+
+
 def moral_dsep(parent_sets, i, j, given=()):
     """d-separation by moralizing the ancestral subgraph.
 

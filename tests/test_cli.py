@@ -177,6 +177,29 @@ class TestDiscretize:
         assert manifest["prior"]["policy_prior"] == "poisson"
         assert manifest["prior"]["poisson_rate"] == 3.5
 
+    def test_manifest_stats(self, tmp_path):
+        prefix = simulate(tmp_path, n=60, random="4,2,2")
+        rc = run_cli(
+            "discretize", "--data", str(prefix) + ".csv",
+            "--out", str(tmp_path / "p.json"),
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        stats = manifest["stats"]
+        assert set(stats) == {
+            "best_edit_delta", "edits_scanned", "table_refills",
+            "families_computed", "families_reused", "solves", "solve_hits",
+        }
+        # The ascent runs under a fixed structure: no edge scan at all.
+        assert stats["best_edit_delta"] is None
+        assert stats["edits_scanned"] == 0 and stats["table_refills"] == 0
+        # Each of the 4 continuous columns is solved at least once, and the
+        # confirming sweep reads its unchanged solve keys from the memo.
+        assert stats["solves"] >= 4 and stats["solve_hits"] >= 4
+        assert stats["families_computed"] > 0
+        for name in ("p.json", "p.data.csv"):
+            text = (tmp_path / name).read_text()
+            assert "stats" not in text and "solve_hits" not in text
 
     @pytest.mark.parametrize("arity", [2.5, "3", True], ids=["float", "string", "bool"])
     def test_non_integer_arity_is_a_data_error(self, tmp_path, capsys, arity):
@@ -252,6 +275,62 @@ class TestLearn:
                        ".trace.jsonl"):
             text = (tmp_path / ("fit" + suffix)).read_text()
             assert "stats" not in text and "edits_scanned" not in text
+
+    @pytest.mark.parametrize("command", ["learn", "discretize"])
+    def test_poisson_start_outside_support_exits_0(self, tmp_path, command):
+        # N = 3 puts the Poisson prior's mass on 2 intervals only, so the
+        # eqfreq:3 start has none and the running total starts at -inf.
+        data = tmp_path / "three.csv"
+        data.write_text("a,b\n0.5,0.1\n0.6,0.3\n0.7,0.2\n")
+        out = tmp_path / ("fit" if command == "learn" else "fit.json")
+        rc = run_cli(
+            command, "--data", str(data), "--policy-prior", "poisson:2",
+            "--out", str(out),
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
+        assert np.isfinite(manifest["total_score"])
+        assert manifest["score_drift"] == 0.0
+        policy_path = tmp_path / ("fit.policy.json" if command == "learn" else "fit.json")
+        policy = json.loads(policy_path.read_text())
+        for entry in policy["variables"].values():
+            assert len(entry["thresholds"]) == 1
+        if command == "learn":
+            lines = (tmp_path / "fit.trace.jsonl").read_text().splitlines()
+            totals = [json.loads(line).get("total") for line in lines]
+            totals = [t for t in totals if t is not None]
+            assert totals == sorted(totals) and np.isfinite(totals[-1])
+
+    @pytest.mark.parametrize("command", ["learn", "discretize"])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # A constant column has only the single-interval policy.
+            ([(0.5, b) for b in (0.1, 0.3, 0.2, 0.4, 0.9)], "N = 5, candidate cuts = 0"),
+            # With N = 2 the support 2..N-1 is empty.
+            ([(0.5, 0.1), (0.6, 0.3)], "N = 2, candidate cuts = 1"),
+            # Two adjacent floats: no midpoint lies strictly between them.
+            (
+                [(1.0, 0.1), (1.0000000000000002, 0.3), (1.0, 0.2)],
+                "N = 3, candidate cuts = 0",
+            ),
+        ],
+        ids=["constant-column", "two-cases", "adjacent-floats"],
+    )
+    def test_poisson_prior_without_mass_is_a_data_error(
+        self, tmp_path, capsys, command, rows, message
+    ):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in rows))
+        capsys.readouterr()
+        rc = run_cli(
+            command, "--data", str(data), "--policy-prior", "poisson:2",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "'a'" in err
+        assert not (tmp_path / "fit.manifest.json").exists()
 
     def test_deterministic_artifacts(self, tmp_path):
         prefix = simulate(tmp_path)

@@ -27,9 +27,16 @@ from mixedbn import (
     network_score,
     policy_log_prior,
 )
+from mixedbn import scoring
 from mixedbn.graph import empty_structure, validate_dag
-from mixedbn.scoring import interval_count_log_priors, multinomial_component
-from oracles import local_score, sequential_log_marginal
+from mixedbn.scoring import (
+    FamilyCounts,
+    family_scores,
+    family_tables,
+    interval_count_log_priors,
+    multinomial_component,
+)
+from oracles import closed_form_family_score, local_score, sequential_log_marginal
 
 
 class TestPriorSpec:
@@ -176,6 +183,119 @@ class TestDiscreteFamilyScore:
                 assert a == pytest.approx(b, abs=1e-12)
 
 
+class TestFamilyScores:
+    PRIORS = (
+        PriorSpec(),
+        PriorSpec(alpha=0.3),
+        PriorSpec(dirichlet_mode="bdeu", ess=1.0),
+        PriorSpec(dirichlet_mode="bdeu", ess=7.5),
+    )
+
+    @staticmethod
+    def random_table(rng, cells):
+        # numpy sums fewer than 8 values in a plain loop, up to 128 in one
+        # unrolled block, and more by splitting the range in halves.
+        r = int(rng.integers(1, 5))
+        q = max(1, cells // r)
+        return rng.integers(0, int(rng.integers(1, 300)), size=(q, r))
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=["k2", "k2-0.3", "bdeu-1", "bdeu-7.5"])
+    def test_batch_is_bitwise_each_table_alone(self, prior):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            cells = rng.choice([3, 7, 8, 40, 128, 129, 300, 1000], size=12)
+            tables = [self.random_table(rng, int(c)) for c in cells]
+            scores = family_scores(tables, prior)
+            assert len(scores) == len(tables)
+            for table, score in zip(tables, scores):
+                counts = FamilyCounts(
+                    table.shape[1], table.shape[0], table, table.sum(axis=1)
+                )
+                assert score == closed_form_family_score(table, prior)
+                assert score == discrete_family_score(counts, prior)
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=["k2", "k2-0.3", "bdeu-1", "bdeu-7.5"])
+    def test_single_code_child_is_exactly_zero(self, prior):
+        rng = np.random.default_rng(23)
+        for q in (1, 5, 8, 130, 700):
+            ones = rng.integers(0, 50, size=(q, 1))
+            others = self.random_table(rng, 30)
+            scores = family_scores([others, ones, others], prior)
+            assert scores[1] == 0.0
+            assert scores[0] == scores[2]
+
+    def test_no_tables(self):
+        assert family_scores([], PriorSpec()) == []
+
+
+class TestFamilyTables:
+    @staticmethod
+    def instance(rng, n_vars=6, n_cases=50):
+        arities = [int(rng.integers(2, 5)) for _ in range(n_vars)]
+        codes = np.column_stack(
+            [rng.integers(0, d, size=n_cases) for d in arities]
+        ).astype(np.int64)
+        return np.asfortranarray(codes), arities
+
+    def test_every_neighbour_matches_family_counts(self):
+        rng = np.random.default_rng(31)
+        places = set()
+        for _ in range(60):
+            codes, arities = self.instance(rng)
+            child = int(rng.integers(0, 6))
+            others = [v for v in range(6) if v != child]
+            size = int(rng.integers(0, 4))
+            parents = frozenset(
+                int(v) for v in rng.choice(others, size=size, replace=False)
+            )
+            sets = [parents | {a} for a in others if a not in parents]
+            sets += [parents - {a} for a in parents] + [parents]
+            sets = [sets[i] for i in rng.permutation(len(sets))]
+            tables = family_tables(codes, arities, [(child, parents, sets)])
+            for s, table in zip(sets, tables):
+                expected = family_counts(codes, arities, child, sorted(s)).table
+                assert np.array_equal(table, expected), (child, parents, s)
+                for a in s - parents:
+                    places.add(
+                        "before" if all(a < p for p in parents)
+                        else "after" if all(a > p for p in parents)
+                        else "between"
+                    )
+        assert places == {"before", "between", "after"}
+
+    def test_groups_of_several_children(self):
+        rng = np.random.default_rng(37)
+        codes, arities = self.instance(rng)
+        families = [
+            (0, frozenset({2, 4}), [frozenset({2, 4}), frozenset({1, 2, 4})]),
+            (3, frozenset(), [frozenset({5}), frozenset()]),
+            (5, frozenset({0}), [frozenset()]),
+        ]
+        tables = family_tables(codes, arities, families)
+        expected = [
+            family_counts(codes, arities, child, sorted(s)).table
+            for child, _, sets in families
+            for s in sets
+        ]
+        assert len(tables) == len(expected)
+        for table, want in zip(tables, expected):
+            assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize(
+        "column, code",
+        [(0, 3), (0, -1), (1, 2), (2, 5), (2, -4)],
+        ids=["child-high", "child-negative", "parent-high", "added-high",
+             "added-negative"],
+    )
+    def test_out_of_range_code_raises(self, column, code):
+        # Child 0 with parent 1, read with 2 added: every column is read.
+        codes = np.zeros((4, 3), dtype=np.int64)
+        codes[1, column] = code
+        families = [(0, frozenset({1}), [frozenset({1, 2})])]
+        with pytest.raises(ValueError):
+            family_tables(codes, [3, 2, 5], families)
+
+
 class TestContinuousComponent:
     def test_known_widths(self):
         policy = DiscretizationPolicy(thresholds=(0.5, 9.5), lower=0.0, upper=10.0)
@@ -299,6 +419,25 @@ class TestPolicyPrior:
                     )
                     log_pmf = r * math.log(rate) - float(gammaln(r + 1))
                     assert priors[r - 1] == log_pmf - log_norm - log_comb
+
+    def test_poisson_normalizer_is_computed_once(self):
+        prior = PriorSpec(policy_prior="poisson", poisson_rate=2.5)
+        scoring._poisson_log_norm.cache_clear()
+        first = interval_count_log_priors(6, 10, prior, 40)
+        assert interval_count_log_priors(6, 10, prior, 40) == first
+        assert policy_log_prior(
+            DiscretizationPolicy((0.5,), 0.0, 1.0), 10, prior, 40
+        ) == first[1]
+        info = scoring._poisson_log_norm.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        support = np.arange(2, 40)
+        log_norm = float(logsumexp(support * math.log(2.5) - gammaln(support + 1)))
+        for r in range(2, 7):
+            expected = (
+                r * math.log(2.5) - float(gammaln(r + 1)) - log_norm
+                - float(gammaln(11) - gammaln(r) - gammaln(12 - r))
+            )
+            assert first[r - 1] == expected
 
     def test_poisson_gives_single_interval_no_mass(self):
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)

@@ -19,6 +19,7 @@ from mixedbn import (
     Dataset,
     DiscretizationPolicy,
     InitSpec,
+    NetworkPolicy,
     PriorSpec,
     SearchConfig,
     ValidationError,
@@ -908,6 +909,97 @@ class TestSearchState:
                 assert state.structure.parents == after.parents, edit
                 state.structure = structure
         assert order_sensitive > 0
+
+    def test_batched_refill_matches_a_sequential_refill(self, monkeypatch):
+        """On random mixed DAGs with arities 2 to 4, the batched refill fills
+        the table, and counts its work, exactly as refilling one entry at a
+        time through ``family`` does."""
+        rng = np.random.default_rng(83)
+        prior, config = PriorSpec(), SearchConfig()
+        places = set()
+        real_tables = search.family_tables
+
+        def spy(codes, arities, families):
+            families = list(families)
+            for _, parents, sets in families:
+                for s in sets:
+                    for a in s - parents:
+                        places.add(
+                            "before" if all(a < p for p in parents)
+                            else "after" if all(a > p for p in parents)
+                            else "between"
+                        )
+            return real_tables(codes, arities, families)
+
+        monkeypatch.setattr(search, "family_tables", spy)
+        for _ in range(12):
+            n = int(rng.integers(4, 8))
+            spec = []
+            for i in range(n):
+                if i == 0 or rng.random() < 0.5:
+                    spec.append(("c", np.round(rng.uniform(0, 1, 40), 2), (0.0, 1.0)))
+                else:
+                    arity = int(rng.integers(2, 5))
+                    spec.append(("d", rng.permutation(np.arange(40) % arity), arity))
+            ds = mixed_dataset(spec)
+            policies = []
+            for i in range(n):
+                if not ds.is_continuous(i):
+                    policies.append(DiscretizationPolicy.identity(spec[i][2]))
+                    continue
+                cands = ds.candidate_thresholds(i)
+                cuts = np.sort(rng.choice(cands, int(rng.integers(1, 4)), replace=False))
+                policies.append(DiscretizationPolicy(tuple(cuts.tolist()), 0.0, 1.0))
+            policy = NetworkPolicy(tuple(policies))
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            state = _SearchState(structure, policy, ds, prior, config)
+            twin = _SearchState(structure, policy, ds, prior, config)
+
+            def sequential(stale, twin=twin):
+                parents = twin.structure.parents
+                for k, a, c in zip(*(axis.tolist() for axis in stale)):
+                    new = parents[c] | {a} if k == 0 else parents[c] - {a}
+                    twin._table[k, a, c] = twin.family(c, new)
+
+            twin._refill = sequential
+            for step in range(5):
+                candidates = _edit_candidates(state.structure, config.max_parents)
+                deltas = state.edit_deltas(candidates)
+                assert np.array_equal(deltas, twin.edit_deltas(candidates))
+                assert np.array_equal(state._fresh, twin._fresh)
+                fresh = state._fresh
+                assert np.array_equal(state._table[fresh], twin._table[fresh])
+                assert state.stats == twin.stats
+                assert self.check_table(state, prior) > 0
+                edit = candidates[int(rng.integers(len(candidates)))]
+                for st in (state, twin):
+                    st.apply_edit(edit, 0.0)
+                if step % 2:
+                    v = int(rng.choice(ds.continuous_indices()))
+                    current = state.policy[v]
+                    other = DiscretizationPolicy(
+                        current.thresholds[:-1] or (float(ds.candidate_thresholds(v)[0]),),
+                        current.lower, current.upper,
+                    )
+                    for st in (state, twin):
+                        st.set_policy(v, other)
+        assert places == {"before", "between", "after"}
+
+    @pytest.mark.parametrize("code", [3, -1], ids=["high", "negative"])
+    def test_out_of_range_code_in_a_refill_raises(self, code):
+        ds = mixed_dataset([
+            ("c", np.linspace(0.0, 1.0, 12), None),
+            ("d", np.arange(12) % 3, 3),
+            ("c", np.linspace(1.0, 2.0, 12) ** 2, None),
+        ])
+        prior, config = PriorSpec(), SearchConfig()
+        state = _SearchState(
+            validate_dag([set(), {0}, set()]), initial_policy(ds, config), ds,
+            prior, config,
+        )
+        state.codes[5, 1] = code
+        with pytest.raises(ValueError):
+            state.edit_deltas(_edit_candidates(state.structure, config.max_parents))
 
     def test_scan_keeps_the_first_best_edit_in_scan_order(self):
         """Through edits and policy changes on random DAGs, the table's pick
