@@ -35,20 +35,16 @@ from .generator import (
 from .graph import (
     CycleError,
     DagStructure,
-    ancestors,
     d_separated,
     empty_structure,
     to_dot,
     validate_dag,
 )
 from .scoring import (
-    FamilyCounts,
     PriorSpec,
     ScoreBreakdown,
     continuous_component,
-    discrete_family_score,
     emission_component,
-    family_counts,
     interval_count_log_prior,
     network_score,
     policy_log_prior,
@@ -89,18 +85,14 @@ __all__ = [
     "sample_dataset",
     "CycleError",
     "DagStructure",
-    "ancestors",
     "d_separated",
     "empty_structure",
     "to_dot",
     "validate_dag",
-    "FamilyCounts",
     "PriorSpec",
     "ScoreBreakdown",
     "continuous_component",
-    "discrete_family_score",
     "emission_component",
-    "family_counts",
     "interval_count_log_prior",
     "network_score",
     "policy_log_prior",

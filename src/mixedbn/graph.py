@@ -110,18 +110,6 @@ def empty_structure(n: int) -> DagStructure:
     return validate_dag([()] * n)
 
 
-def ancestors(structure: DagStructure, node: int) -> set[int]:
-    """Proper ancestors of ``node``."""
-    out: set[int] = set()
-    stack = list(structure.parents[node])
-    while stack:
-        v = stack.pop()
-        if v not in out:
-            out.add(v)
-            stack.extend(structure.parents[v])
-    return out
-
-
 def d_separated(
     structure: DagStructure, i: int, j: int, given: Iterable[int] = ()
 ) -> bool:

@@ -89,24 +89,6 @@ class PriorSpec:
         return self.ess / (r * q)
 
 
-@dataclass(frozen=True)
-class FamilyCounts:
-    """Contingency table of one child against its parent configurations.
-
-    ``table[j, k]`` counts cases with parent configuration ``j`` and child
-    code ``k``; ``margins[j]`` is the row sum.
-    """
-
-    r: int
-    q: int
-    table: np.ndarray
-    margins: np.ndarray
-
-    @property
-    def n_cases(self) -> int:
-        return int(self.margins.sum())
-
-
 def _code_column(codes: np.ndarray, j: int, arity: int) -> np.ndarray:
     """Column ``j`` of an int64 code matrix, checked against ``arity``."""
     col = codes[:, j]
@@ -114,40 +96,6 @@ def _code_column(codes: np.ndarray, j: int, arity: int) -> np.ndarray:
     if col.view(np.uint64).max(initial=0) >= arity:
         raise ValueError(f"column {j} holds codes outside [0, {int(arity)})")
     return col
-
-
-def _joint_index(column, arities: Sequence[int], members: Sequence[int]):
-    """Mixed-radix index of the codes of ``members``, the first most
-    significant; ``column(j)`` reads column ``j`` of the code matrix."""
-    index = 0
-    for j in members:
-        index = index * int(arities[j]) + column(j)
-    return index
-
-
-def family_counts(
-    codes: np.ndarray,
-    arities: Sequence[int],
-    child: int,
-    parents: Sequence[int],
-) -> FamilyCounts:
-    """Tally child codes against joint parent configurations.
-
-    Parent configurations are mixed-radix numbers over the given parent list
-    with the first parent most significant.  A code outside ``[0, arity)``
-    raises ValueError.
-    """
-    codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
-    flat = _joint_index(
-        lambda j: _code_column(codes, j, arities[j]), arities, [*parents, child]
-    )
-    r = int(arities[child])
-    q = math.prod(int(arities[p]) for p in parents)
-    table = np.bincount(flat, minlength=q * r).reshape(q, r)
-    margins = table.sum(axis=1)
-    table.setflags(write=False)
-    margins.setflags(write=False)
-    return FamilyCounts(r, q, table, margins)
 
 
 def family_tables(
@@ -158,15 +106,17 @@ def family_tables(
     """Count tables of many families one edge edit away from a child's own.
 
     ``families`` holds ``(child, parents, sets)``, where each of ``sets`` is
-    ``parents`` itself, or ``parents`` with one member added or one removed.
-    The tables come back in that order, each equal to
-    ``family_counts(codes, arities, child, sorted(s)).table``.  Per child one
-    base index ``cfg(sorted parents) * r + code`` is built.  An addition of
-    ``a`` tallies ``code_a * q * r + index`` and moves the axis of ``a`` to
-    its sorted place by one transpose.  A removal sums the base table over
-    the removed parent's axis, and ``parents`` itself is the base table, so
+    ``parents`` itself, or ``parents`` with one member added or one removed;
+    any other set raises ValueError.  The tables come back in that order.
+    Row ``j`` of a table is the parent configuration ``j``, a mixed-radix
+    number over the sorted parents with the first most significant, and
+    column ``k`` the child code ``k``.  Per child one base index
+    ``cfg(sorted parents) * r + code`` is built.  An addition of ``a``
+    tallies ``code_a * q * r + index`` and moves the axis of ``a`` to its
+    sorted place by one transpose.  A removal sums the base table over the
+    removed parent's axis, and ``parents`` itself is the base table, so
     neither reads the cases again.  Every code column read is range-checked
-    once.
+    once; a code outside ``[0, arity)`` raises ValueError.
     """
     codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
     checked: dict[int, np.ndarray] = {}
@@ -183,11 +133,19 @@ def family_tables(
         dims = [int(arities[p]) for p in order]
         r = int(arities[child])
         size = math.prod(dims) * r
-        index = _joint_index(column, arities, [*order, child])
+        index = 0
+        for j in [*order, child]:
+            index = index * int(arities[j]) + column(j)
         base = None
         for s in sets:
-            if len(s) > len(order):
-                (a,) = s - parents
+            added, removed = s - parents, parents - s
+            if len(added) + len(removed) > 1:
+                raise ValueError(
+                    f"parent set {sorted(s)} of child {child} is not its parent "
+                    f"set {order} or one edge edit from it"
+                )
+            if added:
+                (a,) = added
                 d = int(arities[a])
                 joint = np.bincount(column(a) * size + index, minlength=d * size)
                 # Axes (a, parents before a, the rest): swap the first two.
@@ -197,22 +155,24 @@ def family_tables(
                 if base is None:
                     base = np.bincount(index, minlength=size).reshape(*dims, r)
                 table = base
-                if len(s) < len(order):
-                    (a,) = parents - s
+                if removed:
+                    (a,) = removed
                     table = base.sum(axis=order.index(a))
             out.append(table.reshape(-1, r))
     return out
 
 
 def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]:
-    """:func:`discrete_family_score` of each count table, in one pass.
+    """Log marginal likelihood of the child codes of each count table.
 
     ``tables[t][j, k]`` counts cases with parent configuration ``j`` and
-    child code ``k``.  The lnΓ terms of every cell and every row of all
-    tables are taken in one vectorized call each.  Each family's row terms
-    and cell terms are then summed over its own contiguous slice with
-    numpy's pairwise ``sum``, so every score is bitwise the one it gets
-    when scored alone.
+    child code ``k``.  Each parent configuration contributes the log ratio
+    of Dirichlet normalizers before and after observing its row of counts,
+    so a child with a single code scores exactly zero.  The lnΓ terms of
+    every cell and every row of all tables are taken in one vectorized
+    call each.  Each family's row terms and cell terms are then summed over
+    its own contiguous slice with numpy's pairwise ``sum``, so every score
+    is bitwise the one it gets when scored alone.
     """
     if not tables:
         return []
@@ -239,32 +199,6 @@ def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]
             )
         )
     return scores
-
-
-def discrete_family_score(counts: FamilyCounts, prior: PriorSpec) -> float:
-    """Log marginal likelihood of the child codes given parent configurations.
-
-    Each parent configuration contributes the log ratio of Dirichlet
-    normalizers before and after observing its row of counts.  A child with a
-    single code contributes exactly zero for any sample size.
-    """
-    return family_scores([counts.table], prior)[0]
-
-
-def family_score(
-    codes: np.ndarray,
-    arities: Sequence[int],
-    child: int,
-    parent_set: Iterable[int],
-    prior: PriorSpec,
-) -> float:
-    """Discrete score of one family read from a full code matrix.
-
-    Only the child's and the parents' columns of ``codes`` are read.
-    """
-    return discrete_family_score(
-        family_counts(codes, arities, child, sorted(parent_set)), prior
-    )
 
 
 def continuous_component(
@@ -393,17 +327,19 @@ def policy_log_prior(
     return interval_count_log_prior(policy.arity, n_candidates, prior, n_cases)
 
 
-def require_policy_mass(dataset: Dataset, prior: PriorSpec) -> None:
-    """Raise ValidationError naming a continuous column none of whose
-    policies the policy prior gives any mass.
+def require_policy_mass(dataset: Dataset, prior: PriorSpec, r_max: int) -> None:
+    """Raise ValidationError when some continuous column has no policy of
+    at most ``r_max`` intervals to which the policy prior gives any mass.
 
     The Poisson prior spreads its mass over 2 to N - 1 intervals.  A column
-    with fewer than 3 cases or no candidate cut has no such policy, so
-    every total would be -inf and no search could rank anything.
+    with fewer than 3 cases or no candidate cut has no such policy, and
+    neither has any column under an interval cap below 2, so every total
+    would be -inf and no search could rank anything.
     """
     if prior.policy_prior != POISSON_PRIOR:
         return
-    for i in dataset.continuous_indices():
+    continuous = dataset.continuous_indices()
+    for i in continuous:
         cuts = len(dataset.candidate_thresholds(i))
         if dataset.n_cases < 3 or cuts == 0:
             raise ValidationError(
@@ -413,6 +349,12 @@ def require_policy_mass(dataset: Dataset, prior: PriorSpec) -> None:
                 f"between (N = {dataset.n_cases}, candidate cuts = {cuts}); "
                 "declare it discrete or use the uniform policy prior"
             )
+    if continuous and r_max < 2:
+        raise ValidationError(
+            "the poisson policy prior needs at least 2 intervals per continuous "
+            f"variable, but the interval cap is r_max = {r_max}; raise r_max "
+            "or use the uniform policy prior"
+        )
 
 
 @dataclass(frozen=True)
@@ -458,14 +400,16 @@ def network_score(
         raise ValidationError(
             f"structure has {structure.n} nodes, dataset {dataset.n_variables} variables"
         )
-    codes = discretize_all(dataset, policy)
-    arities = policy.arities()
     n = dataset.n_variables
+    tables = family_tables(
+        discretize_all(dataset, policy),
+        policy.arities(),
+        [(i, ps, [ps]) for i, ps in enumerate(structure.parents)],
+    )
+    discrete = np.array(family_scores(tables, prior))
     emission = np.zeros(n)
-    discrete = np.zeros(n)
     log_prior = np.zeros(n)
     for i in range(n):
-        discrete[i] = family_score(codes, arities, i, structure.parents[i], prior)
         if dataset.is_continuous(i):
             column = dataset.column(i)
             emission[i] = emission_component(column, policy[i], prior)

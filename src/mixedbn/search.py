@@ -31,6 +31,7 @@ from .dataset import (
     NetworkPolicy,
     ValidationError,
     apply_policy,
+    discretize_all,
     trivial_network_policy,
     validate_network_policy,
 )
@@ -40,7 +41,6 @@ from .scoring import (
     MULTINOMIAL_DENSITY,
     PriorSpec,
     emission_component,
-    family_score,
     family_scores,
     family_tables,
     interval_count_log_priors,
@@ -176,24 +176,30 @@ def _nearest_index(values: np.ndarray, target: float) -> int:
 
 
 def initial_policy(dataset: Dataset, config: SearchConfig) -> NetworkPolicy:
-    """Starting policies per the config; thresholds snap to candidates."""
+    """Starting policies per the config; thresholds snap to candidates.
+
+    Each continuous variable starts with ``min(r0, r_max, N - 1)``
+    intervals, inside the interval cap and the Poisson prior's support;
+    below two it keeps the single interval.
+    """
     init = config.init
+    n = dataset.n_cases
+    r = min(init.r0, config.resolved_r_max(n), n - 1)
     policies = list(trivial_network_policy(dataset).policies)
     for i in dataset.continuous_indices():
         cands = dataset.candidate_thresholds(i)
-        if len(cands) == 0:
+        if len(cands) == 0 or r < 2:
             continue
         lo, hi = dataset.policy_bounds(i)
-        n = dataset.n_cases
         picked: set[int] = set()
         if init.kind == EQFREQ:
             cut_pos = dataset.cut_segments(i)[0][1:-1]
-            for k in range(1, init.r0):
-                target = min(max(round(k * n / init.r0), 1), n - 1)
+            for k in range(1, r):
+                target = min(max(round(k * n / r), 1), n - 1)
                 picked.add(_nearest_index(cut_pos.astype(np.float64), target))
         else:
-            for k in range(1, init.r0):
-                target = lo + k * (hi - lo) / init.r0
+            for k in range(1, r):
+                target = lo + k * (hi - lo) / r
                 picked.add(_nearest_index(cands, target))
         thresholds = tuple(cands[sorted(picked)])
         policies[i] = DiscretizationPolicy(thresholds, lo, hi)
@@ -496,17 +502,21 @@ class _SearchState:
     of ``blanket(v)`` and nothing else.  The caches hold floats and
     policies only, and live as long as the state.
 
+    :meth:`families` is the one way a family is scored: it reads the cache
+    and tallies and scores the misses in one batched pass
+    (:func:`family_tables`, :func:`family_scores`), every score bitwise the
+    one its table gets scored alone.
+
     The edge scan reads a table of raw family scores, ``FA[u, v] =
     family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
     diagonal ``FD[v, v]`` is the current family of ``v``.  Entries follow
     the stamp rule: a new parent set at ``v`` makes column ``v`` stale,
     and a policy change at ``w`` makes row ``w``, column ``w`` and the
     column of every child of ``w`` stale.  :meth:`edit_deltas` refills
-    only the stale entries its candidates read.  A refill reads the family
-    cache first, under the same stamps as :meth:`family`, and tallies and
-    scores the misses in one batched pass (:func:`family_tables`,
-    :func:`family_scores`) whose every score is bitwise the one
-    :func:`family_score` gives.
+    only the stale entries its candidates read.
+
+    The start policy must score a finite total; a policy outside the
+    policy prior's support raises ValidationError.
     """
 
     def __init__(
@@ -523,14 +533,19 @@ class _SearchState:
         self.prior = prior
         self.config = config
         self.discrete = set(dataset.discrete_indices())
-        require_policy_mass(dataset, prior)
+        require_policy_mass(dataset, prior, config.resolved_r_max(dataset.n_cases))
         n = dataset.n_variables
-        self.codes = np.empty((dataset.n_cases, n), dtype=np.int64, order="F")
-        for v in range(n):
-            self.codes[:, v] = apply_policy(dataset.column(v), policy[v])
+        self.codes = np.asfortranarray(discretize_all(dataset, policy))
         self.arities = list(policy.arities())
         self.versions = [0] * n
-        self.total = network_score(policy, structure, dataset, prior).total
+        score = network_score(policy, structure, dataset, prior)
+        self.total = score.total
+        if not math.isfinite(self.total):
+            worst = dataset.names[int(np.argmin(score.log_prior))]
+            raise ValidationError(
+                f"the start policy of {worst!r} has no mass under the policy "
+                f"prior, so the network scores {self.total}"
+            )
         self.stats = SearchStats()
         self._families: dict[tuple[int, frozenset[int]], tuple[int, float]] = {}
         self._solves: dict[tuple, DiscretizationPolicy] = {}
@@ -546,27 +561,43 @@ class _SearchState:
         self._fresh[:, v] = False
         self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
-    def _cached(self, child: int, parents: frozenset[int]) -> tuple[int, float | None]:
-        """The stamp of one family under the current policy, and its cached
-        score while that stamp stands (``None`` otherwise)."""
-        # Versions only grow, so their sum over the family's members is
-        # unchanged exactly when every member's version is.
-        versions = self.versions
-        stamp = versions[child] + sum([versions[p] for p in parents])
-        entry = self._families.get((child, parents))
-        if entry is not None and entry[0] == stamp:
-            self.stats.families_reused += 1
-            return stamp, entry[1]
-        return stamp, None
+    def families(self, pairs: Sequence[tuple[int, frozenset[int]]]) -> list[float]:
+        """The score of each (child, parent set) family under the current
+        policy, in order.
 
-    def family(self, child: int, parents: frozenset[int]) -> float:
-        """``family_score`` of one family under the current policy."""
-        stamp, score = self._cached(child, parents)
-        if score is None:
-            score = family_score(self.codes, self.arities, child, parents, self.prior)
-            self._families[(child, parents)] = (stamp, score)
-            self.stats.families_computed += 1
-        return score
+        Each parent set is the child's current one or one edge edit from
+        it.  A cached score is reused while its stamp stands.  The misses
+        are grouped by child; :func:`family_tables` tallies each group from
+        the child's current parent set and :func:`family_scores` scores
+        them all.
+        """
+        versions = self.versions
+        scores: list[float] = []
+        misses: dict[int, list[tuple[int, frozenset[int], int]]] = {}
+        for k, (child, members) in enumerate(pairs):
+            # Versions only grow, so their sum over the family's members is
+            # unchanged exactly when every member's version is.
+            stamp = versions[child] + sum([versions[p] for p in members])
+            entry = self._families.get((child, members))
+            if entry is not None and entry[0] == stamp:
+                scores.append(entry[1])
+            else:
+                scores.append(math.nan)
+                misses.setdefault(child, []).append((k, members, stamp))
+        parents = self.structure.parents
+        tables = family_tables(
+            self.codes,
+            self.arities,
+            [(c, parents[c], [s for _, s, _ in group]) for c, group in misses.items()],
+        )
+        computed = iter(family_scores(tables, self.prior))
+        for c, group in misses.items():
+            for (k, members, stamp), score in zip(group, computed):
+                self._families[(c, members)] = (stamp, score)
+                scores[k] = score
+        self.stats.families_computed += len(tables)
+        self.stats.families_reused += len(scores) - len(tables)
+        return scores
 
     def local(self, v: int) -> float:
         """Every score term that depends on the policy of variable ``v``.
@@ -575,9 +606,12 @@ class _SearchState:
         emission term and policy prior when continuous.
         """
         parents = self.structure.parents
-        score = self.family(v, parents[v])
-        for child in sorted(self.structure.children[v]):
-            score += self.family(child, parents[child])
+        own, *children = self.families(
+            [(c, parents[c]) for c in [v, *sorted(self.structure.children[v])]]
+        )
+        score = own
+        for family in children:
+            score += family
         if v not in self.discrete:
             dataset = self.dataset
             score += emission_component(dataset.column(v), self.policy[v], self.prior)
@@ -609,9 +643,7 @@ class _SearchState:
         FD[v, v]`` and a reversal ``((FD[u, v] - FD[v, v]) + FA[v, u]) -
         FD[u, u]``: each replaced family's new score minus its old one,
         summed left to right.  Stale entries the candidates read are
-        refilled first: cached families as :meth:`family` reuses them, the
-        others tallied per child from one base index and scored in one
-        vectorized call, bitwise equal to scoring each alone.
+        refilled first, by one :meth:`families` call.
         """
         ops, us, vs = zip(*candidates)
         kind = np.fromiter(map(_EDIT_OPS.index, ops), np.intp, len(ops))
@@ -639,32 +671,12 @@ class _SearchState:
 
     def _refill(self, stale: tuple[np.ndarray, ...]) -> None:
         """Refill the table entries at the indices ``stale`` under the
-        current policy.
-
-        Each entry's family is looked up in the cache first.  The misses are
-        grouped by child; :func:`family_tables` tallies each child's group
-        from one base index and :func:`family_scores` scores them all.
-        """
+        current policy, by one :meth:`families` call."""
         parents = self.structure.parents
-        misses: dict[int, list[tuple[int, int, frozenset[int], int]]] = {}
-        for k, a, c in zip(*(axis.tolist() for axis in stale)):
-            new = parents[c] | {a} if k == 0 else parents[c] - {a}
-            stamp, score = self._cached(c, new)
-            if score is None:
-                misses.setdefault(c, []).append((k, a, new, stamp))
-            else:
-                self._table[k, a, c] = score
-        families = [
-            (c, parents[c], [new for _, _, new, _ in group])
-            for c, group in misses.items()
-        ]
-        tables = family_tables(self.codes, self.arities, families)
-        scores = iter(family_scores(tables, self.prior))
-        for c, group in misses.items():
-            for (k, a, new, stamp), score in zip(group, scores):
-                self._families[(c, new)] = (stamp, score)
-                self._table[k, a, c] = score
-        self.stats.families_computed += len(tables)
+        self._table[stale] = self.families([
+            (c, parents[c] | {a} if k == 0 else parents[c] - {a})
+            for k, a, c in zip(*(axis.tolist() for axis in stale))
+        ])
 
     def scan(self, rng: np.random.Generator) -> tuple[tuple[str, int, int] | None, float]:
         """The best legal edge edit and its delta; ``(None, -inf)`` when no
@@ -773,15 +785,7 @@ class _SearchState:
                     # computed under the candidate is reused.
                     self.set_policy(v, current)
                     continue
-                if math.isfinite(self.total):
-                    self.total += delta
-                else:
-                    # A start policy outside the prior's support holds the
-                    # total at -inf, and its replacement gains +inf; adding
-                    # them would give nan, so score the network afresh.
-                    self.total = network_score(
-                        self.policy, self.structure, self.dataset, self.prior
-                    ).total
+                self.total += delta
                 trace.add(
                     "policy",
                     variable=v,

@@ -1,14 +1,18 @@
 """Hand-rolled reference implementations used to cross-check the package.
 
 Each oracle takes a deliberately different route from the code under test:
-the sequential chain rule instead of log-gamma ratios, moralization instead
-of trail reachability, and subset enumeration instead of the segmentation
-dynamic program.  Everything here sticks to plain Python loops and math
-calls, except :func:`local_score`, which sums the package's score terms on
-a freshly coded matrix, :func:`exhaustive_policy_search`, which scores each
-enumerated subset with it, and :class:`DenseCutProblem`, the segmentation
-DP over whole dense cost matrices, which the row-blocked DP must match bit
-for bit.
+the sequential chain rule instead of log-gamma ratios, a count over rows
+instead of a vectorized tally, moralization instead of trail reachability,
+and subset enumeration instead of the segmentation dynamic program.
+Everything here sticks to plain Python loops and math calls, except
+:func:`closed_form_family_score`, the Dirichlet ratio of one table summed
+with ``np.sum``, :func:`family_score`, which applies it to
+:func:`family_counts`, :func:`local_score`, which sums those family scores
+and the package's other score terms on a freshly coded matrix,
+:func:`exhaustive_policy_search`, which scores each enumerated subset with
+it, and :class:`DenseCutProblem`, the segmentation DP over whole dense cost
+matrices, which the row-blocked DP must match bit for bit.  The family
+scores here equal the package's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from mixedbn.scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
     emission_component,
-    family_score,
     interval_count_log_priors,
     policy_log_prior,
 )
@@ -97,6 +100,33 @@ def closed_form_family_score(table, prior):
     row_part = np.sum(gammaln(a_row) - gammaln(a_row + table.sum(axis=1)))
     cell_part = np.sum(gammaln(a_cell + table) - gammaln(a_cell))
     return float(row_part + cell_part)
+
+
+def family_counts(codes, arities, child, parents):
+    """``(q, r)`` count table of one child against its parent
+    configurations, counted one row at a time.
+
+    Configuration ``j`` is the mixed-radix number of the parents' codes in
+    the given order, the first most significant.
+    """
+    codes = np.asarray(codes)
+    dims = [int(arities[p]) for p in parents]
+    r = int(arities[child])
+    table = [[0] * r for _ in range(math.prod(dims))]
+    columns = [codes[:, j].tolist() for j in [*parents, child]]
+    for *cfg, k in zip(*columns):
+        j = 0
+        for code, d in zip(cfg, dims):
+            j = j * d + code
+        table[j][k] += 1
+    return np.array(table, dtype=np.int64).reshape(-1, r)
+
+
+def family_score(codes, arities, child, parent_set, prior):
+    """Discrete score of one family read from a full code matrix, with the
+    parents in sorted order."""
+    table = family_counts(codes, arities, child, sorted(parent_set))
+    return closed_form_family_score(table, prior)
 
 
 def moral_dsep(parent_sets, i, j, given=()):

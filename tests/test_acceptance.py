@@ -30,8 +30,6 @@ from mixedbn import (
     apply_policy,
     coordinate_ascent,
     d_separated,
-    discrete_family_score,
-    family_counts,
     hill_climb_structure,
     initial_policy,
     network_score,
@@ -41,6 +39,7 @@ from mixedbn import (
     trivial_network_policy,
 )
 from mixedbn.graph import empty_structure, validate_dag
+from mixedbn.scoring import family_scores, family_tables
 from oracles import (
     brute_univariate_best,
     exhaustive_policy_search,
@@ -53,6 +52,13 @@ from oracles import (
 
 def pass_line(number, text):
     print(f"ACCEPTANCE {number:02d} PASS {text}")
+
+
+def family_score(codes, arities, child, parents, prior):
+    """The package's score of one family: its table, then its score."""
+    parents = frozenset(parents)
+    tables = family_tables(codes, arities, [(child, parents, [parents])])
+    return family_scores(tables, prior)[0]
 
 
 def recovery_mechanism(seed, dependent=True):
@@ -98,9 +104,7 @@ class TestAcceptance:
                 prior = PriorSpec()
             for child in range(len(arities)):
                 parents = sorted(parent_sets[child])
-                got = discrete_family_score(
-                    family_counts(codes, arities, child, parents), prior
-                )
+                got = family_score(codes, arities, child, parents, prior)
                 if prior.dirichlet_mode == "bdeu":
                     want = sequential_log_marginal(
                         codes, arities, child, parents,
@@ -124,8 +128,7 @@ class TestAcceptance:
     def test_02_hand_example_one_twelfth(self):
         """Codes (0,0,1), two states, unit pseudo-counts: log(1/12)."""
         codes = np.array([[0], [0], [1]])
-        counts = family_counts(codes, [2], child=0, parents=[])
-        got = discrete_family_score(counts, PriorSpec())
+        got = family_score(codes, [2], 0, [], PriorSpec())
         want = math.log(1.0 / 12.0)
         assert got == pytest.approx(want, abs=1e-12)
         oracle = sequential_log_marginal(codes, [2], 0, [])
@@ -147,10 +150,8 @@ class TestAcceptance:
                 if rng.random() < 0.5
                 else PriorSpec(alpha=float(rng.uniform(0.25, 4.0)))
             )
-            counts = family_counts(
-                codes, arities, child=0, parents=list(range(1, 1 + n_parents))
-            )
-            assert discrete_family_score(counts, prior) == 0.0
+            parents = range(1, 1 + n_parents)
+            assert family_score(codes, arities, 0, parents, prior) == 0.0
         pass_line(3, "single-state child scored exactly 0.0 on 50 random datasets")
 
     def test_04_dp_matches_exhaustive(self):

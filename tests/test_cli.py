@@ -13,6 +13,10 @@ def run_cli(*args):
     return main(list(args))
 
 
+def strict_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def simulate(tmp_path, name="sim", n=40, seed=5, random="3,2,2"):
     prefix = tmp_path / name
     rc = run_cli(
@@ -277,9 +281,10 @@ class TestLearn:
             assert "stats" not in text and "edits_scanned" not in text
 
     @pytest.mark.parametrize("command", ["learn", "discretize"])
-    def test_poisson_start_outside_support_exits_0(self, tmp_path, command):
+    def test_poisson_start_is_capped_to_the_support(self, tmp_path, command):
         # N = 3 puts the Poisson prior's mass on 2 intervals only, so the
-        # eqfreq:3 start has none and the running total starts at -inf.
+        # eqfreq:3 start is capped at N - 1 = 2 intervals, and every total
+        # is finite.
         data = tmp_path / "three.csv"
         data.write_text("a,b\n0.5,0.1\n0.6,0.3\n0.7,0.2\n")
         out = tmp_path / ("fit" if command == "learn" else "fit.json")
@@ -297,9 +302,36 @@ class TestLearn:
             assert len(entry["thresholds"]) == 1
         if command == "learn":
             lines = (tmp_path / "fit.trace.jsonl").read_text().splitlines()
-            totals = [json.loads(line).get("total") for line in lines]
-            totals = [t for t in totals if t is not None]
+            records = [json.loads(line, parse_constant=strict_json) for line in lines]
+            totals = [r["total"] for r in records if "total" in r]
             assert totals == sorted(totals) and np.isfinite(totals[-1])
+
+    @pytest.mark.parametrize("command", ["learn", "discretize"])
+    def test_poisson_prior_under_a_cap_of_one_interval_is_a_data_error(
+        self, tmp_path, capsys, command
+    ):
+        data = tmp_path / "three.csv"
+        data.write_text("a,b\n0.5,0.1\n0.6,0.3\n0.7,0.2\n")
+        capsys.readouterr()
+        rc = run_cli(
+            command, "--data", str(data), "--policy-prior", "poisson:2",
+            "--r-max", "1", "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "r_max = 1" in err
+        assert not (tmp_path / "fit.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "discretize"])
+    def test_a_cap_of_one_interval_writes_no_thresholds(self, tmp_path, command):
+        data = tmp_path / "six.csv"
+        data.write_text("a,b\n0.5,0.1\n0.6,0.3\n0.7,0.2\n0.1,0.9\n0.2,0.8\n0.3,0.4\n")
+        out = tmp_path / ("fit" if command == "learn" else "fit.json")
+        rc = run_cli(command, "--data", str(data), "--r-max", "1", "--out", str(out))
+        assert rc == 0
+        policy_path = tmp_path / ("fit.policy.json" if command == "learn" else "fit.json")
+        policy = json.loads(policy_path.read_text())
+        assert [e["thresholds"] for e in policy["variables"].values()] == [[], []]
 
     @pytest.mark.parametrize("command", ["learn", "discretize"])
     @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from conftest import random_parent_sets
 from mixedbn import (
     CycleError,
     ValidationError,
-    ancestors,
     d_separated,
     to_dot,
     validate_dag,
@@ -52,13 +51,6 @@ class TestValidateDag:
     def test_edges_listing(self):
         structure = validate_dag([set(), {0}, {0, 1}])
         assert structure.edges() == [(0, 1), (0, 2), (1, 2)]
-
-
-class TestAncestorsAndBlanket:
-    def test_ancestors_on_chain(self):
-        s = chain(4)
-        assert ancestors(s, 3) == {0, 1, 2}
-        assert ancestors(s, 0) == set()
 
 
 class TestDSeparation:

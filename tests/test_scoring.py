@@ -20,9 +20,7 @@ from mixedbn import (
     ValidationError,
     candidate_thresholds,
     continuous_component,
-    discrete_family_score,
     emission_component,
-    family_counts,
     interval_count_log_prior,
     network_score,
     policy_log_prior,
@@ -30,13 +28,28 @@ from mixedbn import (
 from mixedbn import scoring
 from mixedbn.graph import empty_structure, validate_dag
 from mixedbn.scoring import (
-    FamilyCounts,
     family_scores,
     family_tables,
     interval_count_log_priors,
     multinomial_component,
 )
-from oracles import closed_form_family_score, local_score, sequential_log_marginal
+from oracles import (
+    closed_form_family_score,
+    family_counts,
+    local_score,
+    sequential_log_marginal,
+)
+
+
+def tally(codes, arities, child, parents):
+    """The table :func:`family_tables` gives one family's own parent set."""
+    parents = frozenset(parents)
+    (table,) = family_tables(codes, arities, [(child, parents, [parents])])
+    return table
+
+
+def family_score(codes, arities, child, parents, prior):
+    return family_scores([tally(codes, arities, child, parents)], prior)[0]
 
 
 class TestPriorSpec:
@@ -64,70 +77,11 @@ class TestPriorSpec:
         assert PriorSpec(dirichlet_mode="bdeu", ess=6.0).cell_weight(3, 2) == 1.0
 
 
-class TestFamilyCounts:
-    def test_margins_and_total(self):
-        codes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 1]])
-        counts = family_counts(codes, [2, 2], child=0, parents=[1])
-        assert counts.r == 2 and counts.q == 2
-        assert counts.table.tolist() == [[1, 1], [2, 1]]
-        assert counts.margins.tolist() == [2, 3]
-        assert counts.n_cases == 5
-
-    def test_no_parents(self):
-        codes = np.array([[0], [1], [0]])
-        counts = family_counts(codes, [2], child=0, parents=[])
-        assert counts.q == 1
-        assert counts.table.tolist() == [[2, 1]]
-
-    def test_first_parent_most_significant(self):
-        codes = np.array([[0, 1, 0]])
-        counts = family_counts(codes, [2, 2, 3], child=0, parents=[1, 2])
-        # config index = 1 * 3 + 0 = 3
-        assert counts.margins.tolist() == [0, 0, 0, 1, 0, 0]
-
-    @pytest.mark.parametrize(
-        "column, code, parents",
-        [(1, 2, [1]), (2, 2, [1, 2]), (1, -1, [1]), (0, 2, []), (0, -1, [])],
-        ids=[
-            "parent-high", "parent-aliased", "parent-negative", "child-high",
-            "child-negative",
-        ],
-    )
-    def test_out_of_range_code_raises(self, column, code, parents):
-        # In "parent-aliased" the bad code would land on configuration 2,
-        # inside the table, were it not checked.
-        codes = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 1]])
-        codes[2, column] = code
-        with pytest.raises(ValueError):
-            family_counts(codes, [2, 2, 2], child=0, parents=parents)
-
-    def test_column_major_codes_tally_alike(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            codes, arities, parent_sets = random_discrete_instance(rng)
-            child = int(rng.integers(0, len(arities)))
-            parents = sorted(parent_sets[child])
-            rows = family_counts(codes, arities, child, parents)
-            cols = family_counts(np.asfortranarray(codes), arities, child, parents)
-            assert np.array_equal(rows.table, cols.table) and rows.q == cols.q
-
-    def test_margin_invariant_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            codes, arities, parent_sets = random_discrete_instance(rng)
-            child = int(rng.integers(0, len(arities)))
-            parents = sorted(parent_sets[child])
-            counts = family_counts(codes, arities, child, parents)
-            assert np.array_equal(counts.table.sum(axis=1), counts.margins)
-            assert counts.margins.sum() == codes.shape[0]
-
-
-class TestDiscreteFamilyScore:
+class TestOneFamilyScore:
     def test_hand_example(self):
         """Codes (0,0,1) with two states: (1/2)(2/3)(1/4) = 1/12."""
         codes = np.array([[0], [0], [1]])
-        counts = family_counts(codes, [2], child=0, parents=[])
-        score = discrete_family_score(counts, PriorSpec())
+        score = family_score(codes, [2], 0, [], PriorSpec())
         assert score == pytest.approx(math.log(1.0 / 12.0), abs=1e-12)
 
     def test_oracle_self_check(self):
@@ -152,8 +106,7 @@ class TestDiscreteFamilyScore:
                 oracle = sequential_log_marginal(
                     codes, arities, child, parents, alpha=prior.alpha
                 )
-            counts = family_counts(codes, arities, child, parents)
-            assert discrete_family_score(counts, prior) == pytest.approx(
+            assert family_score(codes, arities, child, parents, prior) == pytest.approx(
                 oracle, abs=1e-9
             )
 
@@ -163,8 +116,7 @@ class TestDiscreteFamilyScore:
             n_cases = int(rng.integers(1, 50))
             codes = np.zeros((n_cases, 2), dtype=np.int64)
             codes[:, 1] = rng.integers(0, 3, size=n_cases)
-            counts = family_counts(codes, [1, 3], child=0, parents=[1])
-            assert discrete_family_score(counts, PriorSpec()) == 0.0
+            assert family_score(codes, [1, 3], 0, [1], PriorSpec()) == 0.0
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(9)
@@ -174,12 +126,8 @@ class TestDiscreteFamilyScore:
             perm = rng.permutation(r)
             relabeled = perm[codes]
             for prior in (PriorSpec(), PriorSpec(dirichlet_mode="bdeu", ess=3.0)):
-                a = discrete_family_score(
-                    family_counts(codes, [r], 0, []), prior
-                )
-                b = discrete_family_score(
-                    family_counts(relabeled, [r], 0, []), prior
-                )
+                a = family_score(codes, [r], 0, [], prior)
+                b = family_score(relabeled, [r], 0, [], prior)
                 assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -208,11 +156,8 @@ class TestFamilyScores:
             scores = family_scores(tables, prior)
             assert len(scores) == len(tables)
             for table, score in zip(tables, scores):
-                counts = FamilyCounts(
-                    table.shape[1], table.shape[0], table, table.sum(axis=1)
-                )
                 assert score == closed_form_family_score(table, prior)
-                assert score == discrete_family_score(counts, prior)
+                assert score == family_scores([table], prior)[0]
 
     @pytest.mark.parametrize("prior", PRIORS, ids=["k2", "k2-0.3", "bdeu-1", "bdeu-7.5"])
     def test_single_code_child_is_exactly_zero(self, prior):
@@ -237,6 +182,29 @@ class TestFamilyTables:
         ).astype(np.int64)
         return np.asfortranarray(codes), arities
 
+    def test_no_parents(self):
+        codes = np.array([[0], [1], [0]])
+        assert tally(codes, [2], 0, []).tolist() == [[2, 1]]
+
+    def test_first_parent_most_significant(self):
+        codes = np.array([[0, 1, 0], [1, 0, 2], [1, 0, 2]])
+        table = tally(codes, [2, 2, 3], 0, [2, 1])
+        # Sorted parents (1, 2): configurations 1 * 3 + 0 = 3 and 0 * 3 + 2 = 2.
+        assert table.shape == (6, 2)
+        assert table.sum(axis=1).tolist() == [0, 0, 2, 1, 0, 0]
+        assert table[3].tolist() == [1, 0] and table[2].tolist() == [0, 2]
+
+    def test_column_major_codes_tally_alike(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            codes, arities, parent_sets = random_discrete_instance(rng)
+            child = int(rng.integers(0, len(arities)))
+            parents = parent_sets[child]
+            rows = tally(codes, arities, child, parents)
+            cols = tally(np.asfortranarray(codes), arities, child, parents)
+            assert np.array_equal(rows, cols)
+            assert rows.sum() == codes.shape[0]
+
     def test_every_neighbour_matches_family_counts(self):
         rng = np.random.default_rng(31)
         places = set()
@@ -253,7 +221,7 @@ class TestFamilyTables:
             sets = [sets[i] for i in rng.permutation(len(sets))]
             tables = family_tables(codes, arities, [(child, parents, sets)])
             for s, table in zip(sets, tables):
-                expected = family_counts(codes, arities, child, sorted(s)).table
+                expected = family_counts(codes, arities, child, sorted(s))
                 assert np.array_equal(table, expected), (child, parents, s)
                 for a in s - parents:
                     places.add(
@@ -273,7 +241,7 @@ class TestFamilyTables:
         ]
         tables = family_tables(codes, arities, families)
         expected = [
-            family_counts(codes, arities, child, sorted(s)).table
+            family_counts(codes, arities, child, sorted(s))
             for child, _, sets in families
             for s in sets
         ]
@@ -294,6 +262,38 @@ class TestFamilyTables:
         families = [(0, frozenset({1}), [frozenset({1, 2})])]
         with pytest.raises(ValueError):
             family_tables(codes, [3, 2, 5], families)
+
+    @pytest.mark.parametrize(
+        "column, code, parents",
+        [(2, 2, [1, 2]), (1, -1, [1]), (0, 2, []), (0, -1, [])],
+        ids=["parent-aliased", "parent-negative", "no-parents-child-high",
+             "no-parents-child-negative"],
+    )
+    def test_out_of_range_code_in_the_base_table_raises(self, column, code, parents):
+        # In "parent-aliased" the bad code of the last parent would land on
+        # configuration 0 * 2 + 2 = 2, inside the table, were it not checked.
+        codes = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 1]])
+        codes[2, column] = code
+        with pytest.raises(ValueError):
+            tally(codes, [2, 2, 2], 0, parents)
+
+    @pytest.mark.parametrize(
+        "parents, s",
+        [
+            ({3}, {1}),
+            ({3}, {1, 2, 3}),
+            ({1, 2}, set()),
+            ({1, 2}, {1, 3}),
+        ],
+        ids=["swap", "two-additions", "two-removals", "one-of-each"],
+    )
+    def test_a_set_not_one_edit_away_raises(self, parents, s):
+        rng = np.random.default_rng(41)
+        codes, arities = self.instance(rng, n_vars=4)
+        families = [(0, frozenset(parents), [frozenset(parents), frozenset(s)])]
+        with pytest.raises(ValueError, match=r"child 0") as raised:
+            family_tables(codes, arities, families)
+        assert str(sorted(s)) in str(raised.value)
 
 
 class TestContinuousComponent:

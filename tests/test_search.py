@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     continuous_dataset,
@@ -37,11 +39,11 @@ from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
 from mixedbn.graph import CycleError, empty_structure, validate_dag
 from mixedbn import search
-from mixedbn.scoring import family_score
-from mixedbn.search import _CutProblem, _edit_candidates, _SearchState
+from mixedbn.search import TIE_TOLERANCE, _CutProblem, _edit_candidates, _SearchState
 from oracles import (
     DenseCutProblem,
     exhaustive_policy_search,
+    family_score,
     local_score,
 )
 
@@ -181,6 +183,18 @@ class TestInitialPolicy:
         ds = mixed_dataset([("d", [0, 1, 0, 1], 2), ("c", [0.0, 1, 2, 3], None)])
         policy = initial_policy(ds, SearchConfig())
         assert policy[0].trivial
+
+    @pytest.mark.parametrize(
+        "n_cases, r_max, arity",
+        [(6, 2, 2), (6, 1, 1), (3, None, 2), (3, 12, 2), (20, None, 3)],
+        ids=["r-max-2", "r-max-1", "n-minus-1", "n-minus-1-under-r-max", "r0"],
+    )
+    def test_interval_count_is_capped(self, n_cases, r_max, arity):
+        # min(r0 = 3, r_max, N - 1) intervals.
+        ds = continuous_dataset(np.arange(float(n_cases)).reshape(-1, 1))
+        for kind in ("eqfreq", "eqwidth"):
+            config = SearchConfig(r_max=r_max, init=InitSpec(kind=kind))
+            assert initial_policy(ds, config)[0].arity == arity
 
 
 class TestOptimizeVariable:
@@ -570,6 +584,21 @@ class TestCoordinateAscent:
         assert [p.thresholds for p in first] == [p.thresholds for p in second]
         assert trace_a.records == trace_b.records
 
+    def test_start_outside_the_prior_support_raises(self):
+        # N = 3 gives the Poisson prior's mass to 2 intervals only.
+        ds = continuous_dataset(np.array([[0.5, 0.1], [0.6, 0.3], [0.7, 0.2]]))
+        prior, config = PriorSpec(policy_prior="poisson"), SearchConfig()
+        start = initial_policy(ds, config)
+        assert [p.arity for p in start] == [2, 2]
+        coordinate_ascent(start, empty_structure(2), ds, prior, config)
+        for arity in (1, 3):
+            cuts = tuple(ds.candidate_thresholds(0)[: arity - 1].tolist())
+            outside = start.with_policy(
+                0, DiscretizationPolicy(cuts, *ds.policy_bounds(0))
+            )
+            with pytest.raises(ValidationError, match="start policy"):
+                coordinate_ascent(outside, empty_structure(2), ds, prior, config)
+
     def test_validates_input_policy(self):
         ds = continuous_dataset(np.array([[0.0], [1.0]]))
         bad = trivial_network_policy(
@@ -637,6 +666,33 @@ class TestHillClimb:
 
 class TestJointFixedPoint:
     """The learned pair is a joint fixed point and its trace total is exact."""
+
+    @settings(max_examples=40)
+    @given(
+        n_vars=st.integers(3, 4),
+        n_cases=st.integers(8, 60),
+        seed=st.integers(0, 2**16),
+        mixed=st.booleans(),
+    )
+    def test_search_properties_on_random_mechanisms(self, n_vars, n_cases, seed, mixed):
+        mechanism = random_mechanism(n_vars, 2, 2, seed=seed)
+        if mixed:
+            ds = odd_columns_discrete(mechanism, n_cases)
+        else:
+            ds, _ = sample_dataset(mechanism, n_cases)
+        prior, config = PriorSpec(), SearchConfig()
+        structure, policy, trace = hill_climb_structure(ds, prior, config)
+        totals = trace.totals()
+        assert all(b >= a for a, b in zip(totals, totals[1:]))
+        for i in ds.continuous_indices():
+            best = optimize_variable(i, policy, structure, ds, prior, config)
+            learned = local_score(i, policy, structure, ds, prior)
+            solved = local_score(i, policy.with_policy(i, best), structure, ds, prior)
+            assert solved <= learned + TIE_TOLERANCE
+        best_delta = trace.stats.best_edit_delta
+        assert best_delta is None or best_delta <= config.epsilon
+        total = network_score(policy, structure, ds, prior).total
+        assert abs(trace.final_total - total) <= 1e-6 * max(1.0, abs(total))
 
     @pytest.mark.parametrize(
         "prior, seed, n_cases, mixed",
@@ -737,11 +793,16 @@ class TestSearchState:
     def check(self, state, ds, prior, config):
         codes = discretize_all(ds, state.policy)
         arities = state.policy.arities()
-        families = set(state._families)
-        families |= {(v, state.structure.parents[v]) for v in range(ds.n_variables)}
-        for child, parents in families:
-            fresh = family_score(codes, arities, child, parents, prior)
-            assert state.family(child, parents) == fresh
+        versions = state.versions
+        # Every cached score the stamp rule would reuse, whatever structure
+        # it was cached under, then the current families as the state
+        # scores them.
+        for (child, parents), (stamp, score) in state._families.items():
+            if stamp == versions[child] + sum(versions[p] for p in parents):
+                assert score == family_score(codes, arities, child, parents, prior)
+        current = list(enumerate(state.structure.parents))
+        for (child, parents), score in zip(current, state.families(current)):
+            assert score == family_score(codes, arities, child, parents, prior)
         for v in ds.continuous_indices():
             fresh = optimize_variable(
                 v, state.policy, state.structure, ds, prior, config
@@ -892,13 +953,17 @@ class TestSearchState:
             parents = structure.parents
             candidates = _edit_candidates(structure, 3)
             deltas = state.edit_deltas(candidates)
+
+            def fam(c, ps, state=state):
+                return state.families([(c, ps)])[0]
+
             for edit, delta in zip(candidates, deltas.tolist()):
                 op, u, v = edit
                 new_v = parents[v] | {u} if op == "add" else parents[v] - {u}
-                expected = state.family(v, new_v) - state.family(v, parents[v])
+                expected = fam(v, new_v) - fam(v, parents[v])
                 if op == "reverse":
-                    c = state.family(u, parents[u] | {v})
-                    d = state.family(u, parents[u])
+                    c = fam(u, parents[u] | {v})
+                    d = fam(u, parents[u])
                     order_sensitive += expected + (c - d) != expected + c - d
                     expected = expected + c - d
                 assert delta == expected, edit
@@ -913,7 +978,7 @@ class TestSearchState:
     def test_batched_refill_matches_a_sequential_refill(self, monkeypatch):
         """On random mixed DAGs with arities 2 to 4, the batched refill fills
         the table, and counts its work, exactly as refilling one entry at a
-        time through ``family`` does."""
+        time through one-family ``families`` calls does."""
         rng = np.random.default_rng(83)
         prior, config = PriorSpec(), SearchConfig()
         places = set()
@@ -959,7 +1024,7 @@ class TestSearchState:
                 parents = twin.structure.parents
                 for k, a, c in zip(*(axis.tolist() for axis in stale)):
                     new = parents[c] | {a} if k == 0 else parents[c] - {a}
-                    twin._table[k, a, c] = twin.family(c, new)
+                    twin._table[k, a, c] = twin.families([(c, new)])[0]
 
             twin._refill = sequential
             for step in range(5):
