@@ -155,16 +155,15 @@ def apply_policy(column: np.ndarray, policy: DiscretizationPolicy) -> np.ndarray
     values = np.asarray(column, dtype=np.float64)
     if policy.trivial:
         return values.astype(np.int64)
-    bad = (values < policy.lower) | (values > policy.upper)
-    if bad.any():
-        offender = float(values[bad][0])
+    lo, hi = policy.lower, policy.upper
+    if values.min(initial=lo) < lo or values.max(initial=hi) > hi:
+        offender = float(values[(values < lo) | (values > hi)][0])
         raise ValidationError(
-            f"value {offender!r} lies outside policy bounds "
-            f"[{policy.lower}, {policy.upper}]"
+            f"value {offender!r} lies outside policy bounds [{lo}, {hi}]"
         )
     return np.searchsorted(
         np.asarray(policy.thresholds), values, side="left"
-    ).astype(np.int64)
+    ).astype(np.int64, copy=False)
 
 
 def candidate_thresholds(column: np.ndarray) -> np.ndarray:
@@ -216,16 +215,18 @@ def _freeze(value) -> None:
 
 
 class Dataset:
-    """Immutable table of complete cases over typed columns.
+    """Immutable table of complete cases over typed columns, stored
+    column-major so that reading a column is a contiguous read.
 
     Continuous columns cache a stable sort permutation, their candidate
-    thresholds and where those cuts fall among the sorted cases: column-only
-    inputs that every policy solve of the column reads again.
+    thresholds, each case's fine code under those cuts and how many cases
+    fall below each cut: column-only inputs that every policy solve of the
+    column reads again.
     """
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):
         metas = tuple(variables)
-        data = np.array(values, dtype=np.float64, order="C")
+        data = np.array(values, dtype=np.float64, order="F")
         if data.ndim != 2:
             raise ValidationError(f"values must be 2-dimensional, got shape {data.shape}")
         n_cases, n_vars = data.shape
@@ -313,21 +314,17 @@ class Dataset:
             "candidates", i, lambda: candidate_thresholds(self.values[:, i])
         )
 
-    def _sorted_column(self, i: int) -> np.ndarray:
-        return self.values[:, i][self.sort_index(i)]
-
     def cut_segments(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Where the candidate cuts of continuous column ``i`` fall in its
-        sorted order: the cut positions framed by 0 and N, and for each case
-        in sorted order the fine segment, between adjacent cuts, holding it."""
+        """Where the M candidate cuts of continuous column ``i`` fall: the
+        number of cases below each cut, framed by 0 and N, and in case order
+        each case's fine code, its interval under the policy of every cut;
+        the positions are the fine code's cumulated counts."""
 
         def build():
-            cut_pos = np.searchsorted(
-                self._sorted_column(i), self.candidate_thresholds(i), side="left"
-            )
-            positions = np.concatenate(([0], cut_pos, [self.n_cases]))
-            fine = np.searchsorted(cut_pos, np.arange(self.n_cases), side="right")
-            return positions, fine
+            cands = self.candidate_thresholds(i)
+            fine = np.searchsorted(cands, self.values[:, i], side="left")
+            counts = np.bincount(fine, minlength=len(cands) + 1)
+            return np.concatenate(([0], np.cumsum(counts))), fine
 
         return self._memo("cut_segments", i, build)
 
@@ -339,7 +336,7 @@ class Dataset:
         times before each cut."""
 
         def build():
-            sorted_vals = self._sorted_column(i)
+            sorted_vals = self.values[:, i][self.sort_index(i)]
             distinct, occ = np.unique(sorted_vals, return_counts=True)
             row_distinct = np.searchsorted(distinct, sorted_vals)
             d_pos = np.append(row_distinct, len(distinct))[self.cut_segments(i)[0]]

@@ -116,7 +116,8 @@ def family_tables(
     sorted place by one transpose.  A removal sums the base table over the
     removed parent's axis, and ``parents`` itself is the base table, so
     neither reads the cases again.  Every code column read is range-checked
-    once; a code outside ``[0, arity)`` raises ValueError.
+    once; a code outside ``[0, arity)`` raises ValueError.  The search's
+    one tally: its family scores and its cut DP's counts come from here.
     """
     codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
     checked: dict[int, np.ndarray] = {}

@@ -59,8 +59,8 @@ EQWIDTH = "eqwidth"
 TIE_TOLERANCE = 1e-9
 
 # Largest footprint of one policy solve, checked before the solve
-# allocates: its prefix count tables, its DP layer vectors and the working
-# row blocks of the cost matrix it is building.
+# allocates: its tally and prefix count tables, its DP layer vectors and the
+# working row blocks of the cost matrix it is building.
 CUT_MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 # The cut DP builds each cost matrix a block of rows at a time; a block
@@ -206,6 +206,17 @@ def initial_policy(dataset: Dataset, config: SearchConfig) -> NetworkPolicy:
     return NetworkPolicy(tuple(policies))
 
 
+def _blanket(structure: DagStructure, v: int) -> set[int]:
+    """The parents of ``v``, its children and its children's other parents:
+    the variables whose solve key holds the policy of ``v``."""
+    out = set(structure.parents[v])
+    for c in structure.children[v]:
+        out.add(c)
+        out |= structure.parents[c]
+    out.discard(v)
+    return out
+
+
 class _CutProblem:
     """Interval-decomposed local score of one continuous variable.
 
@@ -217,7 +228,8 @@ class _CutProblem:
     matrix serves every interval count; under shared sample size each count
     has its own, and only the emission costs are shared.  No cost matrix is
     ever held whole: the DP builds its upper triangle a block of rows at a
-    time, from the last row up.
+    time, from the last row up.  The costs' counts come from the search's
+    one tally, :func:`family_tables`, with the variable cut at every candidate.
     """
 
     def __init__(
@@ -230,49 +242,45 @@ class _CutProblem:
     ) -> None:
         self.prior = prior
         self.n_cases = dataset.n_cases
-        order = dataset.sort_index(i)
-        cands = dataset.candidate_thresholds(i)
-        lo, hi = dataset.policy_bounds(i)
+        self.cands = cands = dataset.candidate_thresholds(i)
+        self.lower, self.upper = lo, hi = dataset.policy_bounds(i)
         self.m = len(cands)
-        self.cands = cands
-        self.lower, self.upper = lo, hi
 
-        self.positions, fine_seg = dataset.cut_segments(i)
+        self.positions, fine = dataset.cut_segments(i)
         self.values = np.concatenate(([lo], cands, [hi]))
 
-        def prefix(states: np.ndarray, n_states: int) -> np.ndarray:
-            flat = states * (self.m + 1) + fine_seg
-            fine = np.bincount(flat, minlength=n_states * (self.m + 1))
-            fine = fine.reshape(n_states, self.m + 1)
-            out = np.zeros((n_states, self.m + 2), dtype=np.int64)
-            np.cumsum(fine, axis=1, out=out[:, 1:])
-            return out
+        # Sorted, so the tables' rows follow the variables' order.
+        members = sorted(_blanket(structure, i) | {i})
+        place = {v: k for k, v in enumerate(members)}
+        codes = np.array([
+            fine if v == i else apply_policy(dataset.column(v), policy[v])
+            for v in members
+        ]).T
+        arities = [self.m + 1 if v == i else policy[v].arity for v in members]
+        heads = [i, *sorted(structure.children[i])]
+        sets = [frozenset(place[p] for p in structure.parents[v]) for v in heads]
+        own, *child_counts = family_tables(
+            codes, arities, [(place[v], ps, [ps]) for v, ps in zip(heads, sets)]
+        )
 
-        codes_cache: dict[int, np.ndarray] = {}
+        def prefix(counts: np.ndarray) -> np.ndarray:
+            # Cumulated along the last axis, i's, behind a zero column.
+            out = np.zeros((*counts.shape[:-1], self.m + 2), dtype=np.int64)
+            np.cumsum(counts, axis=-1, out=out[..., 1:])
+            return out.reshape(-1, self.m + 2)
 
-        def sorted_codes(v: int) -> np.ndarray:
-            if v not in codes_cache:
-                codes_cache[v] = apply_policy(dataset.column(v), policy[v])[order]
-            return codes_cache[v]
-
-        def config_states(members: Sequence[int]) -> tuple[np.ndarray, int]:
-            if not members:
-                return np.zeros(self.n_cases, dtype=np.int64), 1
-            dims = [policy[p].arity for p in members]
-            states = np.ravel_multi_index([sorted_codes(p) for p in members], dims)
-            return states.astype(np.int64), int(np.prod(dims))
-
-        own_states, self.q_own = config_states(sorted(structure.parents[i]))
-        self.own_prefix = prefix(own_states, self.q_own)
+        self.q_own = len(own)
+        self.own_prefix = prefix(own)
         self.own_totals = self.own_prefix[:, -1]
 
         self.child_tables: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for child in sorted(structure.children[i]):
+        for child, ps, counts in zip(heads[1:], sets[1:], child_counts):
             r_child = policy[child].arity
-            others = sorted(structure.parents[child] - {i})
-            other_states, q_other = config_states(others)
-            joint = other_states * r_child + sorted_codes(child)
-            cell_prefix = prefix(joint, q_other * r_child)
+            before = math.prod(arities[k] for k in ps if k < place[i])
+            # With i's axis last, the rows are (configuration of the other
+            # parents, child code).
+            cell_prefix = prefix(counts.reshape(before, self.m + 1, -1).swapaxes(1, 2))
+            q_other = len(cell_prefix) // r_child
             margin_prefix = cell_prefix.reshape(q_other, r_child, -1).sum(axis=1)
             self.child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
 
@@ -461,10 +469,11 @@ def optimize_variable(
         return math.prod(policy[p].arity for p in members)
 
     # Charged in float64-sized words: prefix count tables (the own family's,
-    # and a cell and a margin table per child), DP layer vectors (r_cap for
-    # the one shared cost matrix, or r for the matrix of each interval count
-    # r), log-gamma tables (at most three per child and cost matrix) and the
-    # working row blocks.
+    # and a cell and a margin table per child) and as much again for the
+    # tallied tables, DP layer vectors (r_cap for the one shared cost matrix,
+    # or r for the matrix of each interval count r), log-gamma tables (at
+    # most three per child and cost matrix), the tally's code matrix over i
+    # and its blanket plus two index columns, and the working row blocks.
     n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
     tables = states(structure.parents[i]) + sum(
         states(structure.parents[c] - {i}) * (policy[c].arity + 1)
@@ -473,8 +482,9 @@ def optimize_variable(
     vectors = r_cap * (r_cap + 1) // 2 if n_costs > 1 else r_cap
     luts = n_costs * (1 + 2 * len(structure.children[i]))
     estimate = 8 * (
-        (tables + vectors) * (m + 2)
+        (2 * tables + vectors) * (m + 2)
         + luts * (dataset.n_cases + 1)
+        + (len(_blanket(structure, i)) + 3) * dataset.n_cases
         + _WORK_BLOCKS * max(_BLOCK_FLOATS, m + 2)
     )
     if estimate > CUT_MEMORY_LIMIT_BYTES:
@@ -499,13 +509,14 @@ class _SearchState:
     those policies has changed.  A policy solve is memoized on
     :meth:`solve_key`, exactly what the cut problem reads.  That key also
     decides what to solve again: a policy change at ``v`` changes the keys
-    of ``blanket(v)`` and nothing else.  The caches hold floats and
-    policies only, and live as long as the state.
+    of ``_blanket(structure, v)`` and nothing else.  The caches hold floats
+    and policies only, and live as long as the state.
 
     :meth:`families` is the one way a family is scored: it reads the cache
     and tallies and scores the misses in one batched pass
     (:func:`family_tables`, :func:`family_scores`), every score bitwise the
-    one its table gets scored alone.
+    one its table gets scored alone.  The cut problem counts through the
+    same tally, so the search has one.
 
     The edge scan reads a table of raw family scores, ``FA[u, v] =
     family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
@@ -729,17 +740,6 @@ class _SearchState:
             ),
         )
 
-    def blanket(self, v: int) -> set[int]:
-        """The variables whose solve key holds the policy of ``v``: its
-        parents, its children and its children's other parents."""
-        parents = self.structure.parents
-        out = set(parents[v])
-        for c in self.structure.children[v]:
-            out.add(c)
-            out |= parents[c]
-        out.discard(v)
-        return out
-
     def solve(self, i: int) -> DiscretizationPolicy:
         """``optimize_variable`` for ``i``, reused while its inputs stand."""
         key = self.solve_key(i)
@@ -794,7 +794,7 @@ class _SearchState:
                     delta=delta,
                     total=self.total,
                 )
-                for j in sorted(self.blanket(v) - self.discrete):
+                for j in sorted(_blanket(self.structure, v) - self.discrete):
                     if j not in queued:
                         queue.append(j)
                         queued.add(j)

@@ -10,9 +10,11 @@ with ``np.sum``, :func:`family_score`, which applies it to
 :func:`family_counts`, :func:`local_score`, which sums those family scores
 and the package's other score terms on a freshly coded matrix,
 :func:`exhaustive_policy_search`, which scores each enumerated subset with
-it, and :class:`DenseCutProblem`, the segmentation DP over whole dense cost
-matrices, which the row-blocked DP must match bit for bit.  The family
-scores here equal the package's bit for bit.
+it, :func:`reference_prefix_tables`, the cut problem's count tables from a
+sorted-order state index instead of the package's family tally, and
+:class:`DenseCutProblem`, the segmentation DP over whole dense cost
+matrices on those tables, which the row-blocked DP must match bit for bit.
+The family scores here equal the package's bit for bit.
 """
 
 from __future__ import annotations
@@ -299,17 +301,70 @@ def exhaustive_policy_search(
     return best_policy, score
 
 
+def reference_prefix_tables(i, policy, structure, dataset):
+    """Prefix count tables of the cut problem of ``i``, tallied separately.
+
+    The cases are read in sorted order of column ``i``, and each case's fine
+    segment is found from where the candidate cuts fall among them.  A state
+    index over the members of a family comes from ``ravel_multi_index``,
+    and one ``bincount`` of ``state * (M+1) + segment`` per table, cumulated
+    along the segments, gives its rows.  Returns the cut positions framed by
+    0 and N, the own family's state count and prefix table, and per child
+    ``(r_child, q_other, cell_prefix, margin_prefix)``, rows ordered as in
+    :class:`_CutProblem`.
+    """
+    n = dataset.n_cases
+    order = dataset.sort_index(i)
+    cands = dataset.candidate_thresholds(i)
+    m = len(cands)
+    cut_pos = np.searchsorted(dataset.column(i)[order], cands, side="left")
+    positions = np.concatenate(([0], cut_pos, [n]))
+    segment = np.searchsorted(cut_pos, np.arange(n), side="right")
+
+    def sorted_codes(v):
+        return apply_policy(dataset.column(v), policy[v])[order]
+
+    def config_states(members):
+        if not members:
+            return np.zeros(n, dtype=np.int64), 1
+        dims = [policy[p].arity for p in members]
+        states = np.ravel_multi_index([sorted_codes(p) for p in members], dims)
+        return states.astype(np.int64), math.prod(dims)
+
+    def prefix(states, n_states):
+        fine = np.bincount(states * (m + 1) + segment, minlength=n_states * (m + 1))
+        out = np.zeros((n_states, m + 2), dtype=np.int64)
+        np.cumsum(fine.reshape(n_states, m + 1), axis=1, out=out[:, 1:])
+        return out
+
+    own_states, q_own = config_states(sorted(structure.parents[i]))
+    child_tables = []
+    for child in sorted(structure.children[i]):
+        r_child = policy[child].arity
+        other_states, q_other = config_states(sorted(structure.parents[child] - {i}))
+        joint = other_states * r_child + sorted_codes(child)
+        cell_prefix = prefix(joint, q_other * r_child)
+        margin_prefix = cell_prefix.reshape(q_other, r_child, -1).sum(axis=1)
+        child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
+    return positions, q_own, prefix(own_states, q_own), child_tables
+
+
 class DenseCutProblem(_CutProblem):
     """The segmentation DP over dense (M+2)² cost matrices.
 
-    Shares the prefix tables of :class:`_CutProblem` but builds every cost
-    matrix whole, lower triangle included and masked to ``-inf``, with one
-    matrix per interval count under shared sample size.  Reference for the
-    row-blocked DP, which must match it exactly.
+    Takes its prefix tables from :func:`reference_prefix_tables`, not from
+    the tally of :class:`_CutProblem`, and builds every cost matrix whole,
+    lower triangle included and masked to ``-inf``, with one matrix per
+    interval count under shared sample size.  Reference for the row-blocked
+    DP, which must match it exactly.
     """
 
     def __init__(self, i, policy, structure, dataset, prior):
         super().__init__(i, policy, structure, dataset, prior)
+        self.positions, self.q_own, self.own_prefix, self.child_tables = (
+            reference_prefix_tables(i, policy, structure, dataset)
+        )
+        self.own_totals = self.own_prefix[:, -1]
         sorted_vals = dataset.column(i)[dataset.sort_index(i)]
         distinct, self.occ = np.unique(sorted_vals, return_counts=True)
         row_distinct = np.searchsorted(distinct, sorted_vals)

@@ -105,6 +105,11 @@ class TestApplyPolicy:
         with pytest.raises(ValidationError):
             apply_policy(np.array([0.2, 1.5]), policy)
 
+    def test_below_bounds_names_the_first_offender(self):
+        policy = DiscretizationPolicy(thresholds=(0.5,), lower=0.0, upper=1.0)
+        with pytest.raises(ValidationError, match="-0.25"):
+            apply_policy(np.array([0.2, -0.25, 1.5, -0.5]), policy)
+
     def test_single_interval_maps_to_zero(self):
         policy = DiscretizationPolicy(thresholds=(), lower=0.0, upper=1.0)
         assert apply_policy(np.array([0.0, 0.7, 1.0]), policy).tolist() == [0, 0, 0]
@@ -257,6 +262,25 @@ class TestDataset:
         ds = continuous_dataset(np.array([[3.0], [1.0], [2.0]]))
         order = ds.sort_index(0)
         assert ds.column(0)[order].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_cut_segments_hold_the_fine_code(self, tied):
+        rng = np.random.default_rng(23)
+        if tied:
+            # Rounded to one decimal within declared bounds: most values repeat.
+            values = np.round(rng.uniform(0.0, 1.0, (200, 1)), 1)
+            ds = continuous_dataset(values, bounds=[(0.0, 1.0)])
+        else:
+            ds = continuous_dataset(rng.normal(size=(50, 1)))
+        cands = ds.candidate_thresholds(0)
+        assert (len(cands) <= 10) if tied else (len(cands) == 49)
+        positions, fine = ds.cut_segments(0)
+        every_cut = DiscretizationPolicy(tuple(cands), *ds.policy_bounds(0))
+        assert np.array_equal(fine, apply_policy(ds.column(0), every_cut))
+        assert np.array_equal(positions, [0, *np.cumsum(np.bincount(fine))])
+        below = [int(np.sum(ds.column(0) < c)) for c in cands]
+        assert positions.tolist() == [0, *below, ds.n_cases]
+        assert ds.cut_segments(0)[1] is fine
 
     def test_candidate_thresholds_cached_per_column(self):
         ds = continuous_dataset(np.array([[0.0], [1.0], [9.0], [10.0]]))

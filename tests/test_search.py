@@ -39,12 +39,19 @@ from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
 from mixedbn.graph import CycleError, empty_structure, validate_dag
 from mixedbn import search
-from mixedbn.search import TIE_TOLERANCE, _CutProblem, _edit_candidates, _SearchState
+from mixedbn.search import (
+    TIE_TOLERANCE,
+    _blanket,
+    _CutProblem,
+    _edit_candidates,
+    _SearchState,
+)
 from oracles import (
     DenseCutProblem,
     exhaustive_policy_search,
     family_score,
     local_score,
+    reference_prefix_tables,
 )
 
 
@@ -341,6 +348,62 @@ class TestCutProblem:
             want = emission_component(ds.column(0), policy, prior)
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_prefix_tables_match_reference(self):
+        rng = np.random.default_rng(67)
+        n_vars, n_cases = 6, 40
+        seen = set()
+        for _ in range(30):
+            spec = []
+            for _ in range(n_vars):
+                if rng.random() < 0.4:
+                    arity = int(rng.integers(2, 4))
+                    spec.append(("d", rng.integers(0, arity, n_cases), arity))
+                elif rng.random() < 0.5:
+                    # Tied: one decimal within declared bounds.
+                    values = np.round(rng.uniform(0.0, 1.0, n_cases), 1)
+                    spec.append(("c", values, (0.0, 1.0)))
+                else:
+                    spec.append(("c", rng.normal(size=n_cases), None))
+            ds = mixed_dataset(spec)
+            policy = random_network_policy(rng, ds)
+            structure = validate_dag(random_parent_sets(rng, n_vars, 0.5, 3))
+            for i in ds.continuous_indices():
+                problem = _CutProblem(i, policy, structure, ds, PriorSpec())
+                positions, q_own, own_prefix, child_tables = reference_prefix_tables(
+                    i, policy, structure, ds
+                )
+                assert np.array_equal(problem.positions, positions)
+                assert problem.q_own == q_own
+                assert problem.own_prefix.dtype == own_prefix.dtype == np.int64
+                assert np.array_equal(problem.own_prefix, own_prefix)
+                assert np.array_equal(problem.own_totals, own_prefix[:, -1])
+                assert len(problem.child_tables) == len(child_tables)
+                for got, want in zip(problem.child_tables, child_tables):
+                    assert got[:2] == want[:2]
+                    assert np.array_equal(got[2], want[2])
+                    assert np.array_equal(got[3], want[3])
+
+                tied = len(ds.candidate_thresholds(i)) + 1 < n_cases
+                seen.add("tied" if tied else "untied")
+                if not structure.parents[i]:
+                    seen.add("no parents")
+                for c in structure.children[i]:
+                    others = structure.parents[c] - {i}
+                    if not others:
+                        continue
+                    if i < min(others):
+                        seen.add("before")
+                    elif i > max(others):
+                        seen.add("after")
+                    else:
+                        seen.add("between")
+                for v in _blanket(structure, i):
+                    seen.add("continuous" if ds.is_continuous(v) else "discrete")
+        assert seen == {
+            "tied", "untied", "no parents", "before", "between", "after",
+            "continuous", "discrete",
+        }
+
 
 class TestBlockedCutProblem:
     """The row-blocked DP equals the dense-matrix DP bit for bit."""
@@ -478,7 +541,7 @@ class TestBlanket:
     def test_chain_through_discrete_is_blocked(self, monkeypatch):
         # continuous 0 -> discrete 1 -> continuous 2
         state = self.state([set(), {0}, {1}], discrete={1})
-        assert state.blanket(0) == {1}
+        assert _blanket(state.structure, 0) == {1}
         calls = []
         solve = state.solve
         monkeypatch.setattr(state, "solve", lambda i: calls.append(i) or solve(i))
@@ -488,16 +551,16 @@ class TestBlanket:
     def test_chain_through_continuous_stops_at_neighbour(self):
         # 0 -> 1 -> 2 all continuous: the solve of 2 reads 1, never 0.
         state = self.state([set(), {0}, {1}])
-        assert state.blanket(0) == {1}
-        assert state.blanket(1) == {0, 2}
-        assert state.blanket(2) == {1}
+        assert _blanket(state.structure, 0) == {1}
+        assert _blanket(state.structure, 1) == {0, 2}
+        assert _blanket(state.structure, 2) == {1}
 
     def test_collider_queues_coparent(self):
         # 0 -> 2 <- 1: each parent's solve reads the other through 2's family.
         state = self.state([set(), set(), {0, 1}])
-        assert state.blanket(0) == {1, 2}
-        assert state.blanket(1) == {0, 2}
-        assert state.blanket(2) == {0, 1}
+        assert _blanket(state.structure, 0) == {1, 2}
+        assert _blanket(state.structure, 1) == {0, 2}
+        assert _blanket(state.structure, 2) == {0, 1}
 
     def test_reversal_rekeys_both_families(self):
         # 4 -> 3 -> 0 -> 1 <- 2; reversing 0 -> 1 gives 3 -> 0 <- 1 <- 2.
@@ -693,6 +756,14 @@ class TestJointFixedPoint:
         assert best_delta is None or best_delta <= config.epsilon
         total = network_score(policy, structure, ds, prior).total
         assert abs(trace.final_total - total) <= 1e-6 * max(1.0, abs(total))
+
+        # The cases are a set: shuffling the rows changes nothing learned.
+        rows = np.random.default_rng(seed).permutation(n_cases)
+        shuffled = Dataset(ds.variables, ds.values[rows])
+        structure_p, policy_p, trace_p = hill_climb_structure(shuffled, prior, config)
+        assert structure_p.parents == structure.parents
+        assert policy_p == policy
+        assert abs(trace_p.final_total - total) <= 1e-6 * max(1.0, abs(total))
 
     @pytest.mark.parametrize(
         "prior, seed, n_cases, mixed",
@@ -925,7 +996,7 @@ class TestSearchState:
                     other = DiscretizationPolicy((cut,), current.lower, current.upper)
                 before = keys()
                 state.set_policy(v, other)
-                assert changed(before) == state.blanket(v) & continuous
+                assert changed(before) == _blanket(state.structure, v) & continuous
                 state.set_policy(v, current)
 
             for edit in _edit_candidates(state.structure, 3):
