@@ -38,6 +38,10 @@ POISSON_PRIOR = "poisson"
 UNIFORM_DENSITY = "uniform"
 MULTINOMIAL_DENSITY = "multinomial"
 
+# Largest allocation one count tally or one policy solve may make, checked
+# before it allocates.
+MEMORY_LIMIT_BYTES = 2 * 1024**3
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -116,8 +120,10 @@ def family_tables(
     sorted place by one transpose.  A removal sums the base table over the
     removed parent's axis, and ``parents`` itself is the base table, so
     neither reads the cases again.  Every code column read is range-checked
-    once; a code outside ``[0, arity)`` raises ValueError.  The search's
-    one tally: its family scores and its cut DP's counts come from here.
+    once; a code outside ``[0, arity)`` raises ValueError.  A table larger
+    than ``MEMORY_LIMIT_BYTES`` raises ValidationError before anything is
+    tallied.  The search's one tally: its family scores and its cut DP's
+    counts come from here.
     """
     codes = np.asarray(codes).astype(np.int64, casting="safe", copy=False)
     checked: dict[int, np.ndarray] = {}
@@ -134,6 +140,16 @@ def family_tables(
         dims = [int(arities[p]) for p in order]
         r = int(arities[child])
         size = math.prod(dims) * r
+        cells = size * max(
+            [int(arities[a]) for s in sets for a in s - parents], default=1
+        )
+        if 8 * cells > MEMORY_LIMIT_BYTES:
+            raise ValidationError(
+                f"a count table of child column {child} (counted from 0) would "
+                f"hold {cells} cells, {8 * cells / 2**20:.0f} MiB (limit "
+                f"{MEMORY_LIMIT_BYTES / 2**20:.0f} MiB); recode the column to "
+                "fewer states or declare it continuous"
+            )
         index = 0
         for j in [*order, child]:
             index = index * int(arities[j]) + column(j)

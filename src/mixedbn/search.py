@@ -6,7 +6,7 @@ only on the interval count, so the best threshold subset of each size falls
 out of a segmentation dynamic program over the candidate cut points.
 Coordinate ascent sweeps variables with that optimizer until a sweep stops
 paying, and greedy edge edits interleave re-discretization with structure
-moves.  One search state reuses every family score and policy solve whose
+moves.  One search state keeps every family score and policy solve whose
 inputs have not changed, so rescans and confirming sweeps cost lookups.
 Ties always resolve toward fewer intervals, then lexicographically smaller
 threshold sets.
@@ -18,12 +18,13 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import scoring
 from .dataset import (
     Dataset,
     DiscretizationPolicy,
@@ -57,11 +58,6 @@ EQWIDTH = "eqwidth"
 # then orders them arbitrarily.  Scores this close count as tied so that
 # the fewer-intervals-then-lexicographic preference decides instead.
 TIE_TOLERANCE = 1e-9
-
-# Largest footprint of one policy solve, checked before the solve
-# allocates: its tally and prefix count tables, its DP layer vectors and the
-# working row blocks of the cost matrix it is building.
-CUT_MEMORY_LIMIT_BYTES = 2 * 1024**3
 
 # The cut DP builds each cost matrix a block of rows at a time; a block
 # holds about this many float64, enough rows to amortize the per-state
@@ -135,9 +131,7 @@ class SearchStats:
     solves: int = 0
     solve_hits: int = 0
     families_computed: int = 0
-    families_reused: int = 0
     edits_scanned: int = 0
-    table_refills: int = 0
     best_edit_delta: float | None = None
 
 
@@ -487,11 +481,12 @@ def optimize_variable(
         + (len(_blanket(structure, i)) + 3) * dataset.n_cases
         + _WORK_BLOCKS * max(_BLOCK_FLOATS, m + 2)
     )
-    if estimate > CUT_MEMORY_LIMIT_BYTES:
+    limit = scoring.MEMORY_LIMIT_BYTES
+    if estimate > limit:
         raise ValidationError(
             f"variable {dataset.names[i]!r}: a policy solve over N={dataset.n_cases} "
             f"cases and M={m} candidate thresholds needs about "
-            f"{estimate / 2**20:.0f} MiB (limit {CUT_MEMORY_LIMIT_BYTES / 2**20:.0f} "
+            f"{estimate / 2**20:.0f} MiB (limit {limit / 2**20:.0f} "
             "MiB); round the column to fewer distinct values or declare it "
             "discrete in the schema"
         )
@@ -503,28 +498,27 @@ class _SearchState:
     """Structure, policy and running total of one search, plus its caches.
 
     The code matrix follows the policy one column at a time; it is stored
-    column-major, so a family tally reads contiguous columns.  A family
-    score is cached per (child, parent set) and stamped with the policy
-    versions of the family's members, so it is reused only while none of
-    those policies has changed.  A policy solve is memoized on
-    :meth:`solve_key`, exactly what the cut problem reads.  That key also
-    decides what to solve again: a policy change at ``v`` changes the keys
-    of ``_blanket(structure, v)`` and nothing else.  The caches hold floats
-    and policies only, and live as long as the state.
+    column-major, so a family tally reads contiguous columns.
 
-    :meth:`families` is the one way a family is scored: it reads the cache
-    and tallies and scores the misses in one batched pass
-    (:func:`family_tables`, :func:`family_scores`), every score bitwise the
-    one its table gets scored alone.  The cut problem counts through the
-    same tally, so the search has one.
+    Every family score the search reads is cached in one table, ``FA[u, v]
+    = family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
+    diagonal ``FD[v, v]`` is the current family of ``v``: the edge scan
+    reads its entries and :meth:`local` its diagonal.  One staleness rule
+    guards it: a new parent set at ``v`` makes column ``v`` stale, and a
+    policy change at ``w`` makes row ``w``, column ``w`` and the column of
+    every child of ``w`` stale.  :meth:`_fill` is the one way an entry is
+    scored: it tallies and scores the stale entries asked for in one batched
+    pass (:func:`family_tables`, :func:`family_scores`), every score bitwise
+    the one its table gets scored alone.  The cut problem counts through the
+    same tally, so the search has one.  The start fills the diagonal from its
+    network score, and :meth:`apply_edit` keeps the scores the edit moves
+    between the diagonal and the edited entry.
 
-    The edge scan reads a table of raw family scores, ``FA[u, v] =
-    family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
-    diagonal ``FD[v, v]`` is the current family of ``v``.  Entries follow
-    the stamp rule: a new parent set at ``v`` makes column ``v`` stale,
-    and a policy change at ``w`` makes row ``w``, column ``w`` and the
-    column of every child of ``w`` stale.  :meth:`edit_deltas` refills
-    only the stale entries its candidates read.
+    A policy solve is memoized on :meth:`solve_key`, exactly what the cut
+    problem reads.  That key also decides what to solve again: a policy
+    change at ``v`` changes the keys of ``_blanket(structure, v)`` and
+    nothing else.  The caches hold floats and policies only, and live as
+    long as the state.
 
     The start policy must score a finite total; a policy outside the
     policy prior's support raises ValidationError.
@@ -548,7 +542,6 @@ class _SearchState:
         n = dataset.n_variables
         self.codes = np.asfortranarray(discretize_all(dataset, policy))
         self.arities = list(policy.arities())
-        self.versions = [0] * n
         score = network_score(policy, structure, dataset, prior)
         self.total = score.total
         if not math.isfinite(self.total):
@@ -558,57 +551,45 @@ class _SearchState:
                 f"prior, so the network scores {self.total}"
             )
         self.stats = SearchStats()
-        self._families: dict[tuple[int, frozenset[int]], tuple[int, float]] = {}
         self._solves: dict[tuple, DiscretizationPolicy] = {}
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
         self._fresh = np.zeros((2, n, n), dtype=bool)
+        np.fill_diagonal(self._table[1], score.discrete)
+        np.fill_diagonal(self._fresh[1], True)
 
     def set_policy(self, v: int, new: DiscretizationPolicy) -> None:
         self.policy = self.policy.with_policy(v, new)
         self.codes[:, v] = apply_policy(self.dataset.column(v), new)
         self.arities[v] = new.arity
-        self.versions[v] += 1
         self._fresh[:, v] = False
         self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
-    def families(self, pairs: Sequence[tuple[int, frozenset[int]]]) -> list[float]:
-        """The score of each (child, parent set) family under the current
-        policy, in order.
+    def _fill(self, entries: Sequence[tuple[int, int, int]]) -> list[float]:
+        """The scores at the distinct table entries ``entries``, each
+        ``(0 for FA or 1 for FD, edited parent, child)``.
 
-        Each parent set is the child's current one or one edge edit from
-        it.  A cached score is reused while its stamp stands.  The misses
-        are grouped by child; :func:`family_tables` tallies each group from
-        the child's current parent set and :func:`family_scores` scores
-        them all.
+        The stale ones are refilled first under the current policy and
+        marked fresh: grouped by child, tallied from the child's current
+        parent set by one :func:`family_tables` call and scored by one
+        :func:`family_scores` call.
         """
-        versions = self.versions
-        scores: list[float] = []
-        misses: dict[int, list[tuple[int, frozenset[int], int]]] = {}
-        for k, (child, members) in enumerate(pairs):
-            # Versions only grow, so their sum over the family's members is
-            # unchanged exactly when every member's version is.
-            stamp = versions[child] + sum([versions[p] for p in members])
-            entry = self._families.get((child, members))
-            if entry is not None and entry[0] == stamp:
-                scores.append(entry[1])
-            else:
-                scores.append(math.nan)
-                misses.setdefault(child, []).append((k, members, stamp))
-        parents = self.structure.parents
-        tables = family_tables(
-            self.codes,
-            self.arities,
-            [(c, parents[c], [s for _, s, _ in group]) for c, group in misses.items()],
-        )
-        computed = iter(family_scores(tables, self.prior))
-        for c, group in misses.items():
-            for (k, members, stamp), score in zip(group, computed):
-                self._families[(c, members)] = (stamp, score)
-                scores[k] = score
-        self.stats.families_computed += len(tables)
-        self.stats.families_reused += len(scores) - len(tables)
-        return scores
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for entry in entries:
+            if not self._fresh[entry]:
+                groups.setdefault(entry[2], []).append(entry)
+        if groups:
+            parents = self.structure.parents
+            tables = family_tables(self.codes, self.arities, [
+                (c, parents[c], [parents[c] | {a} if k == 0 else parents[c] - {a}
+                                 for k, a, _ in group])
+                for c, group in groups.items()
+            ])
+            refilled = tuple(zip(*chain.from_iterable(groups.values())))
+            self._table[refilled] = family_scores(tables, self.prior)
+            self._fresh[refilled] = True
+            self.stats.families_computed += len(tables)
+        return [self._table.item(e) for e in entries]
 
     def local(self, v: int) -> float:
         """Every score term that depends on the policy of variable ``v``.
@@ -616,9 +597,8 @@ class _SearchState:
         Its own family, its children's families in sorted order, then its
         emission term and policy prior when continuous.
         """
-        parents = self.structure.parents
-        own, *children = self.families(
-            [(c, parents[c]) for c in [v, *sorted(self.structure.children[v])]]
+        own, *children = self._fill(
+            [(1, c, c) for c in [v, *sorted(self.structure.children[v])]]
         )
         score = own
         for family in children:
@@ -654,7 +634,7 @@ class _SearchState:
         FD[v, v]`` and a reversal ``((FD[u, v] - FD[v, v]) + FA[v, u]) -
         FD[u, u]``: each replaced family's new score minus its old one,
         summed left to right.  Stale entries the candidates read are
-        refilled first, by one :meth:`families` call.
+        refilled first, by one :meth:`_fill` call.
         """
         ops, us, vs = zip(*candidates)
         kind = np.fromiter(map(_EDIT_OPS.index, ops), np.intp, len(ops))
@@ -668,10 +648,9 @@ class _SearchState:
         need[0, v[rev], u[rev]] = True
         need[1, v, v] = True
         need[1, u[rev], u[rev]] = True
+        # Only the stale entries, found in one pass over the whole table.
         stale = np.nonzero(need & ~self._fresh)
-        self._refill(stale)
-        self._fresh |= need
-        self.stats.table_refills += len(stale[0])
+        self._fill(list(zip(*(axis.tolist() for axis in stale))))
         self.stats.edits_scanned += len(candidates)
 
         fa, fd = self._table
@@ -679,15 +658,6 @@ class _SearchState:
         delta = np.where(add, fa[u, v], fd[u, v]) - base[v]
         delta[rev] = (delta[rev] + fa[v[rev], u[rev]]) - base[u[rev]]
         return delta
-
-    def _refill(self, stale: tuple[np.ndarray, ...]) -> None:
-        """Refill the table entries at the indices ``stale`` under the
-        current policy, by one :meth:`families` call."""
-        parents = self.structure.parents
-        self._table[stale] = self.families([
-            (c, parents[c] | {a} if k == 0 else parents[c] - {a})
-            for k, a, c in zip(*(axis.tolist() for axis in stale))
-        ])
 
     def scan(self, rng: np.random.Generator) -> tuple[tuple[str, int, int] | None, float]:
         """The best legal edge edit and its delta; ``(None, -inf)`` when no
@@ -711,14 +681,27 @@ class _SearchState:
 
     def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
         """Apply one edge edit; returns the variables whose solve key it
-        changed: both endpoints and every parent set in :meth:`replaced`."""
+        changed: both endpoints and every parent set in :meth:`replaced`.
+
+        Each replaced family's column goes stale but for two entries, moved
+        with their freshness: the edited entry becomes the diagonal, and the
+        old diagonal the entry that reads the edit undone.
+        """
         _, u, v = edit
-        sets = list(self.structure.parents)
+        parents = self.structure.parents
+        sets = list(parents)
         rekeyed = {u, v}
+        table, fresh = self._table, self._fresh
         for c, new in self.replaced(edit):
+            (a,) = new ^ parents[c]
+            k = 0 if a in new else 1
+            carried = table[k, a, c], fresh[k, a, c]
+            old = table[1, c, c], fresh[1, c, c]
+            fresh[:, :, c] = False
+            table[1, c, c], fresh[1, c, c] = carried
+            table[1 - k, a, c], fresh[1 - k, a, c] = old
             sets[c] = new
             rekeyed |= new
-            self._fresh[:, :, c] = False
         self.structure = validate_dag(sets)
         self.total += delta
         return rekeyed
@@ -781,8 +764,7 @@ class _SearchState:
                 self.set_policy(v, candidate)
                 delta = self.local(v) - old_local
                 if not delta > 0:
-                    # A revert is one more version bump, so no family score
-                    # computed under the candidate is reused.
+                    # The revert makes every entry the candidate filled stale.
                     self.set_policy(v, current)
                     continue
                 self.total += delta

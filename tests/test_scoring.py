@@ -295,6 +295,28 @@ class TestFamilyTables:
             family_tables(codes, arities, families)
         assert str(sorted(s)) in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "parents, s", [({1}, {1}), (set(), {1})], ids=["base", "added"]
+    )
+    def test_oversized_table_raises_before_tallying(self, parents, s):
+        # 2**20 states of the child times 2**20 of its parent: 8 TiB of counts.
+        codes = np.zeros((3, 2), dtype=np.int64)
+        families = [(0, frozenset(parents), [frozenset(s)])]
+        with pytest.raises(ValidationError, match=r"column 0 .* 1099511627776 cells"):
+            family_tables(codes, [2**20, 2**20], families)
+
+    def test_table_at_the_memory_limit_is_tallied(self, monkeypatch):
+        # Child arity 3 and an added parent of arity 4: 12 cells, 96 bytes.
+        codes = np.zeros((5, 2), dtype=np.int64)
+        families = [(0, frozenset(), [frozenset(), frozenset({1})])]
+        monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", 96)
+        assert [t.shape for t in family_tables(codes, [3, 4], families)] == [
+            (1, 3), (4, 3)
+        ]
+        monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", 95)
+        with pytest.raises(ValidationError, match="column 0"):
+            family_tables(codes, [3, 4], families)
+
 
 class TestContinuousComponent:
     def test_known_widths(self):

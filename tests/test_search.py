@@ -38,7 +38,7 @@ from mixedbn import (
 from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
 from mixedbn.graph import CycleError, empty_structure, validate_dag
-from mixedbn import search
+from mixedbn import scoring, search
 from mixedbn.search import (
     TIE_TOLERANCE,
     _blanket,
@@ -501,7 +501,7 @@ class TestMemoryGuard:
 
     def test_message_names_the_problem(self, monkeypatch):
         ds = continuous_dataset(np.arange(40.0).reshape(-1, 1), names=["depth"])
-        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", 1)
+        monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", 1)
         with pytest.raises(ValidationError) as info:
             self.solve(ds, PriorSpec())
         message = str(info.value)
@@ -515,7 +515,7 @@ class TestMemoryGuard:
         # BDeu needs all 12, and 1+2+...+12 = 78 layer vectors.
         blocks = search._WORK_BLOCKS * search._BLOCK_FLOATS
         limit = 8 * ((1 + 12) * 41 + 12 * 41 + blocks)
-        monkeypatch.setattr(search, "CUT_MEMORY_LIMIT_BYTES", limit)
+        monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", limit)
         self.solve(ds, PriorSpec())
         with pytest.raises(ValidationError):
             self.solve(ds, PriorSpec(dirichlet_mode="bdeu"))
@@ -862,18 +862,6 @@ class TestSearchState:
     """Cached family scores and memoized solves equal fresh computations."""
 
     def check(self, state, ds, prior, config):
-        codes = discretize_all(ds, state.policy)
-        arities = state.policy.arities()
-        versions = state.versions
-        # Every cached score the stamp rule would reuse, whatever structure
-        # it was cached under, then the current families as the state
-        # scores them.
-        for (child, parents), (stamp, score) in state._families.items():
-            if stamp == versions[child] + sum(versions[p] for p in parents):
-                assert score == family_score(codes, arities, child, parents, prior)
-        current = list(enumerate(state.structure.parents))
-        for (child, parents), score in zip(current, state.families(current)):
-            assert score == family_score(codes, arities, child, parents, prior)
         for v in ds.continuous_indices():
             fresh = optimize_variable(
                 v, state.policy, state.structure, ds, prior, config
@@ -882,6 +870,9 @@ class TestSearchState:
         for v in range(ds.n_variables):
             fresh = local_score(v, state.policy, state.structure, ds, prior)
             assert state.local(v) == fresh
+        # Every family ``local`` read is now fresh on the diagonal.
+        assert state._fresh[1].diagonal().all()
+        self.check_table(state, prior)
 
     def check_table(self, state, prior):
         """Every fresh edge-scan table entry equals a fresh ``family_score``;
@@ -934,10 +925,11 @@ class TestSearchState:
         kept = []
         for step in steps:
             step()
-            self.check(state, ds, prior, config)
             # Entries still fresh after the step are exact: the step made
-            # every entry it changed stale.  Then rescan and check again.
+            # every entry it changed stale or moved it where it still holds.
+            # Then rescan and check again.
             kept.append(self.check_table(state, prior))
+            self.check(state, ds, prior, config)
             state.edit_deltas(_edit_candidates(state.structure, config.max_parents))
             assert self.check_table(state, prior) > kept[-1]
         assert state.stats.solve_hits > 0
@@ -1024,9 +1016,10 @@ class TestSearchState:
             parents = structure.parents
             candidates = _edit_candidates(structure, 3)
             deltas = state.edit_deltas(candidates)
+            codes, arities = discretize_all(ds, policy), policy.arities()
 
-            def fam(c, ps, state=state):
-                return state.families([(c, ps)])[0]
+            def fam(c, ps, codes=codes, arities=arities):
+                return family_score(codes, arities, c, ps, prior)
 
             for edit, delta in zip(candidates, deltas.tolist()):
                 op, u, v = edit
@@ -1046,10 +1039,65 @@ class TestSearchState:
                 state.structure = structure
         assert order_sensitive > 0
 
+    def test_start_diagonal_is_the_network_score(self):
+        rng = np.random.default_rng(79)
+        prior, config = PriorSpec(), SearchConfig()
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            policy = random_network_policy(rng, ds)
+            state = _SearchState(structure, policy, ds, prior, config)
+            expected = np.zeros_like(state._fresh)
+            expected[1] = np.eye(n, dtype=bool)
+            assert np.array_equal(state._fresh, expected)
+            discrete = network_score(policy, structure, ds, prior).discrete
+            assert np.array_equal(state._table[1].diagonal(), discrete)
+            assert state.stats.families_computed == 0
+
+    def test_an_edit_carries_scanned_families_to_the_diagonal(self):
+        """After a scan, an edit leaves each replaced family's new score on
+        the diagonal, fresh; without a scan that entry stays stale.  The
+        start's fresh diagonal moves to where the undoing edit reads it."""
+        rng = np.random.default_rng(89)
+        prior, config = PriorSpec(), SearchConfig()
+        ops = set()
+        for _ in range(20):
+            n = int(rng.integers(3, 7))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            policy = random_network_policy(rng, ds)
+            codes, arities = discretize_all(ds, policy), policy.arities()
+            for edit in _edit_candidates(structure, 3):
+                op, u, v = edit
+                ops.add(op)
+                for scanned in (True, False):
+                    state = _SearchState(structure, policy, ds, prior, config)
+                    if scanned:
+                        state.edit_deltas(_edit_candidates(structure, 3))
+                    replaced = state.replaced(edit)
+                    state.apply_edit(edit, 0.0)
+                    parents = state.structure.parents
+                    for c, new in replaced:
+                        assert parents[c] == new
+                        assert state._fresh[1, c, c] == scanned, (edit, c)
+                        (a,) = new ^ structure.parents[c]
+                        undo = (1, a, c) if a in new else (0, a, c)
+                        assert state._fresh[undo], (edit, c)
+                        assert state._table[undo] == family_score(
+                            codes, arities, c, structure.parents[c], prior
+                        )
+                        if scanned:
+                            assert state._table[1, c, c] == family_score(
+                                codes, arities, c, new, prior
+                            )
+                    assert self.check_table(state, prior) > 0
+        assert ops == {"add", "delete", "reverse"}
+
     def test_batched_refill_matches_a_sequential_refill(self, monkeypatch):
         """On random mixed DAGs with arities 2 to 4, the batched refill fills
         the table, and counts its work, exactly as refilling one entry at a
-        time through one-family ``families`` calls does."""
+        time through one-entry ``_fill`` calls does."""
         rng = np.random.default_rng(83)
         prior, config = PriorSpec(), SearchConfig()
         places = set()
@@ -1091,13 +1139,10 @@ class TestSearchState:
             state = _SearchState(structure, policy, ds, prior, config)
             twin = _SearchState(structure, policy, ds, prior, config)
 
-            def sequential(stale, twin=twin):
-                parents = twin.structure.parents
-                for k, a, c in zip(*(axis.tolist() for axis in stale)):
-                    new = parents[c] | {a} if k == 0 else parents[c] - {a}
-                    twin._table[k, a, c] = twin.families([(c, new)])[0]
+            def sequential(entries, twin=twin):
+                return [_SearchState._fill(twin, [entry])[0] for entry in entries]
 
-            twin._refill = sequential
+            twin._fill = sequential
             for step in range(5):
                 candidates = _edit_candidates(state.structure, config.max_parents)
                 deltas = state.edit_deltas(candidates)
