@@ -24,8 +24,9 @@ import numpy as np
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
-# Inference only: integer-valued columns with at most this many distinct
-# values load as discrete when no schema is given.
+# Inference only: when no schema is given, integer-valued columns with
+# values in [0, INFER_MAX_DISTINCT) load as discrete, so an inferred arity
+# is at most this.
 INFER_MAX_DISTINCT = 15
 
 
@@ -430,9 +431,8 @@ def _read_text(source) -> io.StringIO:
 
 
 def _infer_meta(name: str, index: int, col: np.ndarray) -> VariableMeta:
-    distinct = np.unique(col)
     integral = bool((col == np.floor(col)).all())
-    if integral and col.min() >= 0 and len(distinct) <= INFER_MAX_DISTINCT:
+    if integral and col.min() >= 0 and col.max() < INFER_MAX_DISTINCT:
         arity = max(int(col.max()) + 1, 2)
         return VariableMeta(name, DISCRETE, index, arity=arity)
     return VariableMeta(name, CONTINUOUS, index)
@@ -442,10 +442,11 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
     """Parse a CSV table with a header row into a :class:`Dataset`.
 
     ``source`` is a path, bytes, or a text stream.  With no schema, column
-    types are inferred: integer-valued columns with at most
-    ``INFER_MAX_DISTINCT`` distinct non-negative values become discrete with
-    arity ``max + 1``; everything else is continuous.  With a schema, entries
-    are matched to header names and must cover them exactly.
+    types are inferred: integer-valued columns whose values all lie in
+    ``[0, INFER_MAX_DISTINCT)`` become discrete with arity ``max + 1``;
+    everything else is continuous, however few distinct values it has.
+    With a schema, entries are matched to header names and must cover them
+    exactly.
     """
     reader = csv.reader(_read_text(source))
     try:

@@ -106,6 +106,8 @@ def family_tables(
     codes: np.ndarray,
     arities: Sequence[int],
     families: Iterable[tuple[int, frozenset[int], Sequence[frozenset[int]]]],
+    *,
+    names: Sequence[str],
 ) -> list[np.ndarray]:
     """Count tables of many families one edge edit away from a child's own.
 
@@ -121,7 +123,8 @@ def family_tables(
     removed parent's axis, and ``parents`` itself is the base table, so
     neither reads the cases again.  Every code column read is range-checked
     once; a code outside ``[0, arity)`` raises ValueError.  A table larger
-    than ``MEMORY_LIMIT_BYTES`` raises ValidationError before anything is
+    than ``MEMORY_LIMIT_BYTES`` raises ValidationError, naming the child by
+    its entry in ``names`` (one per code column), before anything is
     tallied.  The search's one tally: its family scores and its cut DP's
     counts come from here.
     """
@@ -145,7 +148,7 @@ def family_tables(
         )
         if 8 * cells > MEMORY_LIMIT_BYTES:
             raise ValidationError(
-                f"a count table of child column {child} (counted from 0) would "
+                f"variable {names[child]!r}: a count table of its family would "
                 f"hold {cells} cells, {8 * cells / 2**20:.0f} MiB (limit "
                 f"{MEMORY_LIMIT_BYTES / 2**20:.0f} MiB); recode the column to "
                 "fewer states or declare it continuous"
@@ -422,6 +425,7 @@ def network_score(
         discretize_all(dataset, policy),
         policy.arities(),
         [(i, ps, [ps]) for i, ps in enumerate(structure.parents)],
+        names=dataset.names,
     )
     discrete = np.array(family_scores(tables, prior))
     emission = np.zeros(n)

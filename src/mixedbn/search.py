@@ -60,12 +60,15 @@ EQWIDTH = "eqwidth"
 TIE_TOLERANCE = 1e-9
 
 # The cut DP builds each cost matrix a block of rows at a time; a block
-# holds about this many float64, enough rows to amortize the per-state
-# loop while every working array stays cache-sized.
-_BLOCK_FLOATS = 1 << 16
+# holds about this many float64 (256 KiB), enough rows to amortize the
+# per-state loop while the block and its gather and max-plus temporaries
+# stay in a core's L2 cache.  Half this size serves small K2 solves a
+# little faster, but BDeu solves, whose per-state loop runs once per
+# interval count, and solves over thousands of cuts slower.
+_BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
-# headroom: tracemalloc peaks of one solve measure 8 under the uniform
-# emission and 13 under the multinomial one.
+# headroom: tracemalloc peaks of one solve measure 9 under the uniform
+# emission and 14 under the multinomial one.
 _WORK_BLOCKS = 16
 
 # Edge edit kinds, in the order the edge scan lists them.
@@ -254,7 +257,10 @@ class _CutProblem:
         heads = [i, *sorted(structure.children[i])]
         sets = [frozenset(place[p] for p in structure.parents[v]) for v in heads]
         own, *child_counts = family_tables(
-            codes, arities, [(place[v], ps, [ps]) for v, ps in zip(heads, sets)]
+            codes,
+            arities,
+            [(place[v], ps, [ps]) for v, ps in zip(heads, sets)],
+            names=[dataset.names[v] for v in members],
         )
 
         def prefix(counts: np.ndarray) -> np.ndarray:
@@ -326,14 +332,15 @@ class _CutProblem:
         lut = self._lut(a)
         out = np.zeros((hi - lo, self.m + 1 - lo))
         n = np.empty(out.shape, dtype=np.int64)
-        terms = np.empty(out.shape)
         for row in prefix:
             if row[-1] == 0:
                 continue
             # Where v <= u the count is negative, at least -N, and reads some
-            # entry of the table; _costs masks those entries.
+            # entry of the table; _costs masks those entries.  A count off the
+            # table raises IndexError.  Indexing gathers straight into a new
+            # array; np.take with out= would copy through a buffer.
             np.subtract(row[lo + 1:], row[lo:hi, None], out=n)
-            out += np.take(lut, n, out=terms)
+            out += lut[n]
             out -= lut[0]
         return out
 
@@ -584,7 +591,7 @@ class _SearchState:
                 (c, parents[c], [parents[c] | {a} if k == 0 else parents[c] - {a}
                                  for k, a, _ in group])
                 for c, group in groups.items()
-            ])
+            ], names=self.dataset.names)
             refilled = tuple(zip(*chain.from_iterable(groups.values())))
             self._table[refilled] = family_scores(tables, self.prior)
             self._fresh[refilled] = True

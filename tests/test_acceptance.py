@@ -57,7 +57,12 @@ def pass_line(number, text):
 def family_score(codes, arities, child, parents, prior):
     """The package's score of one family: its table, then its score."""
     parents = frozenset(parents)
-    tables = family_tables(codes, arities, [(child, parents, [parents])])
+    tables = family_tables(
+        codes,
+        arities,
+        [(child, parents, [parents])],
+        names=[f"x{j}" for j in range(len(arities))],
+    )
     return family_scores(tables, prior)[0]
 
 

@@ -403,7 +403,7 @@ class TestLearn:
     def test_oversized_solve_exits_2(self, tmp_path, monkeypatch, capsys):
         prefix = simulate(tmp_path)
         # Every count table fits in 1 MiB; no solve does, since its working
-        # blocks alone take 8 MiB.
+        # blocks alone take 4 MiB.
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", 2**20)
         rc = run_cli(
             "learn", "--data", str(prefix) + ".csv",
@@ -429,8 +429,22 @@ class TestLearn:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "column" in err and "3052 MiB" in err
+        assert err.startswith("error: variable 'b':") and "3052 MiB" in err
         assert not (tmp_path / "fit.manifest.json").exists()
+
+    def test_sparse_integer_columns_learn_as_continuous(self, tmp_path):
+        # Integers outside [0, 15) are no state codes: without a schema the
+        # columns load as continuous, not with 20001 states each.
+        rng = np.random.default_rng(7)
+        rows = rng.choice([0, 3, 20000], size=(40, 3))
+        data = tmp_path / "sparse.csv"
+        data.write_text(
+            "a,b,c\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        )
+        kinds = [meta.kind for meta in load_dataset(data).variables]
+        assert kinds == ["continuous"] * 3
+        rc = run_cli("learn", "--data", str(data), "--out", str(tmp_path / "fit"))
+        assert rc == 0
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         prefix = simulate(tmp_path)

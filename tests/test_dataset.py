@@ -362,6 +362,13 @@ class TestLoadDataset:
         ds = load_dataset(io.StringIO("a\n" + rows + "\n"))
         assert ds.variables[0].kind == "continuous"
 
+    def test_integers_past_the_inferred_arity_cap_stay_continuous(self):
+        ds = load_dataset(io.StringIO("a,b,c\n0,0,0\n3,14,15\n20000,1,1\n"))
+        assert [meta.kind for meta in ds.variables] == [
+            "continuous", "discrete", "continuous"
+        ]
+        assert ds.variables[1].arity == 15
+
     def test_negative_integers_stay_continuous(self):
         ds = load_dataset(io.StringIO("a\n-1\n0\n1\n"))
         assert ds.variables[0].kind == "continuous"

@@ -41,10 +41,17 @@ from oracles import (
 )
 
 
+def labels(arities):
+    """Variable names for a code matrix with one column per arity."""
+    return [f"x{j}" for j in range(len(arities))]
+
+
 def tally(codes, arities, child, parents):
     """The table :func:`family_tables` gives one family's own parent set."""
     parents = frozenset(parents)
-    (table,) = family_tables(codes, arities, [(child, parents, [parents])])
+    (table,) = family_tables(
+        codes, arities, [(child, parents, [parents])], names=labels(arities)
+    )
     return table
 
 
@@ -219,7 +226,9 @@ class TestFamilyTables:
             sets = [parents | {a} for a in others if a not in parents]
             sets += [parents - {a} for a in parents] + [parents]
             sets = [sets[i] for i in rng.permutation(len(sets))]
-            tables = family_tables(codes, arities, [(child, parents, sets)])
+            tables = family_tables(
+                codes, arities, [(child, parents, sets)], names=labels(arities)
+            )
             for s, table in zip(sets, tables):
                 expected = family_counts(codes, arities, child, sorted(s))
                 assert np.array_equal(table, expected), (child, parents, s)
@@ -239,7 +248,7 @@ class TestFamilyTables:
             (3, frozenset(), [frozenset({5}), frozenset()]),
             (5, frozenset({0}), [frozenset()]),
         ]
-        tables = family_tables(codes, arities, families)
+        tables = family_tables(codes, arities, families, names=labels(arities))
         expected = [
             family_counts(codes, arities, child, sorted(s))
             for child, _, sets in families
@@ -261,7 +270,7 @@ class TestFamilyTables:
         codes[1, column] = code
         families = [(0, frozenset({1}), [frozenset({1, 2})])]
         with pytest.raises(ValueError):
-            family_tables(codes, [3, 2, 5], families)
+            family_tables(codes, [3, 2, 5], families, names=labels([3, 2, 5]))
 
     @pytest.mark.parametrize(
         "column, code, parents",
@@ -292,7 +301,7 @@ class TestFamilyTables:
         codes, arities = self.instance(rng, n_vars=4)
         families = [(0, frozenset(parents), [frozenset(parents), frozenset(s)])]
         with pytest.raises(ValueError, match=r"child 0") as raised:
-            family_tables(codes, arities, families)
+            family_tables(codes, arities, families, names=labels(arities))
         assert str(sorted(s)) in str(raised.value)
 
     @pytest.mark.parametrize(
@@ -302,20 +311,23 @@ class TestFamilyTables:
         # 2**20 states of the child times 2**20 of its parent: 8 TiB of counts.
         codes = np.zeros((3, 2), dtype=np.int64)
         families = [(0, frozenset(parents), [frozenset(s)])]
-        with pytest.raises(ValidationError, match=r"column 0 .* 1099511627776 cells"):
-            family_tables(codes, [2**20, 2**20], families)
+        with pytest.raises(
+            ValidationError, match=r"^variable 'depth': .* 1099511627776 cells"
+        ):
+            family_tables(codes, [2**20, 2**20], families, names=["depth", "width"])
 
     def test_table_at_the_memory_limit_is_tallied(self, monkeypatch):
         # Child arity 3 and an added parent of arity 4: 12 cells, 96 bytes.
         codes = np.zeros((5, 2), dtype=np.int64)
         families = [(0, frozenset(), [frozenset(), frozenset({1})])]
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", 96)
-        assert [t.shape for t in family_tables(codes, [3, 4], families)] == [
-            (1, 3), (4, 3)
-        ]
+        names = labels([3, 4])
+        assert [
+            t.shape for t in family_tables(codes, [3, 4], families, names=names)
+        ] == [(1, 3), (4, 3)]
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", 95)
-        with pytest.raises(ValidationError, match="column 0"):
-            family_tables(codes, [3, 4], families)
+        with pytest.raises(ValidationError, match="'x0'"):
+            family_tables(codes, [3, 4], families, names=names)
 
 
 class TestContinuousComponent:

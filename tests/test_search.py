@@ -405,14 +405,42 @@ class TestCutProblem:
         }
 
 
+def chain_problem(n=600):
+    """Untied chain x0 -> x1 -> x2 with x0 and x2 cut at their medians; the
+    solve of x1 reads a parent and a child."""
+    rng = np.random.default_rng(1)
+    x0 = rng.uniform(0.0, 1.0, n)
+    x1 = x0 + rng.normal(0.0, 0.3, n)
+    x2 = x1 + rng.normal(0.0, 0.3, n)
+    ds = continuous_dataset(np.c_[x0, x1, x2])
+    policy = trivial_network_policy(ds)
+    for v in (0, 2):
+        cut = (float(np.median(ds.column(v))),)
+        policy = policy.with_policy(
+            v, DiscretizationPolicy(cut, *ds.policy_bounds(v))
+        )
+    return ds, policy, validate_dag([set(), {0}, {1}])
+
+
+def solve_peak(ds, policy, structure, prior):
+    """Tracemalloc peak of solving x1, in bytes."""
+    tracemalloc.start()
+    try:
+        optimize_variable(1, policy, structure, ds, prior, SearchConfig())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedCutProblem:
     """The row-blocked DP equals the dense-matrix DP bit for bit."""
 
     @staticmethod
-    def problem_inputs():
+    def problem_inputs(n=48, tied=True):
         rng = np.random.default_rng(17)
-        n = 48
-        x = np.round(rng.uniform(0.0, 3.0, n), 1)
+        x = rng.uniform(0.0, 3.0, n)
+        if tied:
+            x = np.round(x, 1)
         parent = (x + rng.normal(0.0, 0.8, n) > 1.5).astype(float)
         child = np.round(x + rng.normal(0.0, 1.0, n), 1)
         other = np.round(rng.uniform(0.0, 1.0, n), 2)
@@ -432,15 +460,32 @@ class TestBlockedCutProblem:
         self, monkeypatch, rows, with_family, mode, policy_prior, density
     ):
         ds, policy, family = self.problem_inputs()
-        structure = family if with_family else empty_structure(4)
-        prior = PriorSpec(
-            dirichlet_mode=mode, alpha=1.5, ess=3.0, policy_prior=policy_prior,
-            poisson_rate=2.0, density_model=density,
-        )
         m = len(ds.candidate_thresholds(0))
         assert m > 20
         if rows is not None:
             monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+        self.check(ds, policy, family if with_family else empty_structure(4),
+                   mode, policy_prior, density)
+
+    @pytest.mark.parametrize("with_family", [False, True])
+    @pytest.mark.parametrize("mode,policy_prior,density", PRIOR_COMBINATIONS)
+    def test_default_blocks_match_dense_reference(
+        self, with_family, mode, policy_prior, density
+    ):
+        ds, policy, family = self.problem_inputs(n=300, tied=False)
+        m = len(ds.candidate_thresholds(0))
+        assert m == 299
+        # Rows 0..M of the upper triangle, a default block's worth at a time.
+        assert math.ceil((m + 1) / (search._BLOCK_FLOATS // (m + 2))) >= 3
+        self.check(ds, policy, family if with_family else empty_structure(4),
+                   mode, policy_prior, density)
+
+    @staticmethod
+    def check(ds, policy, structure, mode, policy_prior, density):
+        prior = PriorSpec(
+            dirichlet_mode=mode, alpha=1.5, ess=3.0, policy_prior=policy_prior,
+            poisson_rate=2.0, density_model=density,
+        )
         r_cap = 12
         dense = DenseCutProblem(0, policy, structure, ds, prior)
         problem = _CutProblem(0, policy, structure, ds, prior)
@@ -461,31 +506,21 @@ class TestBlockedCutProblem:
         got = _CutProblem(0, policy, structure, ds, prior).solve(r_cap)
         assert got == dense.solve(r_cap)
 
+    def test_count_outside_the_log_gamma_table_raises(self):
+        ds, policy, _ = self.problem_inputs()
+        problem = _CutProblem(0, policy, empty_structure(4), ds, PriorSpec())
+        # A last prefix entry above N makes the counts of the intervals that
+        # end there exceed N; the gather must refuse them, not wrap around.
+        problem.own_prefix = problem.own_prefix.copy()
+        problem.own_prefix[0, -1] += ds.n_cases + 1
+        with pytest.raises(IndexError):
+            problem._layers([3])
+
     def test_bdeu_solve_memory(self):
-        rng = np.random.default_rng(1)
-        n = 600
-        x0 = rng.uniform(0.0, 1.0, n)
-        x1 = x0 + rng.normal(0.0, 0.3, n)
-        x2 = x1 + rng.normal(0.0, 0.3, n)
-        ds = continuous_dataset(np.c_[x0, x1, x2])
-        policy = trivial_network_policy(ds)
-        for v in (0, 2):
-            cut = (float(np.median(ds.column(v))),)
-            policy = policy.with_policy(
-                v, DiscretizationPolicy(cut, *ds.policy_bounds(v))
-            )
-        structure = validate_dag([set(), {0}, {1}])
+        ds, policy, structure = chain_problem()
         m = len(ds.candidate_thresholds(1))
         assert m == 599
-        tracemalloc.start()
-        try:
-            optimize_variable(
-                1, policy, structure, ds, PriorSpec(dirichlet_mode="bdeu"),
-                SearchConfig(),
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = solve_peak(ds, policy, structure, PriorSpec(dirichlet_mode="bdeu"))
         # The dense DP peaked at 18.3 such matrices here.
         assert peak < 4 * 8 * (m + 2) ** 2
 
@@ -507,6 +542,16 @@ class TestMemoryGuard:
         message = str(info.value)
         for part in ("'depth'", "N=40", "M=39", "round the column", "discrete"):
             assert part in message
+
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    @pytest.mark.parametrize("density", ["uniform", "multinomial"])
+    def test_guard_charges_the_measured_peak(self, monkeypatch, mode, density):
+        ds, policy, structure = chain_problem()
+        prior = PriorSpec(dirichlet_mode=mode, density_model=density)
+        peak = solve_peak(ds, policy, structure, prior)
+        monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", peak - 1)
+        with pytest.raises(ValidationError, match="policy solve"):
+            optimize_variable(1, policy, structure, ds, prior, SearchConfig())
 
     def test_shared_sample_size_counts_every_cost_matrix(self, monkeypatch):
         ds = continuous_dataset(np.arange(40.0).reshape(-1, 1))
@@ -1103,7 +1148,7 @@ class TestSearchState:
         places = set()
         real_tables = search.family_tables
 
-        def spy(codes, arities, families):
+        def spy(codes, arities, families, *, names):
             families = list(families)
             for _, parents, sets in families:
                 for s in sets:
@@ -1113,7 +1158,7 @@ class TestSearchState:
                             else "after" if all(a > p for p in parents)
                             else "between"
                         )
-            return real_tables(codes, arities, families)
+            return real_tables(codes, arities, families, names=names)
 
         monkeypatch.setattr(search, "family_tables", spy)
         for _ in range(12):
