@@ -67,8 +67,9 @@ TIE_TOLERANCE = 1e-9
 # interval count, and solves over thousands of cuts slower.
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
-# headroom: tracemalloc peaks of one solve measure 9 under the uniform
-# emission and 14 under the multinomial one.
+# headroom: tracemalloc peaks of one solve, less its layer vectors and lnΓ
+# tables, measure 9.0 under the uniform emission and 13.5 under the
+# multinomial one.
 _WORK_BLOCKS = 16
 
 # Edge edit kinds, in the order the edge scan lists them.
@@ -214,6 +215,15 @@ def _blanket(structure: DagStructure, v: int) -> set[int]:
     return out
 
 
+def _shared_starts(starts: np.ndarray) -> np.ndarray:
+    """Which rows of ``starts``, each nondecreasing integers, hold at most
+    half as many distinct values as entries, few enough for one gather per
+    distinct value to pay.  A row from ``a`` to ``b`` holds at most
+    ``b - a + 1`` distinct values, and that bound decides: counting them
+    exactly costs more than the gathers it saves on small blocks."""
+    return 2 * (starts[:, -1] - starts[:, 0] + 1) <= starts.shape[1]
+
+
 class _CutProblem:
     """Interval-decomposed local score of one continuous variable.
 
@@ -225,8 +235,10 @@ class _CutProblem:
     matrix serves every interval count; under shared sample size each count
     has its own, and only the emission costs are shared.  No cost matrix is
     ever held whole: the DP builds its upper triangle a block of rows at a
-    time, from the last row up.  The costs' counts come from the search's
-    one tally, :func:`family_tables`, with the variable cut at every candidate.
+    time, from the last row up, and the top DP layer of each matrix only at
+    row 0, the one row a solve reads it at.  The costs' counts come from the
+    search's one tally, :func:`family_tables`, with the variable cut at
+    every candidate.
     """
 
     def __init__(
@@ -328,20 +340,40 @@ class _CutProblem:
         self, prefix: np.ndarray, a: float, lo: int, hi: int
     ) -> np.ndarray:
         """Sum over non-empty states of ``lnG(a + n) - lnG(a)``, where ``n``
-        counts a state's cases between cuts; same block as ``_emission``."""
+        counts a state's cases between cuts; same block as ``_emission``.
+
+        A state's counts from rows with the same start ``row[u]`` form the
+        same row, so when :func:`_shared_starts` finds few distinct starts
+        in the block the counts are gathered once per distinct start and
+        copied to the rows sharing it.  Every cell adds the same terms in the
+        same order on either path.
+        """
         lut = self._lut(a)
         out = np.zeros((hi - lo, self.m + 1 - lo))
-        n = np.empty(out.shape, dtype=np.int64)
-        for row in prefix:
+        n = None
+        # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
+        base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
+        for row, share in zip(prefix, _shared_starts(prefix[:, lo:hi]).tolist()):
             if row[-1] == 0:
                 continue
             # Where v <= u the count is negative, at least -N, and reads some
-            # entry of the table; _costs masks those entries.  A count off the
-            # table raises IndexError.  Indexing gathers straight into a new
-            # array; np.take with out= would copy through a buffer.
-            np.subtract(row[lo + 1:], row[lo:hi, None], out=n)
-            out += lut[n]
-            out -= lut[0]
+            # entry of the table; _costs masks those entries.  Both paths
+            # read the same counts, so one off the table raises IndexError.
+            # Indexing gathers straight into a new array; np.take with out=
+            # would copy through a buffer.
+            ends, starts = row[lo + 1:], row[lo:hi]
+            if share:
+                first = np.empty(hi - lo, dtype=bool)
+                first[0] = True
+                np.not_equal(starts[1:], starts[:-1], out=first[1:])
+                out += lut[ends - starts[first, None]][np.cumsum(first) - 1]
+            else:
+                if n is None:
+                    n = np.empty(out.shape, dtype=np.int64)
+                np.subtract(ends, starts[:, None], out=n)
+                out += lut[n]
+            if base is not None:
+                out -= base
         return out
 
     def _costs(self, r: int, lo: int, hi: int, emission: np.ndarray) -> np.ndarray:
@@ -365,7 +397,10 @@ class _CutProblem:
         covering cuts ``u..M+1`` under the costs for ``r`` intervals.  Layer
         ``k`` at row ``u`` reads layer ``k - 1`` only at rows ``v > u``, so
         one pass over row blocks from the bottom up fills every layer.  The
-        last block built, which holds row 0, is kept for the backtrack.
+        top layer ``k = r`` is defined only at row 0, the one row
+        :meth:`solve` reads; the count ``r = 1``, whose one layer is the top,
+        builds costs only in the block holding row 0.  That block, the last
+        built, is kept for the backtrack.
         """
         width = self.m + 2
         layers = {r: np.full((r, width), -np.inf) for r in counts}
@@ -374,11 +409,16 @@ class _CutProblem:
             lo = max(0, hi - step)
             emission = self._emission(lo, hi)
             for r, table in layers.items():
+                if r == 1 and lo > 0:
+                    continue
                 g = self._costs(r, lo, hi, emission)
                 table[0, lo:hi] = g[:, -1]
-                for k in range(1, r):
+                for k in range(1, r - 1):
                     scores = g[:, :-1] + table[k - 1, lo + 1: self.m + 1]
                     scores.max(axis=1, initial=-np.inf, out=table[k, lo:hi])
+                if lo == 0 and r > 1:
+                    scores = g[0, :-1] + table[r - 2, 1: self.m + 1]
+                    table[r - 1, 0] = scores.max(initial=-np.inf)
         self._kept = (r, g)
         return layers
 

@@ -11,9 +11,11 @@ with ``np.sum``, :func:`family_score`, which applies it to
 and the package's other score terms on a freshly coded matrix,
 :func:`exhaustive_policy_search`, which scores each enumerated subset with
 it, :func:`reference_prefix_tables`, the cut problem's count tables from a
-sorted-order state index instead of the package's family tally, and
-:class:`DenseCutProblem`, the segmentation DP over whole dense cost
-matrices on those tables, which the row-blocked DP must match bit for bit.
+sorted-order state index instead of the package's family tally,
+:func:`reference_slice_terms`, the cut problem's lnΓ slice terms with one
+gather per state and cell, and :class:`DenseCutProblem`, the segmentation
+DP over whole dense cost matrices on those tables, which the row-blocked DP
+must match bit for bit.
 The family scores here equal the package's bit for bit.
 """
 
@@ -347,6 +349,21 @@ def reference_prefix_tables(i, policy, structure, dataset):
         margin_prefix = cell_prefix.reshape(q_other, r_child, -1).sum(axis=1)
         child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
     return positions, q_own, prefix(own_states, q_own), child_tables
+
+
+def reference_slice_terms(problem, prefix, a, lo, hi):
+    """``problem._slice_terms(prefix, a, lo, hi)`` gathered one cell at a
+    time per state: for every non-empty row of ``prefix``, the counts of
+    rows ``lo..hi-1`` to columns ``lo+1..M+1`` index the lnΓ table, and
+    ``lnG(a)`` is subtracted after each row, whatever its value."""
+    lut = gammaln(a + np.arange(problem.n_cases + 1))
+    out = np.zeros((hi - lo, problem.m + 1 - lo))
+    for row in prefix:
+        if row[-1] == 0:
+            continue
+        out += lut[row[lo + 1:] - row[lo:hi, None]]
+        out -= lut[0]
+    return out
 
 
 class DenseCutProblem(_CutProblem):

@@ -52,6 +52,7 @@ from oracles import (
     family_score,
     local_score,
     reference_prefix_tables,
+    reference_slice_terms,
 )
 
 
@@ -495,7 +496,9 @@ class TestBlockedCutProblem:
             table = layers[r if per_count else r_cap]
             want = dense.table(r)[1]
             assert table[r - 1, 0] == want[r][0]
-            for k in range(1, r + 1):
+            # The top layer, k = len(table), is defined only at row 0, which
+            # the line above compares; every layer below it at every row.
+            for k in range(1, min(r + 1, len(table))):
                 assert np.array_equal(table[k - 1], want[k])
             # Backtracking every interval count walks rows on both sides
             # of the kept top block.
@@ -506,15 +509,69 @@ class TestBlockedCutProblem:
         got = _CutProblem(0, policy, structure, ds, prior).solve(r_cap)
         assert got == dense.solve(r_cap)
 
-    def test_count_outside_the_log_gamma_table_raises(self):
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-cell", "shared"])
+    def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, shared):
         ds, policy, _ = self.problem_inputs()
         problem = _CutProblem(0, policy, empty_structure(4), ds, PriorSpec())
         # A last prefix entry above N makes the counts of the intervals that
         # end there exceed N; the gather must refuse them, not wrap around.
         problem.own_prefix = problem.own_prefix.copy()
         problem.own_prefix[0, -1] += ds.n_cases + 1
+        # Every row takes the gather path under test, whatever its starts.
+        calls = []
+
+        def force(starts):
+            calls.append(starts)
+            return np.full(len(starts), shared)
+
+        monkeypatch.setattr(search, "_shared_starts", force)
         with pytest.raises(IndexError):
             problem._layers([3])
+        assert calls
+
+    @pytest.mark.parametrize("a", [1.0, 1.5])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_shared_start_gather_matches_reference(self, monkeypatch, tied, a):
+        # x0 with three parents of three states each, every state holding
+        # three cases: 27 live rows in the own prefix table.
+        rng = np.random.default_rng(31)
+        n = 81
+        x = rng.uniform(0.0, 3.0, n)
+        if tied:
+            x = np.round(x, 1)
+        state = rng.permutation(n)
+        parents = [(state // 3**j) % 3 + rng.uniform(0.0, 0.5, n) for j in range(3)]
+        ds = continuous_dataset(np.c_[x, *parents])
+        policy = trivial_network_policy(ds)
+        for v in (1, 2, 3):
+            policy = policy.with_policy(
+                v, DiscretizationPolicy((0.75, 1.75), *ds.policy_bounds(v))
+            )
+        structure = validate_dag([{1, 2, 3}, set(), set(), set()])
+        problem = _CutProblem(0, policy, structure, ds, PriorSpec())
+        m = problem.m
+        assert (m + 1 < n) == tied
+        assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
+
+        decided = []
+        real = search._shared_starts
+
+        def spy(starts):
+            share = real(starts)
+            decided.extend(share.tolist())
+            return share
+
+        monkeypatch.setattr(search, "_shared_starts", spy)
+        for rows in (1, 3, search._BLOCK_FLOATS // (m + 2)):
+            for hi in range(m + 1, 0, -rows):
+                lo = max(0, hi - rows)
+                for live in range(1, 28):
+                    prefix = problem.own_prefix[:live]
+                    got = problem._slice_terms(prefix, a, lo, hi)
+                    want = reference_slice_terms(problem, prefix, a, lo, hi)
+                    assert np.array_equal(got, want), (rows, lo, live)
+        # Both gathers ran: once per distinct start, and once per cell.
+        assert set(decided) == {False, True}
 
     def test_bdeu_solve_memory(self):
         ds, policy, structure = chain_problem()
