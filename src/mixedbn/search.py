@@ -68,7 +68,7 @@ TIE_TOLERANCE = 1e-9
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
 # headroom: tracemalloc peaks of one solve, less its layer vectors and lnΓ
-# tables, measure 9.0 under the uniform emission and 13.5 under the
+# tables, measure 7.2 under the uniform emission and 13.7 under the
 # multinomial one.
 _WORK_BLOCKS = 16
 
@@ -255,7 +255,10 @@ class _CutProblem:
         self.lower, self.upper = lo, hi = dataset.policy_bounds(i)
         self.m = len(cands)
 
-        self.positions, fine = dataset.cut_segments(i)
+        positions, fine = dataset.cut_segments(i)
+        # Case counts below each cut, as floats: the emission blocks then
+        # take count differences without an int-to-float cast per cell.
+        self.positions = positions.astype(np.float64)
         self.values = np.concatenate(([lo], cands, [hi]))
 
         # Sorted, so the tables' rows follow the variables' order.
@@ -297,8 +300,11 @@ class _CutProblem:
             self.child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
 
         if prior.density_model == MULTINOMIAL_DENSITY:
-            self.d_pos, self.occurrence_prefixes = dataset.distinct_prefixes(i)
+            d_pos, seen = dataset.distinct_prefixes(i)
+            self.d_pos = d_pos.astype(np.float64)
+            self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
         self._luts: dict[float, np.ndarray] = {}
+        self._below: dict[int, np.ndarray] = {}
         self._kept: tuple[int, np.ndarray] = (0, np.empty((0, 0)))
 
     def _lut(self, a: float) -> np.ndarray:
@@ -311,16 +317,21 @@ class _CutProblem:
         """Emission cost of the intervals from cuts ``lo..hi-1`` to cuts
         ``lo+1..M+1``; entries with ``v <= u`` are meaningless."""
         rows, cols = slice(lo, hi), slice(lo + 1, None)
-        counts = np.maximum(self.positions[cols] - self.positions[rows, None], 0)
         if self.prior.density_model != MULTINOMIAL_DENSITY:
+            # Minus the interval's case count times the log of its width.
+            # Every width at v > u is positive; the cells v <= u, which
+            # _costs masks, skip the log.
             widths = self.values[cols] - self.values[rows, None]
-            safe = np.where(widths > 0, widths, 1.0)
-            return -counts * np.log(safe)
+            np.log(widths, out=widths, where=widths > 0)
+            emission = self.positions[rows, None] - self.positions[cols]
+            emission *= widths
+            return emission
+        counts = np.maximum(self.positions[cols] - self.positions[rows, None], 0.0)
         # As in multinomial_component, an interval holding k distinct values
         # gives each a pseudo-count of cell_weight(k, 1).  Its cell terms
         # group those values by occurrence count c.
-        k = np.maximum(self.d_pos[cols] - self.d_pos[rows, None], 0)
-        group = np.maximum(k, 1)
+        k = np.maximum(self.d_pos[cols] - self.d_pos[rows, None], 0.0)
+        group = np.maximum(k, 1.0)
         a = self.prior.cell_weight(group, 1)
         base = gammaln(a)
         cells = np.zeros(k.shape)
@@ -346,10 +357,11 @@ class _CutProblem:
         same row, so when :func:`_shared_starts` finds few distinct starts
         in the block the counts are gathered once per distinct start and
         copied to the rows sharing it.  Every cell adds the same terms in the
-        same order on either path.
+        same order on either path.  The first live state's terms start the
+        sum, which equals adding them to zeros: no lnΓ table holds -0.0.
         """
         lut = self._lut(a)
-        out = np.zeros((hi - lo, self.m + 1 - lo))
+        out = None
         n = None
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
         base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
@@ -366,28 +378,38 @@ class _CutProblem:
                 first = np.empty(hi - lo, dtype=bool)
                 first[0] = True
                 np.not_equal(starts[1:], starts[:-1], out=first[1:])
-                out += lut[ends - starts[first, None]][np.cumsum(first) - 1]
+                terms = lut[ends - starts[first, None]][np.cumsum(first) - 1]
             else:
                 if n is None:
-                    n = np.empty(out.shape, dtype=np.int64)
+                    n = np.empty((hi - lo, self.m + 1 - lo), dtype=np.int64)
                 np.subtract(ends, starts[:, None], out=n)
-                out += lut[n]
+                terms = lut[n]
+            if out is None:
+                out = terms
+            else:
+                out += terms
             if base is not None:
                 out -= base
+        if out is None:
+            return np.zeros((hi - lo, self.m + 1 - lo))
         return out
 
     def _costs(self, r: int, lo: int, hi: int, emission: np.ndarray) -> np.ndarray:
         """Rows ``lo..hi-1`` of the cost matrix for ``r`` intervals, columns
         ``lo+1..M+1``, with ``-inf`` wherever ``v <= u``."""
-        g = emission + self._slice_terms(
+        g = self._slice_terms(
             self.own_prefix, self.prior.cell_weight(r, self.q_own), lo, hi
         )
+        g += emission
         for r_child, q_other, cell_prefix, margin_prefix in self.child_tables:
             a_cell = self.prior.cell_weight(r_child, r * q_other)
             g += self._slice_terms(cell_prefix, a_cell, lo, hi)
             g -= self._slice_terms(margin_prefix, a_cell * r_child, lo, hi)
         height = hi - lo
-        g[:, :height][np.tri(height, k=-1, dtype=bool)] = -np.inf
+        below = self._below.get(height)
+        if below is None:
+            below = self._below[height] = np.tri(height, k=-1, dtype=bool)
+        g[:, :height][below] = -np.inf
         return g
 
     def _layers(self, counts: Sequence[int]) -> dict[int, np.ndarray]:
@@ -400,25 +422,28 @@ class _CutProblem:
         top layer ``k = r`` is defined only at row 0, the one row
         :meth:`solve` reads; the count ``r = 1``, whose one layer is the top,
         builds costs only in the block holding row 0.  That block, the last
-        built, is kept for the backtrack.
+        built, is kept for the backtrack.  Every max-plus step adds into one
+        buffer, reshaped to each block.
         """
-        width = self.m + 2
-        layers = {r: np.full((r, width), -np.inf) for r in counts}
-        step = max(1, _BLOCK_FLOATS // width)
-        for hi in range(self.m + 1, 0, -step):
+        m = self.m
+        layers = {r: np.full((r, m + 2), -np.inf) for r in counts}
+        step = max(1, _BLOCK_FLOATS // (m + 2))
+        buffer = np.empty(min(step, m + 1) * m)
+        for hi in range(m + 1, 0, -step):
             lo = max(0, hi - step)
             emission = self._emission(lo, hi)
+            scores = buffer[: (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
             for r, table in layers.items():
                 if r == 1 and lo > 0:
                     continue
                 g = self._costs(r, lo, hi, emission)
                 table[0, lo:hi] = g[:, -1]
                 for k in range(1, r - 1):
-                    scores = g[:, :-1] + table[k - 1, lo + 1: self.m + 1]
+                    np.add(g[:, :-1], table[k - 1, lo + 1: m + 1], out=scores)
                     scores.max(axis=1, initial=-np.inf, out=table[k, lo:hi])
                 if lo == 0 and r > 1:
-                    scores = g[0, :-1] + table[r - 2, 1: self.m + 1]
-                    table[r - 1, 0] = scores.max(initial=-np.inf)
+                    top = np.add(g[0, :-1], table[r - 2, 1: m + 1], out=buffer[:m])
+                    table[r - 1, 0] = top.max(initial=-np.inf)
         self._kept = (r, g)
         return layers
 
@@ -430,12 +455,13 @@ class _CutProblem:
             return kept[u], 1
         return self._costs(r, u, u + 1, self._emission(u, u + 1))[0], u + 1
 
-    def count_penalty(self, r: int) -> float:
-        """Own-family row terms; they depend only on the interval count."""
-        a_row = self.prior.cell_weight(r, self.q_own) * r
-        return float(
-            np.sum(gammaln(a_row) - gammaln(a_row + self.own_totals))
-        )
+    def count_penalties(self, r_cap: int) -> np.ndarray:
+        """Own-family row terms of each interval count ``1..r_cap``; they
+        depend only on the count."""
+        a_rows = np.array(
+            [self.prior.cell_weight(r, self.q_own) * r for r in range(1, r_cap + 1)]
+        )[:, None]
+        return (gammaln(a_rows) - gammaln(a_rows + self.own_totals)).sum(axis=1)
 
     def _reconstruct(
         self, cost_r: int, table: np.ndarray, r: int
@@ -465,10 +491,9 @@ class _CutProblem:
         def cost_count(r: int) -> int:
             return r if per_count else r_cap
 
+        penalties = self.count_penalties(r_cap)
         totals = [
-            layers[cost_count(r)][r - 1, 0]
-            + self.count_penalty(r)
-            + log_priors[r - 1]
+            layers[cost_count(r)][r - 1, 0] + penalties[r - 1] + log_priors[r - 1]
             for r in range(1, r_cap + 1)
         ]
         best_total = max(totals)

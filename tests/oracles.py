@@ -373,7 +373,9 @@ class DenseCutProblem(_CutProblem):
     the tally of :class:`_CutProblem`, and builds every cost matrix whole,
     lower triangle included and masked to ``-inf``, with one matrix per
     interval count under shared sample size.  Reference for the row-blocked
-    DP, which must match it exactly.
+    DP, which must match it exactly.  :meth:`count_penalty` sums one
+    interval count's row terms at a time, the reference for
+    :meth:`_CutProblem.count_penalties`.
     """
 
     def __init__(self, i, policy, structure, dataset, prior):
@@ -454,6 +456,11 @@ class DenseCutProblem(_CutProblem):
             scores = np.where(self.valid[:, interior], scores, -np.inf)
             layers.append(scores.max(axis=1, initial=-np.inf))
         return g, layers
+
+    def count_penalty(self, r):
+        """Own-family row terms of ``r`` intervals, summed with ``np.sum``."""
+        a_row = self.prior.cell_weight(r, self.q_own) * r
+        return float(np.sum(gammaln(a_row) - gammaln(a_row + self.own_totals)))
 
     def _dense_reconstruct(self, g, layers, r):
         cuts = []

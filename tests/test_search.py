@@ -349,6 +349,39 @@ class TestCutProblem:
             want = emission_component(ds.column(0), policy, prior)
             assert got == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("data", ["tied", "untied", "bounds"])
+    @pytest.mark.parametrize(
+        "mode,density",
+        [("k2", "uniform"), ("k2", "multinomial"), ("bdeu", "multinomial")],
+    )
+    def test_emission_matches_dense_density(self, rows, data, mode, density):
+        rng = np.random.default_rng(43)
+        x = rng.uniform(0.0, 3.0, 60)
+        if data != "untied":
+            x = np.round(x, 1)
+        # Declared bounds at the column's min and max make the outer
+        # intervals as narrow as the data allows.
+        bounds = [(float(x.min()), float(x.max()))] if data == "bounds" else None
+        ds = continuous_dataset(x.reshape(-1, 1), bounds=bounds)
+        prior = PriorSpec(dirichlet_mode=mode, alpha=1.5, ess=3.0, density_model=density)
+        policy = trivial_network_policy(ds)
+        problem = _CutProblem(0, policy, empty_structure(1), ds, prior)
+        want = DenseCutProblem(0, policy, empty_structure(1), ds, prior).density
+        m = problem.m
+        assert (m + 1 < len(x)) == (data != "untied")
+        step = rows or search._BLOCK_FLOATS // (m + 2)
+        for hi in range(m + 1, 0, -step):
+            lo = max(0, hi - step)
+            got = problem._emission(lo, hi)
+            assert got.shape == (hi - lo, m + 1 - lo)
+            # Row u of the block is cut lo + t, column j is cut lo + 1 + j:
+            # v > u wherever j >= t.
+            live = np.triu(np.ones(got.shape, dtype=bool))
+            block = want[lo:hi, lo + 1:]
+            assert np.array_equal(got[live], block[live]), (lo, hi)
+            assert np.array_equal(np.signbit(got[live]), np.signbit(block[live]))
+
     def test_prefix_tables_match_reference(self):
         rng = np.random.default_rng(67)
         n_vars, n_cases = 6, 40
@@ -529,11 +562,10 @@ class TestBlockedCutProblem:
             problem._layers([3])
         assert calls
 
-    @pytest.mark.parametrize("a", [1.0, 1.5])
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_shared_start_gather_matches_reference(self, monkeypatch, tied, a):
-        # x0 with three parents of three states each, every state holding
-        # three cases: 27 live rows in the own prefix table.
+    @staticmethod
+    def three_parent_inputs(tied):
+        """x0 with three parents of three states each, every state holding
+        three cases: 27 live rows in the own prefix table."""
         rng = np.random.default_rng(31)
         n = 81
         x = rng.uniform(0.0, 3.0, n)
@@ -547,10 +579,15 @@ class TestBlockedCutProblem:
             policy = policy.with_policy(
                 v, DiscretizationPolicy((0.75, 1.75), *ds.policy_bounds(v))
             )
-        structure = validate_dag([{1, 2, 3}, set(), set(), set()])
+        return ds, policy, validate_dag([{1, 2, 3}, set(), set(), set()])
+
+    @pytest.mark.parametrize("a", [1.0, 1.5])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_shared_start_gather_matches_reference(self, monkeypatch, tied, a):
+        ds, policy, structure = self.three_parent_inputs(tied)
         problem = _CutProblem(0, policy, structure, ds, PriorSpec())
         m = problem.m
-        assert (m + 1 < n) == tied
+        assert (m + 1 < ds.n_cases) == tied
         assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
 
         decided = []
@@ -558,10 +595,21 @@ class TestBlockedCutProblem:
 
         def spy(starts):
             share = real(starts)
-            decided.extend(share.tolist())
+            decided.append(share.tolist())
             return share
 
+        def same_bits(got, want):
+            return np.array_equal(got, want) and np.array_equal(
+                np.signbit(got), np.signbit(want)
+            )
+
         monkeypatch.setattr(search, "_shared_starts", spy)
+        # The sum starts from the first live state's terms, so also check a
+        # table with no live state and one whose only live state is its last.
+        empty = np.zeros_like(problem.own_prefix)
+        last_only = problem.own_prefix.copy()
+        last_only[:-1] = 0
+        last_paths = set()
         for rows in (1, 3, search._BLOCK_FLOATS // (m + 2)):
             for hi in range(m + 1, 0, -rows):
                 lo = max(0, hi - rows)
@@ -569,17 +617,71 @@ class TestBlockedCutProblem:
                     prefix = problem.own_prefix[:live]
                     got = problem._slice_terms(prefix, a, lo, hi)
                     want = reference_slice_terms(problem, prefix, a, lo, hi)
-                    assert np.array_equal(got, want), (rows, lo, live)
-        # Both gathers ran: once per distinct start, and once per cell.
-        assert set(decided) == {False, True}
+                    assert same_bits(got, want), (rows, lo, live)
+                got = problem._slice_terms(empty, a, lo, hi)
+                assert same_bits(got, np.zeros((hi - lo, m + 1 - lo)))
+                got = problem._slice_terms(last_only, a, lo, hi)
+                last_paths.add(decided[-1][-1])
+                want = reference_slice_terms(problem, last_only, a, lo, hi)
+                assert same_bits(got, want), (rows, lo)
+        # Both gathers ran, once per distinct start and once per cell, and
+        # both started the sum of the table whose only live state is last.
+        assert set(itertools.chain.from_iterable(decided)) == {False, True}
+        assert last_paths == {False, True}
+
+    def test_no_log_gamma_table_holds_negative_zero(self):
+        # _slice_terms starts its sum from gathered lnΓ terms instead of
+        # adding them to zeros; the two agree unless a term is -0.0.
+        ds, policy, structure = chain_problem()
+        assert ds.n_cases == 600
+        problem = _CutProblem(1, policy, structure, ds, PriorSpec())
+        # K2: α for a family's cells, α times the child's arity for its
+        # margins.
+        weights = {alpha * k for alpha in (0.5, 1.0, 1.5, 2.0) for k in (1, 2, 3, 4)}
+        for ess in (1.0, 3.0, 4.0, 10.0):
+            bdeu = PriorSpec(dirichlet_mode="bdeu", ess=ess)
+            for r in range(1, 13):
+                for q in range(1, 31):
+                    weights.add(bdeu.cell_weight(r, q))
+                    # A child's margins, for child arities 2..4.
+                    for r_child in (2, 3, 4):
+                        weights.add(bdeu.cell_weight(r_child, r * q) * r_child)
+        zeros = 0
+        for a in sorted(weights):
+            lut = problem._lut(a)
+            assert len(lut) == 601
+            assert not np.signbit(lut[lut == 0.0]).any(), a
+            zeros += int((lut == 0.0).sum())
+        # lnΓ(1) and lnΓ(2) are zeros, +0.0: a = 1 and a = 2 hold three.
+        assert zeros >= 3
+
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    def test_count_penalties_match_reference(self, mode):
+        prior = PriorSpec(dirichlet_mode=mode, alpha=1.5, ess=3.0)
+        ds, policy, structure = self.three_parent_inputs(tied=True)
+        problem = _CutProblem(0, policy, structure, ds, prior)
+        dense = DenseCutProblem(0, policy, structure, ds, prior)
+        assert problem.q_own == 27
+        rng = np.random.default_rng(5)
+        # Also long rows, where numpy sums pairwise in blocks.
+        for q in (27, 1, 130, 9000):
+            if q != 27:
+                totals = rng.integers(0, 50, q)
+                for p in (problem, dense):
+                    p.q_own, p.own_totals = q, totals
+            penalties = problem.count_penalties(12)
+            assert penalties.shape == (12,)
+            for r in range(1, 13):
+                assert penalties[r - 1] == dense.count_penalty(r), (q, r)
 
     def test_bdeu_solve_memory(self):
         ds, policy, structure = chain_problem()
         m = len(ds.candidate_thresholds(1))
         assert m == 599
         peak = solve_peak(ds, policy, structure, PriorSpec(dirichlet_mode="bdeu"))
-        # The dense DP peaked at 18.3 such matrices here.
-        assert peak < 4 * 8 * (m + 2) ** 2
+        # Less than one dense cost matrix: the blocked DP measures 0.81 of
+        # one here, where the dense DP peaked at 18.3.
+        assert peak < 8 * (m + 2) ** 2
 
 
 class TestMemoryGuard:
