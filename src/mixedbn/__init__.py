@@ -35,7 +35,6 @@ from .generator import (
 from .graph import (
     CycleError,
     DagStructure,
-    d_separated,
     empty_structure,
     to_dot,
     validate_dag,
@@ -85,7 +84,6 @@ __all__ = [
     "sample_dataset",
     "CycleError",
     "DagStructure",
-    "d_separated",
     "empty_structure",
     "to_dot",
     "validate_dag",

@@ -407,6 +407,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ValidationError(f"policy is not valid JSON: {exc}") from None
     policy = policy_from_obj(payload, dataset)
     breakdown = network_score(policy, structure, dataset, prior)
+    # Infinity is not JSON.
+    breakdown.finite_total(dataset.names, "policy")
     obj = breakdown.to_obj(dataset.names)
     text = json.dumps(obj, indent=2, sort_keys=True)
     print(text)

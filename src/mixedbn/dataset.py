@@ -299,12 +299,6 @@ class Dataset:
             _freeze(value)
         return value
 
-    def sort_index(self, i: int) -> np.ndarray:
-        """Stable permutation sorting column ``i`` ascending."""
-        return self._memo(
-            "sort_index", i, lambda: np.argsort(self.values[:, i], kind="stable")
-        )
-
     def candidate_thresholds(self, i: int) -> np.ndarray:
         """Candidate cut points of continuous column ``i``."""
         if not self.is_continuous(i):
@@ -337,7 +331,7 @@ class Dataset:
         times before each cut."""
 
         def build():
-            sorted_vals = self.values[:, i][self.sort_index(i)]
+            sorted_vals = np.sort(self.values[:, i])
             distinct, occ = np.unique(sorted_vals, return_counts=True)
             row_distinct = np.searchsorted(distinct, sorted_vals)
             d_pos = np.append(row_distinct, len(distinct))[self.cut_segments(i)[0]]

@@ -110,54 +110,6 @@ def empty_structure(n: int) -> DagStructure:
     return validate_dag([()] * n)
 
 
-def d_separated(
-    structure: DagStructure, i: int, j: int, given: Iterable[int] = ()
-) -> bool:
-    """True when every path between ``i`` and ``j`` is blocked by ``given``.
-
-    Uses the standard active-trail reachability sweep: states are
-    (node, direction) pairs, where direction records whether the node was
-    entered through a child (up) or a parent (down).
-    """
-    z = frozenset(int(v) for v in given)
-    if i == j:
-        raise ValidationError("d-separation needs two distinct endpoints")
-    if i in z or j in z:
-        raise ValidationError("conditioning set cannot contain an endpoint")
-
-    # z and all its ancestors: exactly the nodes that open colliders.
-    opens = set(z)
-    stack = [p for v in z for p in structure.parents[v]]
-    while stack:
-        v = stack.pop()
-        if v not in opens:
-            opens.add(v)
-            stack.extend(structure.parents[v])
-
-    up, down = 0, 1
-    frontier = [(i, up)]
-    visited: set[tuple[int, int]] = set()
-    while frontier:
-        state = frontier.pop()
-        if state in visited:
-            continue
-        visited.add(state)
-        node, direction = state
-        if node == j:
-            return False
-        if direction == up:
-            if node in z:
-                continue
-            frontier.extend((p, up) for p in structure.parents[node])
-            frontier.extend((c, down) for c in structure.children[node])
-        else:
-            if node not in z:
-                frontier.extend((c, down) for c in structure.children[node])
-            if node in opens:
-                frontier.extend((p, up) for p in structure.parents[node])
-    return True
-
-
 def to_dot(structure: DagStructure, names: Sequence[str] | None = None) -> str:
     """Graphviz source for a structure; node order and edges are sorted."""
     if names is None:

@@ -402,6 +402,18 @@ class ScoreBreakdown:
         ]
         return {"schema_version": 1, "total": self.total, "variables": variables}
 
+    def finite_total(self, names: Sequence[str], whose: str) -> float:
+        """The total; when it is not finite, ValidationError naming the
+        variable whose policy, ``whose``, has the least prior mass."""
+        total = self.total
+        if not math.isfinite(total):
+            worst = names[int(np.argmin(self.log_prior))]
+            raise ValidationError(
+                f"the {whose} of {worst!r} has no mass under the policy prior, "
+                f"so the network scores {total}"
+            )
+        return total
+
 
 def network_score(
     policy: NetworkPolicy,

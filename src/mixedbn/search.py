@@ -237,8 +237,10 @@ class _CutProblem:
     ever held whole: the DP builds its upper triangle a block of rows at a
     time, from the last row up, and the top DP layer of each matrix only at
     row 0, the one row a solve reads it at.  The costs' counts come from the
-    search's one tally, :func:`family_tables`, with the variable cut at
-    every candidate.
+    search's one tally, :func:`family_tables`, over the blanket's columns of
+    ``codes``, the code matrix under ``policy`` (in a search, the state's
+    own), with the variable's column replaced by its fine code: the variable
+    cut at every candidate.
     """
 
     def __init__(
@@ -248,6 +250,7 @@ class _CutProblem:
         structure: DagStructure,
         dataset: Dataset,
         prior: PriorSpec,
+        codes: np.ndarray,
     ) -> None:
         self.prior = prior
         self.n_cases = dataset.n_cases
@@ -264,10 +267,8 @@ class _CutProblem:
         # Sorted, so the tables' rows follow the variables' order.
         members = sorted(_blanket(structure, i) | {i})
         place = {v: k for k, v in enumerate(members)}
-        codes = np.array([
-            fine if v == i else apply_policy(dataset.column(v), policy[v])
-            for v in members
-        ]).T
+        codes = codes[:, members]
+        codes[:, place[i]] = fine
         arities = [self.m + 1 if v == i else policy[v].arity for v in members]
         heads = [i, *sorted(structure.children[i])]
         sets = [frozenset(place[p] for p in structure.parents[v]) for v in heads]
@@ -513,13 +514,17 @@ def optimize_variable(
     dataset: Dataset,
     prior: PriorSpec,
     config: SearchConfig,
+    *,
+    codes: np.ndarray | None = None,
 ) -> DiscretizationPolicy:
     """Best threshold policy for variable ``i`` with everything else fixed.
 
     Exact over all candidate-threshold subsets with at most
     ``r_max - 1`` thresholds.  Scores within ``TIE_TOLERANCE`` count as
     tied; ties prefer fewer intervals, then the lexicographically
-    smallest threshold sequence.
+    smallest threshold sequence.  ``codes`` is the code matrix under
+    ``policy``, as :func:`discretize_all` gives it; a search passes its
+    state's, and without it one is built.
     """
     if not dataset.is_continuous(i):
         raise ValidationError(
@@ -562,15 +567,18 @@ def optimize_variable(
             "MiB); round the column to fewer distinct values or declare it "
             "discrete in the schema"
         )
-    problem = _CutProblem(i, policy, structure, dataset, prior)
-    return problem.solve(r_cap)
+    if codes is None:
+        codes = discretize_all(dataset, policy)
+    return _CutProblem(i, policy, structure, dataset, prior, codes).solve(r_cap)
 
 
 class _SearchState:
     """Structure, policy and running total of one search, plus its caches.
 
     The code matrix follows the policy one column at a time; it is stored
-    column-major, so a family tally reads contiguous columns.
+    column-major, so a family tally reads contiguous columns.  The edge scan
+    and every policy solve read their codes from it, so a policy change is
+    applied to the data once.
 
     Every family score the search reads is cached in one table, ``FA[u, v]
     = family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
@@ -615,13 +623,7 @@ class _SearchState:
         self.codes = np.asfortranarray(discretize_all(dataset, policy))
         self.arities = list(policy.arities())
         score = network_score(policy, structure, dataset, prior)
-        self.total = score.total
-        if not math.isfinite(self.total):
-            worst = dataset.names[int(np.argmin(score.log_prior))]
-            raise ValidationError(
-                f"the start policy of {worst!r} has no mass under the policy "
-                f"prior, so the network scores {self.total}"
-            )
+        self.total = score.finite_total(dataset.names, "start policy")
         self.stats = SearchStats()
         self._solves: dict[tuple, DiscretizationPolicy] = {}
         # [FA, FD] and which of their entries are fresh.
@@ -804,7 +806,8 @@ class _SearchState:
             return cached
         self.stats.solves += 1
         result = optimize_variable(
-            i, self.policy, self.structure, self.dataset, self.prior, self.config
+            i, self.policy, self.structure, self.dataset, self.prior, self.config,
+            codes=self.codes,
         )
         self._solves[key] = result
         return result

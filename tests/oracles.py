@@ -2,8 +2,10 @@
 
 Each oracle takes a deliberately different route from the code under test:
 the sequential chain rule instead of log-gamma ratios, a count over rows
-instead of a vectorized tally, moralization instead of trail reachability,
-and subset enumeration instead of the segmentation dynamic program.
+instead of a vectorized tally, and subset enumeration instead of the
+segmentation dynamic program.  Two routes to d-separation, which no command
+needs, check each other here: :func:`moral_dsep` by moralization and
+:func:`d_separated` by an active-trail sweep.
 Everything here sticks to plain Python loops and math calls, except
 :func:`closed_form_family_score`, the Dirichlet ratio of one table summed
 with ``np.sum``, :func:`family_score`, which applies it to
@@ -36,6 +38,7 @@ from mixedbn import (
     PriorSpec,
     ValidationError,
     apply_policy,
+    discretize_all,
 )
 from mixedbn.scoring import (
     BDEU,
@@ -173,6 +176,54 @@ def moral_dsep(parent_sets, i, j, given=()):
             if w not in reached and w not in blocked:
                 reached.add(w)
                 frontier.append(w)
+    return True
+
+
+def d_separated(
+    structure: DagStructure, i: int, j: int, given: Iterable[int] = ()
+) -> bool:
+    """True when every path between ``i`` and ``j`` is blocked by ``given``.
+
+    Uses the standard active-trail reachability sweep: states are
+    (node, direction) pairs, where direction records whether the node was
+    entered through a child (up) or a parent (down).
+    """
+    z = frozenset(int(v) for v in given)
+    if i == j:
+        raise ValidationError("d-separation needs two distinct endpoints")
+    if i in z or j in z:
+        raise ValidationError("conditioning set cannot contain an endpoint")
+
+    # z and all its ancestors: exactly the nodes that open colliders.
+    opens = set(z)
+    stack = [p for v in z for p in structure.parents[v]]
+    while stack:
+        v = stack.pop()
+        if v not in opens:
+            opens.add(v)
+            stack.extend(structure.parents[v])
+
+    up, down = 0, 1
+    frontier = [(i, up)]
+    visited: set[tuple[int, int]] = set()
+    while frontier:
+        state = frontier.pop()
+        if state in visited:
+            continue
+        visited.add(state)
+        node, direction = state
+        if node == j:
+            return False
+        if direction == up:
+            if node in z:
+                continue
+            frontier.extend((p, up) for p in structure.parents[node])
+            frontier.extend((c, down) for c in structure.children[node])
+        else:
+            if node not in z:
+                frontier.extend((c, down) for c in structure.children[node])
+            if node in opens:
+                frontier.extend((p, up) for p in structure.parents[node])
     return True
 
 
@@ -316,7 +367,7 @@ def reference_prefix_tables(i, policy, structure, dataset):
     :class:`_CutProblem`.
     """
     n = dataset.n_cases
-    order = dataset.sort_index(i)
+    order = np.argsort(dataset.column(i), kind="stable")
     cands = dataset.candidate_thresholds(i)
     m = len(cands)
     cut_pos = np.searchsorted(dataset.column(i)[order], cands, side="left")
@@ -379,12 +430,14 @@ class DenseCutProblem(_CutProblem):
     """
 
     def __init__(self, i, policy, structure, dataset, prior):
-        super().__init__(i, policy, structure, dataset, prior)
+        codes = discretize_all(dataset, policy)
+        super().__init__(i, policy, structure, dataset, prior, codes)
         self.positions, self.q_own, self.own_prefix, self.child_tables = (
             reference_prefix_tables(i, policy, structure, dataset)
         )
         self.own_totals = self.own_prefix[:, -1]
-        sorted_vals = dataset.column(i)[dataset.sort_index(i)]
+        column = dataset.column(i)
+        sorted_vals = column[np.argsort(column, kind="stable")]
         distinct, self.occ = np.unique(sorted_vals, return_counts=True)
         row_distinct = np.searchsorted(distinct, sorted_vals)
         self.d_pos = np.append(row_distinct, len(distinct))[self.positions]

@@ -29,7 +29,6 @@ from mixedbn import (
     VariableMeta,
     apply_policy,
     coordinate_ascent,
-    d_separated,
     hill_climb_structure,
     initial_policy,
     network_score,
@@ -42,6 +41,7 @@ from mixedbn.graph import empty_structure, validate_dag
 from mixedbn.scoring import family_scores, family_tables
 from oracles import (
     brute_univariate_best,
+    d_separated,
     exhaustive_policy_search,
     ks_statistic,
     local_score,

@@ -547,6 +547,30 @@ class TestScore:
         )
         assert rc == 2
 
+    def test_policy_without_prior_mass_is_a_data_error(self, tmp_path, capsys):
+        # The single interval of 'a' lies outside the Poisson prior's
+        # support, so the total is -inf, which JSON cannot hold.
+        data = tmp_path / "four.csv"
+        data.write_text("a,b\n0.5,0.1\n0.6,0.3\n0.7,0.2\n0.9,0.5\n")
+        structure = tmp_path / "structure.json"
+        structure.write_text(json.dumps({"edges": []}))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"schema_version": 1, "variables": {
+            "a": {"thresholds": [], "bounds": [0.5, 0.9]},
+            "b": {"thresholds": [0.25], "bounds": [0.1, 0.5]},
+        }}))
+        out = tmp_path / "breakdown.json"
+        capsys.readouterr()
+        rc = run_cli(
+            "score", "--data", str(data), "--structure", str(structure),
+            "--policy", str(policy), "--policy-prior", "poisson:2",
+            "--out", str(out),
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error:") and "'a'" in captured.err
+
     @pytest.mark.parametrize(
         "name, path, value",
         [

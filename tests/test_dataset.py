@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -258,11 +259,6 @@ class TestDataset:
         ds = continuous_dataset(np.array([[3.0], [7.0]]), bounds=[(0.0, 10.0)])
         assert ds.policy_bounds(0) == (0.0, 10.0)
 
-    def test_sort_index_is_stable_ordering(self):
-        ds = continuous_dataset(np.array([[3.0], [1.0], [2.0]]))
-        order = ds.sort_index(0)
-        assert ds.column(0)[order].tolist() == [1.0, 2.0, 3.0]
-
     @pytest.mark.parametrize("tied", [False, True])
     def test_cut_segments_hold_the_fine_code(self, tied):
         rng = np.random.default_rng(23)
@@ -281,6 +277,28 @@ class TestDataset:
         below = [int(np.sum(ds.column(0) < c)) for c in cands]
         assert positions.tolist() == [0, *below, ds.n_cases]
         assert ds.cut_segments(0)[1] is fine
+
+    @pytest.mark.parametrize("kind", ["untied", "tied", "signed zeros"])
+    def test_distinct_prefixes_count_the_values_below_each_cut(self, kind):
+        rng = np.random.default_rng(29)
+        if kind == "untied":
+            values = rng.normal(size=60)
+        elif kind == "tied":
+            values = np.round(rng.uniform(0.0, 1.0, 200), 1)
+        else:
+            values = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], 100)
+        ds = continuous_dataset(values[:, None])
+        d_pos, seen = ds.distinct_prefixes(0)
+        # -0.0 == 0.0, so sets and counters hold them as one value.
+        occurs = Counter(values.tolist())
+        below = [
+            {v for v in occurs if v < c} for c in ds.candidate_thresholds(0)
+        ] + [set(occurs)]
+        assert d_pos.tolist() == [0, *map(len, below)]
+        assert [(int(c), s.tolist()) for c, s in seen] == [
+            (c, [0, *(sum(occurs[v] == c for v in b) for b in below)])
+            for c in sorted(set(occurs.values()))
+        ]
 
     def test_candidate_thresholds_cached_per_column(self):
         ds = continuous_dataset(np.array([[0.0], [1.0], [9.0], [10.0]]))

@@ -7,11 +7,10 @@ from conftest import random_parent_sets
 from mixedbn import (
     CycleError,
     ValidationError,
-    d_separated,
     to_dot,
     validate_dag,
 )
-from oracles import moral_dsep
+from oracles import d_separated, moral_dsep
 
 
 def chain(n):

@@ -68,6 +68,11 @@ def edited(structure, op, u, v):
     return validate_dag(sets)
 
 
+def cut_problem(i, policy, structure, ds, prior):
+    """The cut problem of ``i``, tallied from a fresh code matrix."""
+    return _CutProblem(i, policy, structure, ds, prior, discretize_all(ds, policy))
+
+
 def with_twin(ds):
     """``ds`` with its last column replaced by a copy of its first, so that
     edits touching either score alike."""
@@ -330,7 +335,7 @@ class TestCutProblem:
         prior = PriorSpec(
             dirichlet_mode=mode, alpha=2.5, ess=4.0, density_model=density
         )
-        problem = _CutProblem(
+        problem = cut_problem(
             0, trivial_network_policy(ds), empty_structure(1), ds, prior
         )
         cands = ds.candidate_thresholds(0)
@@ -366,7 +371,7 @@ class TestCutProblem:
         ds = continuous_dataset(x.reshape(-1, 1), bounds=bounds)
         prior = PriorSpec(dirichlet_mode=mode, alpha=1.5, ess=3.0, density_model=density)
         policy = trivial_network_policy(ds)
-        problem = _CutProblem(0, policy, empty_structure(1), ds, prior)
+        problem = cut_problem(0, policy, empty_structure(1), ds, prior)
         want = DenseCutProblem(0, policy, empty_structure(1), ds, prior).density
         m = problem.m
         assert (m + 1 < len(x)) == (data != "untied")
@@ -402,7 +407,7 @@ class TestCutProblem:
             policy = random_network_policy(rng, ds)
             structure = validate_dag(random_parent_sets(rng, n_vars, 0.5, 3))
             for i in ds.continuous_indices():
-                problem = _CutProblem(i, policy, structure, ds, PriorSpec())
+                problem = cut_problem(i, policy, structure, ds, PriorSpec())
                 positions, q_own, own_prefix, child_tables = reference_prefix_tables(
                     i, policy, structure, ds
                 )
@@ -522,7 +527,7 @@ class TestBlockedCutProblem:
         )
         r_cap = 12
         dense = DenseCutProblem(0, policy, structure, ds, prior)
-        problem = _CutProblem(0, policy, structure, ds, prior)
+        problem = cut_problem(0, policy, structure, ds, prior)
         per_count = mode == "bdeu"
         layers = problem._layers(range(1, r_cap + 1) if per_count else [r_cap])
         for r in range(1, r_cap + 1):
@@ -539,13 +544,13 @@ class TestBlockedCutProblem:
             assert problem._reconstruct(cost_r, table, r) == (
                 dense._dense_reconstruct(*dense.table(r), r)
             )
-        got = _CutProblem(0, policy, structure, ds, prior).solve(r_cap)
+        got = cut_problem(0, policy, structure, ds, prior).solve(r_cap)
         assert got == dense.solve(r_cap)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["per-cell", "shared"])
     def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, shared):
         ds, policy, _ = self.problem_inputs()
-        problem = _CutProblem(0, policy, empty_structure(4), ds, PriorSpec())
+        problem = cut_problem(0, policy, empty_structure(4), ds, PriorSpec())
         # A last prefix entry above N makes the counts of the intervals that
         # end there exceed N; the gather must refuse them, not wrap around.
         problem.own_prefix = problem.own_prefix.copy()
@@ -585,7 +590,7 @@ class TestBlockedCutProblem:
     @pytest.mark.parametrize("tied", [True, False])
     def test_shared_start_gather_matches_reference(self, monkeypatch, tied, a):
         ds, policy, structure = self.three_parent_inputs(tied)
-        problem = _CutProblem(0, policy, structure, ds, PriorSpec())
+        problem = cut_problem(0, policy, structure, ds, PriorSpec())
         m = problem.m
         assert (m + 1 < ds.n_cases) == tied
         assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
@@ -634,7 +639,7 @@ class TestBlockedCutProblem:
         # adding them to zeros; the two agree unless a term is -0.0.
         ds, policy, structure = chain_problem()
         assert ds.n_cases == 600
-        problem = _CutProblem(1, policy, structure, ds, PriorSpec())
+        problem = cut_problem(1, policy, structure, ds, PriorSpec())
         # K2: α for a family's cells, α times the child's arity for its
         # margins.
         weights = {alpha * k for alpha in (0.5, 1.0, 1.5, 2.0) for k in (1, 2, 3, 4)}
@@ -659,7 +664,7 @@ class TestBlockedCutProblem:
     def test_count_penalties_match_reference(self, mode):
         prior = PriorSpec(dirichlet_mode=mode, alpha=1.5, ess=3.0)
         ds, policy, structure = self.three_parent_inputs(tied=True)
-        problem = _CutProblem(0, policy, structure, ds, prior)
+        problem = cut_problem(0, policy, structure, ds, prior)
         dense = DenseCutProblem(0, policy, structure, ds, prior)
         assert problem.q_own == 27
         rng = np.random.default_rng(5)
@@ -1066,6 +1071,7 @@ class TestSearchState:
     """Cached family scores and memoized solves equal fresh computations."""
 
     def check(self, state, ds, prior, config):
+        assert np.array_equal(state.codes, discretize_all(ds, state.policy))
         for v in ds.continuous_indices():
             fresh = optimize_variable(
                 v, state.policy, state.structure, ds, prior, config
@@ -1138,6 +1144,57 @@ class TestSearchState:
             assert self.check_table(state, prior) > kept[-1]
         assert state.stats.solve_hits > 0
         assert all(kept)
+
+    def test_a_solve_applies_no_policy(self, monkeypatch):
+        """A solve reads its blanket's codes from the state's code matrix;
+        :meth:`_SearchState.set_policy` is the one place the search applies a
+        policy."""
+        ds, _ = sample_dataset(random_mechanism(4, 2, 3, seed=11), 60)
+        prior, config = PriorSpec(), SearchConfig()
+        structure = validate_dag([set(), {0}, {0, 1}, {2}])
+        state = _SearchState(structure, initial_policy(ds, config), ds, prior, config)
+        calls = []
+        real = search.apply_policy
+
+        def spy(column, policy):
+            calls.append(policy)
+            return real(column, policy)
+
+        monkeypatch.setattr(search, "apply_policy", spy)
+        for v in range(4):
+            state.solve(v)
+        assert state.stats.solves == 4 and calls == []
+        state.set_policy(0, state.solve(0))
+        assert calls == [state.policy[0]]
+
+    def test_the_code_matrix_follows_every_change(self):
+        """After edits and accepted or reverted policy changes, the state's
+        code matrix is the policy's, and a solve from it equals one from a
+        code matrix built afresh."""
+        rng = np.random.default_rng(97)
+        prior, config = PriorSpec(), SearchConfig()
+        moves = {"kept": 0, "reverted": 0}
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=30)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            policy = random_network_policy(rng, ds)
+            state = _SearchState(structure, policy, ds, prior, config)
+            for _ in range(3):
+                for v in ds.continuous_indices():
+                    current = state.policy[v]
+                    state.set_policy(v, state.solve(v))
+                    if rng.random() < 0.5:
+                        state.set_policy(v, current)
+                        moves["reverted"] += 1
+                    else:
+                        moves["kept"] += 1
+                self.check(state, ds, prior, config)
+                candidates = _edit_candidates(state.structure, 3)
+                if candidates:
+                    edit = candidates[int(rng.integers(len(candidates)))]
+                    state.apply_edit(edit, 0.0)
+        assert min(moves.values()) > 0
 
     def test_ascent_rejects_a_worse_candidate(self, monkeypatch):
         ds, _ = sample_dataset(random_mechanism(3, 2, 2, seed=11), 60)
