@@ -43,10 +43,8 @@ from .scoring import (
     PriorSpec,
     ScoreBreakdown,
     continuous_component,
-    emission_component,
-    interval_count_log_prior,
+    continuous_terms,
     network_score,
-    policy_log_prior,
 )
 from .search import (
     InitSpec,
@@ -90,10 +88,8 @@ __all__ = [
     "PriorSpec",
     "ScoreBreakdown",
     "continuous_component",
-    "emission_component",
-    "interval_count_log_prior",
+    "continuous_terms",
     "network_score",
-    "policy_log_prior",
     "InitSpec",
     "SearchConfig",
     "SearchTrace",

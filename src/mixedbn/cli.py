@@ -29,6 +29,7 @@ from .dataset import (
     load_schema,
     policy_from_obj,
     policy_to_obj,
+    read_json,
     schema_to_obj,
 )
 from .generator import (
@@ -247,11 +248,7 @@ def structure_from_obj(payload: dict, dataset: Dataset) -> DagStructure:
 
 
 def load_structure(path, dataset: Dataset) -> DagStructure:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"structure is not valid JSON: {exc}") from None
-    return structure_from_obj(payload, dataset)
+    return structure_from_obj(read_json(path, "structure"), dataset)
 
 
 def _manifest(
@@ -401,11 +398,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     dataset = _load_data(args)
     prior = _prior_from_args(args)
     structure = load_structure(args.structure, dataset)
-    try:
-        payload = json.loads(Path(args.policy).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"policy is not valid JSON: {exc}") from None
-    policy = policy_from_obj(payload, dataset)
+    policy = policy_from_obj(read_json(args.policy, "policy"), dataset)
     breakdown = network_score(policy, structure, dataset, prior)
     # Infinity is not JSON.
     breakdown.finite_total(dataset.names, "policy")

@@ -262,12 +262,17 @@ class Dataset:
                         f"discrete column {meta.name!r} has codes outside "
                         f"[0, {meta.arity})"
                     )
-            elif meta.bounds is not None:
-                lo, hi = meta.bounds
+            else:
+                lo, hi = meta.bounds or (col.min(), col.max())
                 if col.min() < lo or col.max() > hi:
                     raise ValidationError(
                         f"column {meta.name!r} has values outside its declared "
                         f"bounds [{lo}, {hi}]"
+                    )
+                if not math.isfinite(float(hi) - float(lo)):
+                    raise ValidationError(
+                        f"continuous column {meta.name!r} spans [{lo}, {hi}], "
+                        "wider than a float64 can hold; rescale it"
                     )
         data.setflags(write=False)
         self.variables = metas
@@ -416,12 +421,26 @@ def discretize_all(dataset: Dataset, policy: NetworkPolicy) -> np.ndarray:
     return codes
 
 
-def _read_text(source) -> io.StringIO:
-    if isinstance(source, (str, Path)):
-        return io.StringIO(Path(source).read_text(encoding="utf-8"))
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    return io.StringIO(source.read())
+def read_text(source, what: str) -> str:
+    """The text of ``source``, a path, UTF-8 bytes or a text stream; input
+    that is not UTF-8 raises ValidationError naming it as ``what``."""
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        if isinstance(source, bytes):
+            return source.decode("utf-8")
+        return source.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} is not UTF-8 text: {exc}") from None
+
+
+def read_json(source, what: str):
+    """The JSON value held by ``source``, read by :func:`read_text`; input
+    that is not JSON raises ValidationError naming it as ``what``."""
+    try:
+        return json.loads(read_text(source, what))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _infer_meta(name: str, index: int, col: np.ndarray) -> VariableMeta:
@@ -442,7 +461,7 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
     With a schema, entries are matched to header names and must cover them
     exactly.
     """
-    reader = csv.reader(_read_text(source))
+    reader = csv.reader(io.StringIO(read_text(source, "data")))
     try:
         header = next(reader)
     except StopIteration:
@@ -509,11 +528,7 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
 
 def load_schema(source) -> list[VariableMeta]:
     """Parse a JSON schema: a list of {name, kind, arity?, bounds?} objects."""
-    text = _read_text(source).read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"schema is not valid JSON: {exc}") from None
+    payload = read_json(source, "schema")
     if not isinstance(payload, list):
         raise ValidationError("schema must be a JSON list of variable objects")
     metas = []

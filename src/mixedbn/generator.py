@@ -9,7 +9,6 @@ the policy reproduces the latent code exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .dataset import (
     DiscretizationPolicy,
     ValidationError,
     VariableMeta,
+    read_json,
 )
 from .graph import DagStructure, validate_dag
 
@@ -215,11 +215,4 @@ def mechanism_from_obj(payload: dict) -> Mechanism:
 
 def load_mechanism(source) -> Mechanism:
     """Read a mechanism JSON file."""
-    from .dataset import _read_text
-
-    text = _read_text(source).read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"mechanism is not valid JSON: {exc}") from None
-    return mechanism_from_obj(payload)
+    return mechanism_from_obj(read_json(source, "mechanism"))

@@ -42,6 +42,9 @@ MULTINOMIAL_DENSITY = "multinomial"
 # before it allocates.
 MEMORY_LIMIT_BYTES = 2 * 1024**3
 
+# Smallest Dirichlet weight: scipy's lnΓ of a subnormal float is inf.
+_MIN_WEIGHT = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -67,10 +70,13 @@ class PriorSpec:
             raise ValidationError(
                 f"dirichlet_mode must be {K2!r} or {BDEU!r}, got {self.dirichlet_mode!r}"
             )
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if not (self.ess > 0 and math.isfinite(self.ess)):
-            raise ValidationError(f"ess must be positive, got {self.ess}")
+        for field in ("alpha", "ess"):
+            value = getattr(self, field)
+            if not (value >= _MIN_WEIGHT and math.isfinite(value)):
+                raise ValidationError(
+                    f"{field} must be finite and at least {_MIN_WEIGHT}, the "
+                    f"smallest normal float, got {value}"
+                )
         if self.policy_prior not in (UNIFORM_PRIOR, POISSON_PRIOR):
             raise ValidationError(
                 f"policy_prior must be {UNIFORM_PRIOR!r} or {POISSON_PRIOR!r}, "
@@ -269,31 +275,8 @@ def multinomial_component(
     return float(score)
 
 
-def emission_component(
-    column: np.ndarray, policy: DiscretizationPolicy, prior: PriorSpec
-) -> float:
-    """Continuous component under the prior's density model."""
-    if prior.density_model == MULTINOMIAL_DENSITY:
-        return multinomial_component(column, policy, prior)
-    return continuous_component(column, policy)
-
-
 def _log_comb(n: int, k: int) -> float:
     return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-
-
-def interval_count_log_prior(
-    r: int, n_candidates: int, prior: PriorSpec, n_cases: int
-) -> float:
-    """Log prior mass of any ``r``-interval policy over a given column.
-
-    Zero in the uniform mode.  The Poisson mode puts a Poisson law with the
-    configured rate, truncated to interval counts ``2..n_cases - 1``, on the
-    interval count, and spreads each count's mass uniformly over the
-    threshold subsets of that size; single-interval policies get no mass
-    under it.
-    """
-    return interval_count_log_priors(r, n_candidates, prior, n_cases)[-1]
 
 
 @functools.lru_cache
@@ -307,9 +290,14 @@ def _poisson_log_norm(rate: float, n_cases: int) -> float:
 def interval_count_log_priors(
     r_cap: int, n_candidates: int, prior: PriorSpec, n_cases: int
 ) -> list[float]:
-    """:func:`interval_count_log_prior` for every count ``1..r_cap``.
+    """Log prior mass of any ``r``-interval policy over a column with
+    ``n_candidates`` candidate cuts, for every count ``r`` in ``1..r_cap``.
 
-    The Poisson normalizer is computed once for the whole range.
+    Zero in the uniform mode.  The Poisson mode puts a Poisson law with the
+    configured rate, truncated to interval counts ``2..n_cases - 1``, on the
+    interval count, and spreads each count's mass uniformly over the
+    threshold subsets of that size; single-interval policies get no mass
+    under it.  The Poisson normalizer is computed once for the whole range.
     """
     if r_cap - 1 > n_candidates:
         raise ValidationError(
@@ -335,16 +323,23 @@ def interval_count_log_priors(
     return out
 
 
-def policy_log_prior(
-    policy: DiscretizationPolicy,
-    n_candidates: int,
-    prior: PriorSpec,
-    n_cases: int,
-) -> float:
-    """Log prior mass of one policy; identity policies cost nothing."""
-    if policy.trivial:
-        return 0.0
-    return interval_count_log_prior(policy.arity, n_candidates, prior, n_cases)
+def continuous_terms(
+    dataset: Dataset, i: int, policy: DiscretizationPolicy, prior: PriorSpec
+) -> tuple[float, float]:
+    """The score terms continuous variable ``i`` owns under ``policy``: its
+    emission under the prior's density model and its policy's log prior
+    mass over the column's candidate cuts.  A discrete variable raises
+    ValidationError."""
+    n_candidates = len(dataset.candidate_thresholds(i))
+    column = dataset.column(i)
+    if prior.density_model == MULTINOMIAL_DENSITY:
+        emission = multinomial_component(column, policy, prior)
+    else:
+        emission = continuous_component(column, policy)
+    log_prior = interval_count_log_priors(
+        policy.arity, n_candidates, prior, dataset.n_cases
+    )[-1]
+    return emission, log_prior
 
 
 def require_policy_mass(dataset: Dataset, prior: PriorSpec, r_max: int) -> None:
@@ -404,15 +399,24 @@ class ScoreBreakdown:
 
     def finite_total(self, names: Sequence[str], whose: str) -> float:
         """The total; when it is not finite, ValidationError naming the
-        variable whose policy, ``whose``, has the least prior mass."""
+        variable whose policy, ``whose``, has no mass under the policy
+        prior, or else the first variable and term that is not finite."""
         total = self.total
-        if not math.isfinite(total):
+        if math.isfinite(total):
+            return total
+        if np.isneginf(self.log_prior).any():
             worst = names[int(np.argmin(self.log_prior))]
-            raise ValidationError(
-                f"the {whose} of {worst!r} has no mass under the policy prior, "
-                f"so the network scores {total}"
+            cause = f"the {whose} of {worst!r} has no mass under the policy prior"
+        else:
+            terms = {"emission": self.emission, "discrete": self.discrete,
+                     "log_prior": self.log_prior}
+            cause = next(
+                f"the {term} term of {name!r} is {values[i]}"
+                for i, name in enumerate(names)
+                for term, values in terms.items()
+                if not math.isfinite(values[i])
             )
-        return total
+        raise ValidationError(f"{cause}, so the network scores {total}")
 
 
 def network_score(
@@ -444,10 +448,6 @@ def network_score(
     log_prior = np.zeros(n)
     for i in range(n):
         if dataset.is_continuous(i):
-            column = dataset.column(i)
-            emission[i] = emission_component(column, policy[i], prior)
-            log_prior[i] = policy_log_prior(
-                policy[i], len(dataset.candidate_thresholds(i)), prior, dataset.n_cases
-            )
+            emission[i], log_prior[i] = continuous_terms(dataset, i, policy[i], prior)
     return ScoreBreakdown(emission, discrete, log_prior)
 

@@ -41,12 +41,11 @@ from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
     PriorSpec,
-    emission_component,
+    continuous_terms,
     family_scores,
     family_tables,
     interval_count_log_priors,
     network_score,
-    policy_log_prior,
     require_policy_mass,
 )
 
@@ -678,14 +677,11 @@ class _SearchState:
         for family in children:
             score += family
         if v not in self.discrete:
-            dataset = self.dataset
-            score += emission_component(dataset.column(v), self.policy[v], self.prior)
-            score += policy_log_prior(
-                self.policy[v],
-                len(dataset.candidate_thresholds(v)),
-                self.prior,
-                dataset.n_cases,
+            emission, log_prior = continuous_terms(
+                self.dataset, v, self.policy[v], self.prior
             )
+            score += emission
+            score += log_prior
         return float(score)
 
     def replaced(self, edit: tuple[str, int, int]) -> list[tuple[int, frozenset[int]]]:

@@ -43,9 +43,8 @@ from mixedbn import (
 from mixedbn.scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
-    emission_component,
+    continuous_terms,
     interval_count_log_priors,
-    policy_log_prior,
 )
 from mixedbn.search import TIE_TOLERANCE, _CutProblem
 
@@ -297,10 +296,9 @@ def local_score(
     for child in sorted(structure.children[i]):
         score += family_score(codes, arities, child, structure.parents[child], prior)
     if dataset.is_continuous(i):
-        score += emission_component(dataset.column(i), policy[i], prior)
-        score += policy_log_prior(
-            policy[i], len(dataset.candidate_thresholds(i)), prior, dataset.n_cases
-        )
+        emission, log_prior = continuous_terms(dataset, i, policy[i], prior)
+        score += emission
+        score += log_prior
     return float(score)
 
 

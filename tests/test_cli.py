@@ -446,6 +446,25 @@ class TestLearn:
         rc = run_cli("learn", "--data", str(data), "--out", str(tmp_path / "fit"))
         assert rc == 0
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--ess"])
+    def test_subnormal_dirichlet_weight_is_a_data_error(self, tmp_path, capsys, flag):
+        prefix = simulate(tmp_path)
+        capsys.readouterr()
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv", flag, "1e-310",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} must be")
+
+    def test_column_wider_than_float64_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("a,b\n1e308,0.5\n-1e308,0.25\n0,0.75\n")
+        capsys.readouterr()
+        rc = run_cli("learn", "--data", str(data), "--out", str(tmp_path / "fit"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: continuous column 'a'")
+
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         prefix = simulate(tmp_path)
 
@@ -570,6 +589,36 @@ class TestScore:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error:") and "'a'" in captured.err
+
+    @pytest.mark.parametrize(
+        "what, name",
+        [
+            ("data", "sim.csv"),
+            ("schema", "sim.schema.json"),
+            ("structure", "fit.structure.json"),
+            ("policy", "fit.policy.json"),
+            ("mechanism", "sim.mechanism.json"),
+        ],
+    )
+    def test_undecodable_input_is_a_data_error(self, tmp_path, capsys, what, name):
+        prefix = self.fit(tmp_path)
+        target = tmp_path / name
+        target.write_bytes(b"\xff" + target.read_bytes())
+        if what == "mechanism":
+            argv = [
+                "simulate", "--mechanism", str(target), "--n", "5",
+                "--out", str(tmp_path / "again"),
+            ]
+        else:
+            argv = [
+                "score", "--data", str(prefix) + ".csv",
+                "--schema", str(tmp_path / "sim.schema.json"),
+                "--structure", str(tmp_path / "fit.structure.json"),
+                "--policy", str(tmp_path / "fit.policy.json"),
+            ]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {what} is not UTF-8 text")
 
     @pytest.mark.parametrize(
         "name, path, value",

@@ -243,6 +243,16 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(variables=(var,), values=np.array([[-1.0]]))
 
+    @pytest.mark.parametrize(
+        "column, bounds",
+        [([1e308, -1e308, 0.0], None), ([0.0, 1.0], (-1e308, 1e308))],
+        ids=["observed", "declared"],
+    )
+    def test_rejects_a_span_wider_than_float64(self, column, bounds):
+        var = VariableMeta(name="a", kind="continuous", column_index=0, bounds=bounds)
+        with pytest.raises(ValidationError, match="continuous column 'a' spans"):
+            Dataset(variables=(var,), values=np.array(column)[:, None])
+
     def test_declared_bounds_must_cover_data(self):
         var = VariableMeta(
             name="a", kind="continuous", column_index=0, bounds=(0.0, 1.0)

@@ -1,0 +1,46 @@
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import mixedbn
+from mixedbn.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_all_lists_exactly_the_public_imports():
+    """Every name in ``__all__`` resolves, and every public name the
+    package's ``__init__`` imports is listed there."""
+    for name in mixedbn.__all__:
+        assert hasattr(mixedbn, name), name
+    tree = ast.parse((ROOT / "src" / "mixedbn" / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert public == set(mixedbn.__all__) - {"__version__"}
+    assert len(mixedbn.__all__) == len(set(mixedbn.__all__))
+
+
+def test_readme_library_example_prints_the_search_total(tmp_path, monkeypatch):
+    """The README's ``python`` block, run on the README's own simulated
+    data, prints the total the search reached."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["simulate", "--random", "3,2,1", "--n", "400", "--seed", "7",
+                   "--out", "demo"])
+    assert rc == 0
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), namespace)
+    printed = float(out.getvalue())
+    total = namespace["trace"].final_total
+    assert abs(printed - total) <= 1e-6 * max(1.0, abs(total))

@@ -17,13 +17,12 @@ from mixedbn import (
     DiscretizationPolicy,
     NetworkPolicy,
     PriorSpec,
+    ScoreBreakdown,
     ValidationError,
     candidate_thresholds,
     continuous_component,
-    emission_component,
-    interval_count_log_prior,
+    continuous_terms,
     network_score,
-    policy_log_prior,
 )
 from mixedbn import scoring
 from mixedbn.graph import empty_structure, validate_dag
@@ -78,6 +77,14 @@ class TestPriorSpec:
             PriorSpec(policy_prior="poisson", poisson_rate=1.5)
         with pytest.raises(ValidationError):
             PriorSpec(density_model="spline")
+
+    @pytest.mark.parametrize("field", ["alpha", "ess"])
+    def test_subnormal_weight_rejected(self, field):
+        """lnΓ of a subnormal weight is inf, so every score would be nan."""
+        tiny = np.finfo(float).tiny
+        assert getattr(PriorSpec(**{field: tiny}), field) == tiny
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            PriorSpec(**{field: tiny / 2})
 
     def test_cell_weight(self):
         assert PriorSpec(alpha=2.0).cell_weight(3, 4) == 2.0
@@ -391,10 +398,10 @@ class TestMultinomialComponent:
 
     def test_emission_dispatch(self):
         policy = DiscretizationPolicy(thresholds=(), lower=0.0, upper=2.0)
-        column = np.array([0.0, 1.0, 2.0])
-        uniform = emission_component(column, policy, PriorSpec())
-        multi = emission_component(
-            column, policy, PriorSpec(density_model="multinomial")
+        ds = continuous_dataset([0.0, 1.0, 2.0])
+        uniform, _ = continuous_terms(ds, 0, policy, PriorSpec())
+        multi, _ = continuous_terms(
+            ds, 0, policy, PriorSpec(density_model="multinomial")
         )
         assert uniform == pytest.approx(-3.0 * math.log(2.0), rel=1e-12)
         assert multi == pytest.approx(math.log(2.0 / 120.0), abs=1e-12)
@@ -403,14 +410,14 @@ class TestMultinomialComponent:
 class TestPolicyPrior:
     def test_uniform_is_zero(self):
         prior = PriorSpec()
-        assert interval_count_log_prior(3, 10, prior, 20) == 0.0
+        assert interval_count_log_priors(3, 10, prior, 20)[-1] == 0.0
 
     def test_poisson_hand_value(self):
         """Rate 2, six cases, four candidates, two intervals."""
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)
         z = 2.0 + 4.0 / 3.0 + 2.0 / 3.0 + 4.0 / 15.0
         expected = math.log(2.0 / z) - math.log(4.0)
-        assert interval_count_log_prior(2, 4, prior, 6) == pytest.approx(
+        assert interval_count_log_priors(2, 4, prior, 6)[-1] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -419,12 +426,13 @@ class TestPolicyPrior:
         n_cases, n_candidates = 9, 20
         total = 0.0
         for r in range(2, n_cases):
-            log_p = interval_count_log_prior(r, n_candidates, prior, n_cases)
+            log_p = interval_count_log_priors(r, n_candidates, prior, n_cases)[-1]
             total += math.exp(log_p) * math.comb(n_candidates, r - 1)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_all_counts_match_single_count(self):
-        """One normalizer for every count gives exactly the per-count values."""
+        """One normalizer for every count gives exactly the per-count values:
+        each count's entry is the last entry of the list capped at it."""
         for prior in (
             PriorSpec(),
             PriorSpec(policy_prior="poisson", poisson_rate=2.5),
@@ -433,7 +441,7 @@ class TestPolicyPrior:
                 r_cap = min(n_candidates + 1, 12)
                 priors = interval_count_log_priors(r_cap, n_candidates, prior, n_cases)
                 assert priors == [
-                    interval_count_log_prior(r, n_candidates, prior, n_cases)
+                    interval_count_log_priors(r, n_candidates, prior, n_cases)[-1]
                     for r in range(1, r_cap + 1)
                 ]
                 if prior.policy_prior == "uniform":
@@ -459,9 +467,7 @@ class TestPolicyPrior:
         scoring._poisson_log_norm.cache_clear()
         first = interval_count_log_priors(6, 10, prior, 40)
         assert interval_count_log_priors(6, 10, prior, 40) == first
-        assert policy_log_prior(
-            DiscretizationPolicy((0.5,), 0.0, 1.0), 10, prior, 40
-        ) == first[1]
+        assert interval_count_log_priors(2, 10, prior, 40)[-1] == first[1]
         info = scoring._poisson_log_norm.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         support = np.arange(2, 40)
@@ -475,25 +481,52 @@ class TestPolicyPrior:
 
     def test_poisson_gives_single_interval_no_mass(self):
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)
-        assert interval_count_log_prior(1, 10, prior, 20) == -math.inf
+        assert interval_count_log_priors(1, 10, prior, 20)[-1] == -math.inf
 
     def test_poisson_truncates_above(self):
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)
-        assert interval_count_log_prior(8, 10, prior, 8) == -math.inf
+        assert interval_count_log_priors(8, 10, prior, 8)[-1] == -math.inf
 
     def test_rate_above_truncation_rejected(self):
         prior = PriorSpec(policy_prior="poisson", poisson_rate=6.0)
         with pytest.raises(ValidationError):
-            interval_count_log_prior(2, 10, prior, 4)
+            interval_count_log_priors(2, 10, prior, 4)
 
     def test_infeasible_threshold_count_rejected(self):
         with pytest.raises(ValidationError):
-            interval_count_log_prior(5, 2, PriorSpec(), 20)
+            interval_count_log_priors(5, 2, PriorSpec(), 20)
 
-    def test_trivial_policy_prior_is_zero(self):
+    def test_continuous_terms_refuse_a_discrete_variable(self):
+        ds = mixed_dataset([("d", [0, 1, 2, 1], 3), ("c", [0.0, 1.0, 2.0, 3.0], None)])
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)
-        policy = DiscretizationPolicy.identity(3)
-        assert policy_log_prior(policy, 10, prior, 20) == 0.0
+        with pytest.raises(ValidationError, match="discrete"):
+            continuous_terms(ds, 0, DiscretizationPolicy.identity(3), prior)
+
+    @pytest.mark.parametrize("density", ["uniform", "multinomial"])
+    @pytest.mark.parametrize("policy_prior", ["uniform", "poisson"])
+    def test_continuous_terms_are_the_components(self, density, policy_prior):
+        """The emission under the prior's density model and the last entry
+        of the interval-count priors, bit for bit, and exactly what
+        network_score reports for every continuous variable."""
+        prior = PriorSpec(policy_prior=policy_prior, density_model=density)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            ds = random_mixed_dataset(rng, n_vars=5, n_cases=30)
+            policy = random_network_policy(rng, ds)
+            structure = validate_dag(random_parent_sets(rng, ds.n_variables))
+            breakdown = network_score(policy, structure, ds, prior)
+            for i in ds.continuous_indices():
+                column, pol = ds.column(i), policy[i]
+                if density == "multinomial":
+                    emission = multinomial_component(column, pol, prior)
+                else:
+                    emission = continuous_component(column, pol)
+                log_prior = interval_count_log_priors(
+                    pol.arity, len(ds.candidate_thresholds(i)), prior, ds.n_cases
+                )[-1]
+                assert continuous_terms(ds, i, pol, prior) == (emission, log_prior)
+                assert breakdown.emission[i] == emission
+                assert breakdown.log_prior[i] == log_prior
 
 
 class TestUnivariateScore:
@@ -559,6 +592,20 @@ class TestNetworkScore:
                 policy, structure, shuffled_dataset(ds, rng), prior
             ).total
             assert after == pytest.approx(before, abs=1e-12)
+
+    def test_finite_total_names_the_term_that_is_not_finite(self):
+        names = ("a", "b", "c")
+        finite = np.zeros(3)
+        no_mass = ScoreBreakdown(finite, finite, np.array([0.0, -math.inf, -1.0]))
+        with pytest.raises(ValidationError) as err:
+            no_mass.finite_total(names, "policy")
+        assert "the policy of 'b' has no mass under the policy prior" in str(err.value)
+        nan = ScoreBreakdown(finite, np.array([0.0, -1.0, math.nan]), finite)
+        with pytest.raises(ValidationError) as err:
+            nan.finite_total(names, "policy")
+        assert "the discrete term of 'c' is nan" in str(err.value)
+        assert "policy prior" not in str(err.value)
+        assert ScoreBreakdown(finite, finite, finite).finite_total(names, "") == 0.0
 
     def test_to_obj_is_json_ready(self):
         import json

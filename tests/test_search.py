@@ -25,8 +25,8 @@ from mixedbn import (
     PriorSpec,
     SearchConfig,
     ValidationError,
+    continuous_terms,
     coordinate_ascent,
-    emission_component,
     hill_climb_structure,
     initial_policy,
     network_score,
@@ -351,7 +351,7 @@ class TestCutProblem:
             policy = DiscretizationPolicy(
                 tuple(float(cands[c - 1]) for c in cuts), lo, hi
             )
-            want = emission_component(ds.column(0), policy, prior)
+            want, _ = continuous_terms(ds, 0, policy, prior)
             assert got == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("rows", [1, 3, None])
