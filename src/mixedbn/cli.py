@@ -3,7 +3,12 @@
 Four commands: ``discretize`` fits policies under a fixed empty structure,
 ``learn`` searches structure and policies jointly, ``score`` evaluates a
 given structure and policy pair, and ``simulate`` draws synthetic data from
-a known mechanism.  Exit codes: 0 on success, 2 on bad input or flags, 3 on
+a known mechanism.  ``learn`` and ``discretize`` share one path,
+:func:`_search`: load the data, run the search, and check its running total
+against a fresh network score; they differ only in the search they run.
+``learn``, ``discretize`` and ``simulate`` write their artifacts and run
+manifest through one writer, :func:`_write_run`, which names every path
+after ``--out``.  Exit codes: 0 on success, 2 on bad input or flags, 3 on
 an internal invariant failure.  Given identical inputs and flags every
 artifact except the run manifest (which carries timing) is byte-identical
 across runs.
@@ -22,7 +27,6 @@ from pathlib import Path
 from .dataset import (
     Dataset,
     InternalError,
-    NetworkPolicy,
     ValidationError,
     discretize_all,
     load_dataset,
@@ -43,7 +47,6 @@ from .scoring import BDEU, K2, POISSON_PRIOR, PriorSpec, network_score
 from .search import (
     InitSpec,
     SearchConfig,
-    SearchTrace,
     coordinate_ascent,
     hill_climb_structure,
     initial_policy,
@@ -199,24 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _csv_text(names, rows) -> str:
+def _csv_text(names, matrix, cell) -> str:
+    """A header row, then one line per row of ``matrix``, each entry
+    written by ``cell``."""
     lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(row))
+    lines += [",".join(map(cell, row)) for row in matrix.tolist()]
     return "\n".join(lines) + "\n"
-
-
-def _float_cell(v: float) -> str:
-    return repr(float(v))
 
 
 def structure_to_obj(structure: DagStructure, names) -> dict:
@@ -251,145 +246,111 @@ def load_structure(path, dataset: Dataset) -> DagStructure:
     return structure_from_obj(read_json(path, "structure"), dataset)
 
 
-def _manifest(
-    command: str,
-    args_inputs: dict,
-    outputs: dict,
-    prior: PriorSpec | None,
-    config: SearchConfig | None,
-    extra: dict,
-    started: float,
-) -> dict:
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": args_inputs,
-        "outputs": {k: str(v) for k, v in outputs.items()},
-        "duration_seconds": time.perf_counter() - started,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    if prior is not None:
-        manifest["prior"] = dataclasses.asdict(prior)
-    if config is not None:
-        manifest["search"] = dataclasses.asdict(config)
-    manifest.update(extra)
-    return manifest
+def _load_data(args: argparse.Namespace) -> Dataset:
+    schema = load_schema(args.schema) if args.schema else None
+    return load_dataset(args.data, schema)
 
 
-def _score_drift(total: float, trace: SearchTrace) -> float:
-    """Fresh total minus the search's running total; raises when they part."""
+def _search(args: argparse.Namespace, command: str, run):
+    """Load the data, run ``run(dataset, prior, config)`` to get a
+    structure, a policy and a trace, and check the trace's running total
+    against a fresh network score before anything is written.
+
+    Returns the dataset, structure, policy and trace, and the manifest
+    fields every search command records.
+    """
+    dataset = _load_data(args)
+    prior = _prior_from_args(args)
+    config = _config_from_args(args)
+    structure, policy, trace = run(dataset, prior, config)
+    total = network_score(policy, structure, dataset, prior).total
     drift = total - trace.final_total
     if not abs(drift) <= 1e-6 * max(1.0, abs(total)):
         raise InternalError(
             f"search running total {trace.final_total!r} is {drift!r} away "
             f"from the fresh network score {total!r}"
         )
-    return drift
+    manifest = {
+        "command": command,
+        "inputs": {"data": args.data, "schema": args.schema},
+        "prior": dataclasses.asdict(prior),
+        "search": dataclasses.asdict(config),
+        "total_score": total,
+        "score_drift": drift,
+        "termination": trace.termination,
+        "n_cases": dataset.n_cases,
+        "n_variables": dataset.n_variables,
+        "stats": dataclasses.asdict(trace.stats),
+    }
+    return dataset, structure, policy, trace, manifest
 
 
-def _load_data(args: argparse.Namespace) -> Dataset:
-    schema = load_schema(args.schema) if args.schema else None
-    return load_dataset(args.data, schema)
+def _write_run(
+    out: str, texts: list[tuple[str, str | None, str]], manifest: dict, started: float
+) -> dict[str, Path]:
+    """Write a command's artifacts, then its manifest; return their paths.
+
+    ``texts`` holds ``(name, suffix, text)`` triples.  Each path is the
+    ``--out`` prefix, less a trailing ``.json``, plus its suffix; a suffix
+    of None names ``--out`` itself.  The manifest adds every path and the
+    time since ``started``, taken after the artifact writes.
+    """
+    out_path = Path(out)
+    prefix = out_path.with_suffix("") if out_path.suffix == ".json" else out_path
+    paths = {
+        name: out_path if suffix is None else prefix.with_name(prefix.name + suffix)
+        for name, suffix, _ in texts
+    }
+    paths["manifest"] = prefix.with_name(prefix.name + ".manifest.json")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    for name, _, text in texts:
+        paths[name].write_text(text, encoding="utf-8")
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        **manifest,
+        "outputs": {name: str(path) for name, path in paths.items()},
+        "duration_seconds": time.perf_counter() - started,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
+    paths["manifest"].write_text(_json(manifest), encoding="utf-8")
+    return paths
 
 
-def _out_prefix(out: str) -> Path:
-    path = Path(out)
-    if path.suffix == ".json":
-        path = path.with_suffix("")
-    return path
-
-
-def _discretized_csv(dataset: Dataset, policy: NetworkPolicy) -> str:
-    codes = discretize_all(dataset, policy)
-    rows = [[str(int(v)) for v in row] for row in codes]
-    return _csv_text(dataset.names, rows)
+def _discretize_run(dataset: Dataset, prior: PriorSpec, config: SearchConfig):
+    structure = empty_structure(dataset.n_variables)
+    policy = initial_policy(dataset, config)
+    policy, trace = coordinate_ascent(policy, structure, dataset, prior, config)
+    return structure, policy, trace
 
 
 def cmd_discretize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    dataset = _load_data(args)
-    prior = _prior_from_args(args)
-    config = _config_from_args(args)
-    structure = empty_structure(dataset.n_variables)
-    policy = initial_policy(dataset, config)
-    policy, trace = coordinate_ascent(policy, structure, dataset, prior, config)
-    total = network_score(policy, structure, dataset, prior).total
-    drift = _score_drift(total, trace)
-
-    out = Path(args.out)
-    prefix = _out_prefix(args.out)
-    data_path = prefix.with_name(prefix.name + ".data.csv")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.json")
-    _write_json(out, policy_to_obj(policy, dataset.names))
-    _write_text(data_path, _discretized_csv(dataset, policy))
-    outputs = {"policy": out, "data": data_path, "manifest": manifest_path}
-    _write_json(
-        manifest_path,
-        _manifest(
-            "discretize",
-            {"data": args.data, "schema": args.schema},
-            outputs,
-            prior,
-            config,
-            {
-                "total_score": total,
-                "score_drift": drift,
-                "termination": trace.termination,
-                "n_cases": dataset.n_cases,
-                "n_variables": dataset.n_variables,
-                "stats": dataclasses.asdict(trace.stats),
-            },
-            started,
-        ),
-    )
-    print(f"wrote {out} (total score {total:.6f})")
+    dataset, _, policy, _, manifest = _search(args, "discretize", _discretize_run)
+    codes = discretize_all(dataset, policy)
+    paths = _write_run(args.out, [
+        ("policy", None, _json(policy_to_obj(policy, dataset.names))),
+        ("data", ".data.csv", _csv_text(dataset.names, codes, str)),
+    ], manifest, started)
+    print(f"wrote {paths['policy']} (total score {manifest['total_score']:.6f})")
     return 0
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    dataset = _load_data(args)
-    prior = _prior_from_args(args)
-    config = _config_from_args(args)
-    structure, policy, trace = hill_climb_structure(dataset, prior, config)
-    total = network_score(policy, structure, dataset, prior).total
-    drift = _score_drift(total, trace)
-
-    prefix = _out_prefix(args.out)
-    paths = {
-        "structure": prefix.with_name(prefix.name + ".structure.json"),
-        "dot": prefix.with_name(prefix.name + ".structure.dot"),
-        "policy": prefix.with_name(prefix.name + ".policy.json"),
-        "trace": prefix.with_name(prefix.name + ".trace.jsonl"),
-        "manifest": prefix.with_name(prefix.name + ".manifest.json"),
-    }
-    _write_json(paths["structure"], structure_to_obj(structure, dataset.names))
-    _write_text(paths["dot"], to_dot(structure, dataset.names))
-    _write_json(paths["policy"], policy_to_obj(policy, dataset.names))
-    _write_text(paths["trace"], trace.to_jsonl())
-    _write_json(
-        paths["manifest"],
-        _manifest(
-            "learn",
-            {"data": args.data, "schema": args.schema},
-            paths,
-            prior,
-            config,
-            {
-                "total_score": total,
-                "score_drift": drift,
-                "termination": trace.termination,
-                "n_cases": dataset.n_cases,
-                "n_variables": dataset.n_variables,
-                "n_edges": len(structure.edges()),
-                "stats": dataclasses.asdict(trace.stats),
-            },
-            started,
-        ),
+    dataset, structure, policy, trace, manifest = _search(
+        args, "learn", hill_climb_structure
     )
+    manifest["n_edges"] = len(structure.edges())
+    names = dataset.names
+    paths = _write_run(args.out, [
+        ("structure", ".structure.json", _json(structure_to_obj(structure, names))),
+        ("dot", ".structure.dot", to_dot(structure, names)),
+        ("policy", ".policy.json", _json(policy_to_obj(policy, names))),
+        ("trace", ".trace.jsonl", trace.to_jsonl()),
+    ], manifest, started)
     print(
-        f"learned {len(structure.edges())} edges "
-        f"(total score {total:.6f}); wrote {paths['structure']}"
+        f"learned {manifest['n_edges']} edges "
+        f"(total score {manifest['total_score']:.6f}); wrote {paths['structure']}"
     )
     return 0
 
@@ -402,11 +363,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     breakdown = network_score(policy, structure, dataset, prior)
     # Infinity is not JSON.
     breakdown.finite_total(dataset.names, "policy")
-    obj = breakdown.to_obj(dataset.names)
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    print(text)
+    text = _json(breakdown.to_obj(dataset.names))
+    print(text, end="")
     if args.out:
-        _write_text(Path(args.out), text + "\n")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
     return 0
 
 
@@ -436,32 +398,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         mechanism = dataclasses.replace(mechanism, seed=args.seed)
     dataset, latent = sample_dataset(mechanism, args.n)
 
-    prefix = _out_prefix(args.out)
-    paths = {
-        "data": prefix.with_name(prefix.name + ".csv"),
-        "latent": prefix.with_name(prefix.name + ".latent.csv"),
-        "schema": prefix.with_name(prefix.name + ".schema.json"),
-        "mechanism": prefix.with_name(prefix.name + ".mechanism.json"),
-        "manifest": prefix.with_name(prefix.name + ".manifest.json"),
-    }
-    value_rows = [[_float_cell(v) for v in row] for row in dataset.values]
-    latent_rows = [[str(int(v)) for v in row] for row in latent]
-    _write_text(paths["data"], _csv_text(dataset.names, value_rows))
-    _write_text(paths["latent"], _csv_text(dataset.names, latent_rows))
-    _write_json(paths["schema"], schema_to_obj(dataset.variables))
-    _write_json(paths["mechanism"], mechanism_to_obj(mechanism))
-    _write_json(
-        paths["manifest"],
-        _manifest(
-            "simulate",
-            {"mechanism": args.mechanism, "random": args.random, "n": args.n},
-            paths,
-            None,
-            None,
-            {"seed": mechanism.seed, "n_variables": mechanism.n},
-            started,
-        ),
-    )
+    paths = _write_run(args.out, [
+        ("data", ".csv", _csv_text(dataset.names, dataset.values, repr)),
+        ("latent", ".latent.csv", _csv_text(dataset.names, latent, str)),
+        ("schema", ".schema.json", _json(schema_to_obj(dataset.variables))),
+        ("mechanism", ".mechanism.json", _json(mechanism_to_obj(mechanism))),
+    ], {
+        "command": "simulate",
+        "inputs": {"mechanism": args.mechanism, "random": args.random, "n": args.n},
+        "seed": mechanism.seed,
+        "n_variables": mechanism.n,
+    }, started)
     print(f"wrote {paths['data']} ({args.n} cases, {mechanism.n} variables)")
     return 0
 

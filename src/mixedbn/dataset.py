@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,7 +49,7 @@ class VariableMeta:
 
     name: str
     kind: str
-    column_index: int = 0
+    _: KW_ONLY
     arity: int | None = None
     bounds: tuple[float, float] | None = None
 
@@ -175,7 +175,9 @@ def candidate_thresholds(column: np.ndarray) -> np.ndarray:
     A constant column has no candidates.
     """
     u = np.unique(np.asarray(column, dtype=np.float64))
-    mids = 0.5 * (u[:-1] + u[1:])
+    # Halving first cannot overflow, and halving a normal float is exact,
+    # so each midpoint rounds as the halved sum would.
+    mids = 0.5 * u[:-1] + 0.5 * u[1:]
     # Guard against adjacent representables collapsing onto an endpoint.
     keep = (mids > u[:-1]) & (mids < u[1:])
     return mids[keep]
@@ -242,11 +244,6 @@ class Dataset:
             if meta.name in seen:
                 raise ValidationError(f"duplicate variable name {meta.name!r}")
             seen.add(meta.name)
-            if meta.column_index != idx:
-                raise ValidationError(
-                    f"variable {meta.name!r} declares column {meta.column_index} "
-                    f"but sits at position {idx}"
-                )
             col = data[:, idx]
             if not np.isfinite(col).all():
                 raise ValidationError(
@@ -443,12 +440,12 @@ def read_json(source, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _infer_meta(name: str, index: int, col: np.ndarray) -> VariableMeta:
+def _infer_meta(name: str, col: np.ndarray) -> VariableMeta:
     integral = bool((col == np.floor(col)).all())
     if integral and col.min() >= 0 and col.max() < INFER_MAX_DISTINCT:
         arity = max(int(col.max()) + 1, 2)
-        return VariableMeta(name, DISCRETE, index, arity=arity)
-    return VariableMeta(name, CONTINUOUS, index)
+        return VariableMeta(name, DISCRETE, arity=arity)
+    return VariableMeta(name, CONTINUOUS)
 
 
 def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Dataset:
@@ -506,7 +503,7 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
     values = np.asarray(rows, dtype=np.float64)
 
     if schema is None:
-        metas = [_infer_meta(n, i, values[:, i]) for i, n in enumerate(names)]
+        metas = [_infer_meta(n, values[:, i]) for i, n in enumerate(names)]
     else:
         by_name = {m.name: m for m in schema}
         if len(by_name) != len(schema):
@@ -517,12 +514,7 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
             raise ValidationError(
                 f"schema does not match header: missing {missing}, extra {extra}"
             )
-        metas = [
-            VariableMeta(
-                m.name, m.kind, i, arity=m.arity, bounds=m.bounds
-            )
-            for i, m in enumerate(by_name[n] for n in names)
-        ]
+        metas = [by_name[n] for n in names]
     return Dataset(metas, values)
 
 
@@ -554,7 +546,6 @@ def load_schema(source) -> list[VariableMeta]:
                 VariableMeta(
                     str(entry["name"]),
                     str(entry["kind"]),
-                    pos,
                     arity=entry.get("arity"),
                     bounds=bounds,
                 )

@@ -150,7 +150,6 @@ def sample_dataset(
         VariableMeta(
             name,
             CONTINUOUS,
-            idx,
             bounds=(mechanism.policies[idx].lower, mechanism.policies[idx].upper),
         )
         for idx, name in enumerate(mechanism.names())

@@ -93,10 +93,22 @@ class PriorSpec:
             )
 
     def cell_weight(self, r: int, q: int) -> float:
-        """Dirichlet pseudo-count per cell of an ``r`` by ``q`` family."""
+        """Dirichlet pseudo-count per cell of an ``r`` by ``q`` family.
+
+        A weight below the smallest normal float raises ValidationError
+        naming ``ess``.  An array of sizes ``r`` is not checked: its caller
+        checks the largest size once.
+        """
         if self.dirichlet_mode == K2:
             return self.alpha
-        return self.ess / (r * q)
+        weight = self.ess / (r * q)
+        if isinstance(weight, float) and not weight >= _MIN_WEIGHT:
+            raise ValidationError(
+                f"ess {self.ess} leaves each cell of a {r} by {q} family a "
+                f"pseudo-count of {weight}, below {_MIN_WEIGHT}, the smallest "
+                "normal float; ess must be larger"
+            )
+        return weight
 
 
 def _code_column(codes: np.ndarray, j: int, arity: int) -> np.ndarray:

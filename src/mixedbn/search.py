@@ -301,6 +301,9 @@ class _CutProblem:
 
         if prior.density_model == MULTINOMIAL_DENSITY:
             d_pos, seen = dataset.distinct_prefixes(i)
+            # The emission's smallest pseudo-count is that of one interval
+            # holding every distinct value; cell_weight checks it here.
+            prior.cell_weight(int(d_pos[-1]), 1)
             self.d_pos = d_pos.astype(np.float64)
             self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
         self._luts: dict[float, np.ndarray] = {}

@@ -30,7 +30,6 @@ def continuous_dataset(values, bounds=None, names=None):
         VariableMeta(
             name=names[i],
             kind="continuous",
-            column_index=i,
             bounds=None if bounds is None else tuple(bounds[i]),
         )
         for i in range(n)
@@ -51,14 +50,14 @@ def mixed_dataset(spec):
         if kind == "d":
             variables.append(
                 VariableMeta(
-                    name=f"x{i + 1}", kind="discrete", column_index=i,
+                    name=f"x{i + 1}", kind="discrete",
                     arity=int(extra),
                 )
             )
         else:
             variables.append(
                 VariableMeta(
-                    name=f"x{i + 1}", kind="continuous", column_index=i,
+                    name=f"x{i + 1}", kind="continuous",
                     bounds=None if extra is None else tuple(extra),
                 )
             )
@@ -122,7 +121,7 @@ def odd_columns_discrete(mechanism, n_cases):
     for i in range(1, mechanism.n, 2):
         values[:, i] = codes[:, i]
         variables[i] = VariableMeta(
-            name=variables[i].name, kind="discrete", column_index=i,
+            name=variables[i].name, kind="discrete",
             arity=mechanism.policies[i].arity,
         )
     return Dataset(variables=tuple(variables), values=values)

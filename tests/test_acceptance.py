@@ -373,9 +373,7 @@ class TestAcceptance:
         def latent_dataset(mech, n_cases):
             _, codes = sample_dataset(mech, n_cases)
             variables = tuple(
-                VariableMeta(
-                    name=f"x{i + 1}", kind="discrete", column_index=i, arity=2
-                )
+                VariableMeta(name=f"x{i + 1}", kind="discrete", arity=2)
                 for i in range(2)
             )
             return Dataset(

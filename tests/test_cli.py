@@ -465,18 +465,44 @@ class TestLearn:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: continuous column 'a'")
 
-    def test_internal_error_exit_code(self, tmp_path, monkeypatch):
+    def test_subnormal_bdeu_cell_weight_is_a_data_error(self, tmp_path, capsys):
+        # ess itself is normal, but ess / (r q) is not for a family of three
+        # intervals or more.
+        prefix = simulate(tmp_path, n=400, seed=7, random="3,2,1")
+        capsys.readouterr()
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv", "--ess", "3e-308",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ess 3e-308 ")
+        assert not (tmp_path / "fit.manifest.json").exists()
+
+    def test_column_near_the_float64_maximum_keeps_its_cuts(self, tmp_path):
+        data = tmp_path / "big.csv"
+        data.write_text("a,b\n1e308,0.5\n1.5e308,0.25\n1.7e308,0.75\n")
+        rc = run_cli("learn", "--data", str(data), "--out", str(tmp_path / "fit"))
+        assert rc == 0
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("learn", "hill_climb_structure"), ("discretize", "coordinate_ascent")],
+    )
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch, command, target):
+        # The CLI looks each search up at call time, so a replacement (or
+        # perfbench's tracer) sees every call.
         prefix = simulate(tmp_path)
 
         def boom(*args, **kwargs):
             raise InternalError("induced failure")
 
-        monkeypatch.setattr("mixedbn.cli.hill_climb_structure", boom)
+        monkeypatch.setattr(f"mixedbn.cli.{target}", boom)
         rc = run_cli(
-            "learn", "--data", str(prefix) + ".csv",
+            command, "--data", str(prefix) + ".csv",
             "--out", str(tmp_path / "fit"),
         )
         assert rc == 3
+        assert not list(tmp_path.glob("fit*"))
 
     def test_search_options_pinned(self, tmp_path):
         prefix = simulate(tmp_path)
@@ -502,6 +528,55 @@ class TestLearn:
         assert set(manifest["search"]) == {
             f.name for f in dataclasses.fields(SearchConfig)
         }
+
+
+LEARN_OUTPUTS = {
+    "structure": "fit.structure.json", "dot": "fit.structure.dot",
+    "policy": "fit.policy.json", "trace": "fit.trace.jsonl",
+    "manifest": "fit.manifest.json",
+}
+SIMULATE_OUTPUTS = {
+    "data": "sim.csv", "latent": "sim.latent.csv", "schema": "sim.schema.json",
+    "mechanism": "sim.mechanism.json", "manifest": "sim.manifest.json",
+}
+RUN_KEYS = {"schema_version", "command", "inputs", "outputs", "duration_seconds",
+            "created_utc"}
+SEARCH_KEYS = RUN_KEYS | {
+    "prior", "search", "total_score", "score_drift", "termination", "n_cases",
+    "n_variables", "stats",
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command, out, outputs, keys", [
+        ("learn", "fit", LEARN_OUTPUTS, SEARCH_KEYS | {"n_edges"}),
+        ("learn", "fit.json", LEARN_OUTPUTS, SEARCH_KEYS | {"n_edges"}),
+        ("discretize", "fit",
+         {"policy": "fit", "data": "fit.data.csv", "manifest": "fit.manifest.json"},
+         SEARCH_KEYS),
+        ("discretize", "fit.json",
+         {"policy": "fit.json", "data": "fit.data.csv",
+          "manifest": "fit.manifest.json"},
+         SEARCH_KEYS),
+        ("simulate", "sim", SIMULATE_OUTPUTS, RUN_KEYS | {"seed", "n_variables"}),
+        ("simulate", "sim.json", SIMULATE_OUTPUTS, RUN_KEYS | {"seed", "n_variables"}),
+    ])
+    def test_paths_follow_out_into_a_new_directory(
+        self, tmp_path, command, out, outputs, keys
+    ):
+        prefix = simulate(tmp_path, name="input")
+        if command == "simulate":
+            flags = ["--random", "3,2,2", "--n", "40", "--seed", "5"]
+        else:
+            flags = ["--data", str(prefix) + ".csv"]
+        target = tmp_path / "new" / "dir"
+        assert run_cli(command, *flags, "--out", str(target / out)) == 0
+        assert sorted(p.name for p in target.iterdir()) == sorted(outputs.values())
+        manifest = json.loads((target / outputs["manifest"]).read_text())
+        assert manifest["outputs"] == {
+            name: str(target / file) for name, file in outputs.items()
+        }
+        assert set(manifest) == keys
 
 
 class TestScore:

@@ -59,6 +59,10 @@ class TestVariableMeta:
         with pytest.raises(ValidationError):
             VariableMeta(name="a", kind="ordinal")
 
+    def test_arity_and_bounds_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            VariableMeta("a", "discrete", 2)
+
 
 class TestDiscretizationPolicy:
     def test_arity_counts_intervals(self):
@@ -194,6 +198,12 @@ class TestCandidateThresholds:
         x = np.array([3.0, 1.0, 2.0, 1.0, 5.0])
         assert len(candidate_thresholds(x)) == len(set(x.tolist())) - 1
 
+    def test_midpoints_near_the_float64_maximum(self):
+        """The sum of two neighbours may overflow where their midpoint does
+        not; the midpoints are kept all the same."""
+        x = np.array([1e308, 1.5e308, 1.7e308])
+        assert candidate_thresholds(x).tolist() == [1.25e308, 1.6e308]
+
 
 class TestDataset:
     def test_basic_accessors(self):
@@ -214,28 +224,28 @@ class TestDataset:
             ds.index_of("nope")
 
     def test_rejects_duplicate_names(self):
-        var = VariableMeta(name="a", kind="continuous", column_index=0)
-        var2 = VariableMeta(name="a", kind="continuous", column_index=1)
+        var = VariableMeta(name="a", kind="continuous")
+        var2 = VariableMeta(name="a", kind="continuous")
         with pytest.raises(ValidationError):
             Dataset(variables=(var, var2), values=np.zeros((2, 2)))
 
     def test_rejects_shape_mismatch(self):
-        var = VariableMeta(name="a", kind="continuous", column_index=0)
+        var = VariableMeta(name="a", kind="continuous")
         with pytest.raises(ValidationError):
             Dataset(variables=(var,), values=np.zeros((2, 2)))
 
     def test_rejects_empty(self):
-        var = VariableMeta(name="a", kind="continuous", column_index=0)
+        var = VariableMeta(name="a", kind="continuous")
         with pytest.raises(ValidationError):
             Dataset(variables=(var,), values=np.zeros((0, 1)))
 
     def test_rejects_nonfinite(self):
-        var = VariableMeta(name="a", kind="continuous", column_index=0)
+        var = VariableMeta(name="a", kind="continuous")
         with pytest.raises(ValidationError):
             Dataset(variables=(var,), values=np.array([[np.nan]]))
 
     def test_discrete_values_must_be_integral_codes(self):
-        var = VariableMeta(name="a", kind="discrete", column_index=0, arity=2)
+        var = VariableMeta(name="a", kind="discrete", arity=2)
         with pytest.raises(ValidationError):
             Dataset(variables=(var,), values=np.array([[0.5]]))
         with pytest.raises(ValidationError):
@@ -249,14 +259,12 @@ class TestDataset:
         ids=["observed", "declared"],
     )
     def test_rejects_a_span_wider_than_float64(self, column, bounds):
-        var = VariableMeta(name="a", kind="continuous", column_index=0, bounds=bounds)
+        var = VariableMeta(name="a", kind="continuous", bounds=bounds)
         with pytest.raises(ValidationError, match="continuous column 'a' spans"):
             Dataset(variables=(var,), values=np.array(column)[:, None])
 
     def test_declared_bounds_must_cover_data(self):
-        var = VariableMeta(
-            name="a", kind="continuous", column_index=0, bounds=(0.0, 1.0)
-        )
+        var = VariableMeta(name="a", kind="continuous", bounds=(0.0, 1.0))
         with pytest.raises(ValidationError) as err:
             Dataset(variables=(var,), values=np.array([[0.5], [1.5]]))
         assert "a" in str(err.value)
@@ -403,13 +411,13 @@ class TestLoadDataset:
 
     def test_schema_overrides_inference(self):
         schema = [
-            VariableMeta(name="a", kind="continuous", column_index=0),
+            VariableMeta(name="a", kind="continuous"),
         ]
         ds = load_dataset(io.StringIO("a\n0\n1\n"), schema)
         assert ds.variables[0].kind == "continuous"
 
     def test_schema_name_mismatch(self):
-        schema = [VariableMeta(name="z", kind="continuous", column_index=0)]
+        schema = [VariableMeta(name="z", kind="continuous")]
         with pytest.raises(ValidationError):
             load_dataset(io.StringIO("a\n0\n1\n"), schema)
 

@@ -90,6 +90,14 @@ class TestPriorSpec:
         assert PriorSpec(alpha=2.0).cell_weight(3, 4) == 2.0
         assert PriorSpec(dirichlet_mode="bdeu", ess=6.0).cell_weight(3, 2) == 1.0
 
+    def test_subnormal_cell_weight_rejected(self):
+        """A normal ess may still leave a large family a subnormal weight."""
+        tiny = np.finfo(float).tiny
+        prior = PriorSpec(dirichlet_mode="bdeu", ess=6 * tiny)
+        assert prior.cell_weight(3, 2) == tiny
+        with pytest.raises(ValidationError, match="^ess "):
+            prior.cell_weight(3, 4)
+
 
 class TestOneFamilyScore:
     def test_hand_example(self):

@@ -78,10 +78,7 @@ def with_twin(ds):
     edits touching either score alike."""
     values = ds.values.copy()
     values[:, -1] = values[:, 0]
-    last = ds.n_variables - 1
-    twin = dataclasses.replace(
-        ds.variables[0], name=ds.variables[last].name, column_index=last
-    )
+    twin = dataclasses.replace(ds.variables[0], name=ds.variables[-1].name)
     return Dataset(variables=(*ds.variables[:-1], twin), values=values)
 
 
