@@ -1,11 +1,12 @@
 """Command line front end.
 
-Four commands: ``discretize`` fits policies under a fixed empty structure,
-``learn`` searches structure and policies jointly, ``score`` evaluates a
-given structure and policy pair, and ``simulate`` draws synthetic data from
-a known mechanism.  ``learn`` and ``discretize`` share one path,
-:func:`_search`: load the data, run the search, and check its running total
-against a fresh network score; they differ only in the search they run.
+Four commands: ``discretize`` fits policies under a fixed structure, the
+empty one unless ``--structure`` names one, ``learn`` searches structure
+and policies jointly, ``score`` evaluates a given structure and policy
+pair, and ``simulate`` draws synthetic data from a known mechanism.
+``learn`` and ``discretize`` share one path, :func:`_search`: load the
+data, run the search, and check its running total against a fresh network
+score; they differ only in the search they run.
 ``learn``, ``discretize`` and ``simulate`` write their artifacts and run
 manifest through one writer, :func:`_write_run`, which names every path
 after ``--out``.  Exit codes: 0 on success, 2 on bad input or flags, 3 on
@@ -167,11 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "discretize", help="fit threshold policies under the empty structure"
+        "discretize", help="fit threshold policies under a fixed structure"
     )
     _add_data_flags(p)
     _add_scoring_flags(p)
     _add_search_flags(p)
+    p.add_argument(
+        "--structure", default=None,
+        help="structure JSON path (default: the empty structure)",
+    )
     p.add_argument("--out", required=True, help="policy JSON output path")
 
     p = sub.add_parser("learn", help="search structure and policies jointly")
@@ -316,16 +321,20 @@ def _write_run(
     return paths
 
 
-def _discretize_run(dataset: Dataset, prior: PriorSpec, config: SearchConfig):
-    structure = empty_structure(dataset.n_variables)
-    policy = initial_policy(dataset, config)
-    policy, trace = coordinate_ascent(policy, structure, dataset, prior, config)
-    return structure, policy, trace
-
-
 def cmd_discretize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    dataset, _, policy, _, manifest = _search(args, "discretize", _discretize_run)
+
+    def run(dataset: Dataset, prior: PriorSpec, config: SearchConfig):
+        if args.structure is None:
+            structure = empty_structure(dataset.n_variables)
+        else:
+            structure = load_structure(args.structure, dataset)
+        policy = initial_policy(dataset, config)
+        policy, trace = coordinate_ascent(policy, structure, dataset, prior, config)
+        return structure, policy, trace
+
+    dataset, _, policy, _, manifest = _search(args, "discretize", run)
+    manifest["inputs"]["structure"] = args.structure
     codes = discretize_all(dataset, policy)
     paths = _write_run(args.out, [
         ("policy", None, _json(policy_to_obj(policy, dataset.names))),

@@ -318,37 +318,44 @@ class _CutProblem:
 
     def _emission(self, lo: int, hi: int) -> np.ndarray:
         """Emission cost of the intervals from cuts ``lo..hi-1`` to cuts
-        ``lo+1..M+1``; entries with ``v <= u`` are meaningless."""
+        ``lo+1..M+1``, with ``-inf`` wherever ``v <= u``: every cost block
+        of these rows adds it, so no interval count masks its own."""
         rows, cols = slice(lo, hi), slice(lo + 1, None)
         if self.prior.density_model != MULTINOMIAL_DENSITY:
             # Minus the interval's case count times the log of its width.
-            # Every width at v > u is positive; the cells v <= u, which
-            # _costs masks, skip the log.
+            # Every width at v > u is positive; the cells v <= u, masked
+            # below, skip the log.
             widths = self.values[cols] - self.values[rows, None]
             np.log(widths, out=widths, where=widths > 0)
             emission = self.positions[rows, None] - self.positions[cols]
             emission *= widths
-            return emission
-        counts = np.maximum(self.positions[cols] - self.positions[rows, None], 0.0)
-        # As in multinomial_component, an interval holding k distinct values
-        # gives each a pseudo-count of cell_weight(k, 1).  Its cell terms
-        # group those values by occurrence count c.
-        k = np.maximum(self.d_pos[cols] - self.d_pos[rows, None], 0.0)
-        group = np.maximum(k, 1.0)
-        a = self.prior.cell_weight(group, 1)
-        base = gammaln(a)
-        cells = np.zeros(k.shape)
-        for c, seen in self.occurrence_prefixes:
-            term = gammaln(a + c)
-            term -= base
-            term *= seen[cols] - seen[rows, None]
-            cells += term
-        group_a = a * group
-        margins = gammaln(group_a)
-        margins -= gammaln(group_a + counts)
-        margins += cells
-        margins[k == 0] = 0.0
-        return margins
+        else:
+            counts = self.positions[cols] - self.positions[rows, None]
+            np.maximum(counts, 0.0, out=counts)
+            # As in multinomial_component, an interval holding k distinct
+            # values gives each a pseudo-count of cell_weight(k, 1).  Its cell
+            # terms group those values by occurrence count c.
+            k = np.maximum(self.d_pos[cols] - self.d_pos[rows, None], 0.0)
+            group = np.maximum(k, 1.0)
+            a = self.prior.cell_weight(group, 1)
+            base = gammaln(a)
+            cells = np.zeros(k.shape)
+            for c, seen in self.occurrence_prefixes:
+                term = gammaln(a + c)
+                term -= base
+                term *= seen[cols] - seen[rows, None]
+                cells += term
+            group_a = a * group
+            emission = gammaln(group_a)
+            emission -= gammaln(group_a + counts)
+            emission += cells
+            emission[k == 0] = 0.0
+        height = hi - lo
+        below = self._below.get(height)
+        if below is None:
+            below = self._below[height] = np.tri(height, k=-1, dtype=bool)
+        emission[:, :height][below] = -np.inf
+        return emission
 
     def _slice_terms(
         self, prefix: np.ndarray, a: float, lo: int, hi: int
@@ -399,7 +406,9 @@ class _CutProblem:
 
     def _costs(self, r: int, lo: int, hi: int, emission: np.ndarray) -> np.ndarray:
         """Rows ``lo..hi-1`` of the cost matrix for ``r`` intervals, columns
-        ``lo+1..M+1``, with ``-inf`` wherever ``v <= u``."""
+        ``lo+1..M+1``, with ``-inf`` wherever ``v <= u`` from ``emission``,
+        which every slice term leaves there: no lnΓ table entry is
+        infinite."""
         g = self._slice_terms(
             self.own_prefix, self.prior.cell_weight(r, self.q_own), lo, hi
         )
@@ -408,11 +417,6 @@ class _CutProblem:
             a_cell = self.prior.cell_weight(r_child, r * q_other)
             g += self._slice_terms(cell_prefix, a_cell, lo, hi)
             g -= self._slice_terms(margin_prefix, a_cell * r_child, lo, hi)
-        height = hi - lo
-        below = self._below.get(height)
-        if below is None:
-            below = self._below[height] = np.tri(height, k=-1, dtype=bool)
-        g[:, :height][below] = -np.inf
         return g
 
     def _layers(self, counts: Sequence[int]) -> dict[int, np.ndarray]:
@@ -427,25 +431,32 @@ class _CutProblem:
         builds costs only in the block holding row 0.  That block, the last
         built, is kept for the backtrack.  Every max-plus step adds into one
         buffer, reshaped to each block.
+
+        A step adds the whole contiguous cost block, columns ``lo+1..M+1``,
+        to layer ``k - 1`` at rows ``lo+1..M+1``.  Row ``M+1`` of a layer is
+        never written and stays ``-inf``, and no cost is ``+inf`` or NaN, so
+        the end column's sum is ``-inf``: it never wins a max, nor the
+        backtrack's ``argmax``, and the row needs no strided view.
         """
         m = self.m
         layers = {r: np.full((r, m + 2), -np.inf) for r in counts}
         step = max(1, _BLOCK_FLOATS // (m + 2))
-        buffer = np.empty(min(step, m + 1) * m)
+        buffer = np.empty(min(step, m + 1) * (m + 1))
         for hi in range(m + 1, 0, -step):
             lo = max(0, hi - step)
             emission = self._emission(lo, hi)
-            scores = buffer[: (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+            width = m + 1 - lo
+            scores = buffer[: (hi - lo) * width].reshape(hi - lo, width)
             for r, table in layers.items():
                 if r == 1 and lo > 0:
                     continue
                 g = self._costs(r, lo, hi, emission)
                 table[0, lo:hi] = g[:, -1]
                 for k in range(1, r - 1):
-                    np.add(g[:, :-1], table[k - 1, lo + 1: m + 1], out=scores)
+                    np.add(g, table[k - 1, lo + 1:], out=scores)
                     scores.max(axis=1, initial=-np.inf, out=table[k, lo:hi])
                 if lo == 0 and r > 1:
-                    top = np.add(g[0, :-1], table[r - 2, 1: m + 1], out=buffer[:m])
+                    top = np.add(g[0], table[r - 2, 1:], out=buffer[: m + 1])
                     table[r - 1, 0] = top.max(initial=-np.inf)
         self._kept = (r, g)
         return layers
@@ -473,7 +484,7 @@ class _CutProblem:
         u = 0
         for k in range(r, 1, -1):
             row, first = self._cost_row(cost_r, u)
-            scores = row[:-1] + table[k - 2, first: self.m + 1]
+            scores = row + table[k - 2, first:]
             top = scores.max(initial=-np.inf)
             if not np.isfinite(top):
                 raise InternalError("segmentation backtrack hit an infeasible cut")

@@ -4,8 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from mixedbn import InternalError, SearchConfig, load_dataset, scoring
-from mixedbn.cli import build_parser, load_structure, main
+from mixedbn import (
+    InternalError,
+    PriorSpec,
+    SearchConfig,
+    coordinate_ascent,
+    initial_policy,
+    load_dataset,
+    load_mechanism,
+    network_score,
+    optimize_variable,
+    scoring,
+)
+from mixedbn.cli import build_parser, load_structure, main, structure_to_obj
+from mixedbn.dataset import load_schema, policy_from_obj, policy_to_obj
+from mixedbn.graph import empty_structure
 from mixedbn.search import _SearchState
 
 
@@ -204,6 +217,103 @@ class TestDiscretize:
         for name in ("p.json", "p.data.csv"):
             text = (tmp_path / name).read_text()
             assert "stats" not in text and "solve_hits" not in text
+
+    @staticmethod
+    def true_structure(tmp_path, prefix):
+        """The sampled mechanism's structure, written as a structure JSON."""
+        mechanism = load_mechanism(str(prefix) + ".mechanism.json")
+        path = tmp_path / "true.structure.json"
+        names = mechanism.names()
+        path.write_text(json.dumps(structure_to_obj(mechanism.structure, names)))
+        return mechanism.structure, path
+
+    @pytest.mark.parametrize("flags,prior", [
+        ((), PriorSpec()),
+        (("--ess", "1", "--policy-prior", "poisson:2"),
+         PriorSpec(dirichlet_mode="bdeu", ess=1.0, policy_prior="poisson",
+                   poisson_rate=2.0)),
+    ], ids=["k2", "bdeu-poisson"])
+    def test_structure_matches_coordinate_ascent(self, tmp_path, flags, prior):
+        prefix = simulate(tmp_path, n=60, random="4,2,2")
+        structure, path = self.true_structure(tmp_path, prefix)
+        assert structure.edges()
+        schema = str(prefix) + ".schema.json"
+        out = tmp_path / "p.json"
+        rc = run_cli(
+            "discretize", "--data", str(prefix) + ".csv", "--schema", schema,
+            "--structure", str(path), *flags, "--out", str(out),
+        )
+        assert rc == 0
+        ds = load_dataset(str(prefix) + ".csv", load_schema(schema))
+        config = SearchConfig()
+        want, trace = coordinate_ascent(
+            initial_policy(ds, config), structure, ds, prior, config
+        )
+        assert json.loads(out.read_text()) == policy_to_obj(want, ds.names)
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["prior"] == dataclasses.asdict(prior)
+        assert manifest["inputs"]["structure"] == str(path)
+        assert manifest["total_score"] == network_score(want, structure, ds, prior).total
+        assert manifest["stats"]["solves"] == trace.stats.solves
+
+    def test_default_structure_is_empty(self, tmp_path):
+        prefix = simulate(tmp_path, n=60, random="4,2,2")
+        ds = load_dataset(str(prefix) + ".csv")
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(structure_to_obj(empty_structure(4), ds.names)))
+        texts = []
+        for extra in ((), ("--structure", str(empty))):
+            out = tmp_path / f"p{len(texts)}.json"
+            rc = run_cli("discretize", "--data", str(prefix) + ".csv", *extra,
+                         "--out", str(out))
+            assert rc == 0
+            texts.append(out.read_text())
+            manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+            assert manifest["inputs"]["structure"] == (str(empty) if extra else None)
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"edges": [["x1", "x2"], ["x2", "x1"]]}, "directed cycle"),
+        ({"variables": ["x1", "x2"], "edges": []}, "do not match"),
+        ({"edges": [["x1", "x9"]]}, "unknown variable 'x9'"),
+    ], ids=["cycle", "mismatch", "unknown"])
+    def test_bad_structure_exits_2(self, tmp_path, capsys, payload, message):
+        prefix = simulate(tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run_cli(
+            "discretize", "--data", str(prefix) + ".csv",
+            "--structure", str(path), "--out", str(tmp_path / "p.json"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_true_structure_result_is_a_fixed_point(self, tmp_path):
+        # Each learned policy is optimal given the structure and the others.
+        prefix = simulate(tmp_path, n=80, random="5,2,2", seed=11)
+        structure, path = self.true_structure(tmp_path, prefix)
+        assert structure.edges()
+        schema = str(prefix) + ".schema.json"
+        out = tmp_path / "p.json"
+        rc = run_cli(
+            "discretize", "--data", str(prefix) + ".csv", "--schema", schema,
+            "--structure", str(path), "--out", str(out),
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["termination"] == "converged"
+        ds = load_dataset(str(prefix) + ".csv", load_schema(schema))
+        policy = policy_from_obj(json.loads(out.read_text()), ds)
+        continuous = ds.continuous_indices()
+        assert continuous and any(policy[i].thresholds for i in continuous)
+        for i in continuous:
+            got = optimize_variable(
+                i, policy, structure, ds, PriorSpec(), SearchConfig()
+            )
+            assert got == policy[i], ds.names[i]
 
     @pytest.mark.parametrize("arity", [2.5, "3", True], ids=["float", "string", "bool"])
     def test_non_integer_arity_is_a_data_error(self, tmp_path, capsys, arity):

@@ -516,6 +516,42 @@ class TestBlockedCutProblem:
         self.check(ds, policy, family if with_family else empty_structure(4),
                    mode, policy_prior, density)
 
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("mode,policy_prior,density", PRIOR_COMBINATIONS)
+    def test_full_row_sweep_adds_only_to_minus_inf(
+        self, monkeypatch, rows, mode, policy_prior, density
+    ):
+        # Each max-plus step adds a whole cost row, columns u+1..M+1, to a
+        # layer's rows u+1..M+1.  The end column's sum never wins a max only
+        # while the layers' row M+1 stays -inf and no cost is +inf or NaN.
+        ds, policy, family = self.problem_inputs()
+        m = len(ds.candidate_thresholds(0))
+        if rows is not None:
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+        prior = PriorSpec(
+            dirichlet_mode=mode, alpha=1.5, ess=3.0, policy_prior=policy_prior,
+            poisson_rate=2.0, density_model=density,
+        )
+        problem = cut_problem(0, policy, family, ds, prior)
+        assert family.parents[0] and family.children[0]
+        blocks = []
+        costs = problem._costs
+
+        def spy(r, lo, hi, emission):
+            g = costs(r, lo, hi, emission)
+            blocks.append(g.copy())
+            return g
+
+        monkeypatch.setattr(problem, "_costs", spy)
+        per_count = mode == "bdeu"
+        layers = problem._layers(range(1, 13) if per_count else [12])
+        assert len(blocks) >= (1 if rows is None else m // rows)
+        for g in blocks:
+            assert not np.isnan(g).any() and not np.isposinf(g).any()
+        for table in layers.values():
+            assert table.shape[1] == m + 2
+            assert np.isneginf(table[:, m + 1]).all()
+
     @staticmethod
     def check(ds, policy, structure, mode, policy_prior, density):
         prior = PriorSpec(
