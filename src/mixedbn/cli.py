@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .dataset import (
+    SCHEMA_VERSION,
     Dataset,
     InternalError,
     ValidationError,
@@ -52,8 +53,6 @@ from .search import (
     hill_climb_structure,
     initial_policy,
 )
-
-SCHEMA_VERSION = 1
 
 
 def _parse_policy_prior(text: str) -> tuple[str, float]:
@@ -106,13 +105,15 @@ def _prior_from_args(args: argparse.Namespace) -> PriorSpec:
 
 
 def _config_from_args(args: argparse.Namespace) -> SearchConfig:
+    # discretize scans no edges, so it keeps the edge-scan defaults.
+    learn = args.command == "learn"
+    edge_scan = {"max_parents": args.max_parents, "seed": args.seed} if learn else {}
     return SearchConfig(
         r_max=args.r_max,
         epsilon=args.epsilon,
         max_sweeps=args.max_sweeps,
         init=_parse_init(args.init),
-        max_parents=args.max_parents,
-        seed=args.seed,
+        **edge_scan,
     )
 
 
@@ -148,10 +149,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
         "--init", default="eqfreq:3",
         help="starting discretization: eqfreq:<r0> or eqwidth:<r0>",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="tie-breaking seed (default 0)")
-    parser.add_argument("--max-parents", type=int, default=3,
-                        help="parent count cap per node (default 3)")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -183,6 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_scoring_flags(p)
     _add_search_flags(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="edge-scan tie-breaking seed (default 0)")
+    p.add_argument("--max-parents", type=int, default=3,
+                   help="parent count cap per node (default 3)")
     p.add_argument("--out", required=True, help="output path prefix")
 
     p = sub.add_parser("score", help="evaluate a structure and policy pair")

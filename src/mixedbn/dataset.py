@@ -23,6 +23,7 @@ import numpy as np
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
+SCHEMA_VERSION = 1
 
 # Inference only: when no schema is given, integer-valued columns with
 # values in [0, INFER_MAX_DISTINCT) load as discrete, so an inferred arity
@@ -221,10 +222,10 @@ class Dataset:
     """Immutable table of complete cases over typed columns, stored
     column-major so that reading a column is a contiguous read.
 
-    Continuous columns cache a stable sort permutation, their candidate
-    thresholds, each case's fine code under those cuts and how many cases
-    fall below each cut: column-only inputs that every policy solve of the
-    column reads again.
+    Continuous columns cache their candidate thresholds, each case's fine
+    code under those cuts, and how many cases and distinct values fall
+    below each cut (:meth:`distinct_prefixes`): column-only inputs that
+    every policy solve of the column reads again.
     """
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):
@@ -579,7 +580,7 @@ def policy_to_obj(policy: NetworkPolicy, names: Sequence[str]) -> dict:
             "bounds": [float(pol.lower), float(pol.upper)],
             "trivial": bool(pol.trivial),
         }
-    return {"schema_version": 1, "variables": variables}
+    return {"schema_version": SCHEMA_VERSION, "variables": variables}
 
 
 def _policy_entry(meta: VariableMeta, entry: dict) -> DiscretizationPolicy:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import (
     CONTINUOUS,
+    SCHEMA_VERSION,
     Dataset,
     DiscretizationPolicy,
     ValidationError,
@@ -42,6 +43,8 @@ class Mechanism:
     seed: int
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"mechanism seed must be >= 0, got {self.seed}")
         n = self.structure.n
         if len(self.cpts) != n or len(self.policies) != n:
             raise ValidationError(
@@ -89,6 +92,8 @@ def random_mechanism(
         raise ValidationError(f"arity must be >= 2, got {arity}")
     if max_parents < 0:
         raise ValidationError(f"max_parents must be >= 0, got {max_parents}")
+    if seed < 0:
+        raise ValidationError(f"mechanism seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     parent_sets: list[set[int]] = []
     for i in range(n):
@@ -160,7 +165,7 @@ def sample_dataset(
 def mechanism_to_obj(mechanism: Mechanism) -> dict:
     """JSON-ready form of a mechanism."""
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "seed": mechanism.seed,
         "variables": [
             {

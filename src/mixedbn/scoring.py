@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .dataset import (
+    SCHEMA_VERSION,
     Dataset,
     DiscretizationPolicy,
     NetworkPolicy,
@@ -407,7 +408,8 @@ class ScoreBreakdown:
             }
             for i, name in enumerate(names)
         ]
-        return {"schema_version": 1, "total": self.total, "variables": variables}
+        return {"schema_version": SCHEMA_VERSION, "total": self.total,
+                "variables": variables}
 
     def finite_total(self, names: Sequence[str], whose: str) -> float:
         """The total; when it is not finite, ValidationError naming the

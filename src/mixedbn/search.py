@@ -66,9 +66,9 @@ TIE_TOLERANCE = 1e-9
 # interval count, and solves over thousands of cuts slower.
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
-# headroom: tracemalloc peaks of one solve, less its layer vectors and lnΓ
-# tables, measure 7.2 under the uniform emission and 13.7 under the
-# multinomial one.
+# headroom: the tracemalloc peak of one solve over N = 600 cases, less its
+# layer vectors and lnΓ tables, measures at most 7.1 blocks under the
+# uniform emission and 13.5 under the multinomial one.
 _WORK_BLOCKS = 16
 
 # Edge edit kinds, in the order the edge scan lists them.
@@ -118,6 +118,8 @@ class SearchConfig:
             raise ValidationError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.max_parents < 1:
             raise ValidationError(f"max_parents must be >= 1, got {self.max_parents}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_r_max(self, n_cases: int) -> int:
         if self.r_max is not None:
@@ -139,22 +141,24 @@ class SearchStats:
 
 
 class SearchTrace:
-    """Accepted-update log; totals are nondecreasing by construction."""
+    """Accepted-update log and work counts of one search; totals are
+    nondecreasing by construction."""
 
     def __init__(self) -> None:
         self.records: list[dict] = []
         self.termination: str = ""
-        self.final_total: float = float("nan")
-        self.stats: SearchStats | None = None
+        self.stats = SearchStats()
 
     def add(self, kind: str, **fields) -> None:
         self.records.append({"kind": kind, **fields})
 
-    def extend(self, other: "SearchTrace") -> None:
-        self.records.extend(other.records)
-
     def totals(self) -> list[float]:
         return [r["total"] for r in self.records if "total" in r]
+
+    @property
+    def final_total(self) -> float:
+        """The total at the last record: every search ends on a sweep."""
+        return self.totals()[-1]
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(r, sort_keys=True) for r in self.records]
@@ -379,8 +383,8 @@ class _CutProblem:
             if row[-1] == 0:
                 continue
             # Where v <= u the count is negative, at least -N, and reads some
-            # entry of the table; _costs masks those entries.  Both paths
-            # read the same counts, so one off the table raises IndexError.
+            # entry of the table; _emission's -inf masks those cells.  Both
+            # paths read the same counts, so one off the table raises IndexError.
             # Indexing gathers straight into a new array; np.take with out=
             # would copy through a buffer.
             ends, starts = row[lo + 1:], row[lo:hi]
@@ -586,7 +590,8 @@ def optimize_variable(
 
 
 class _SearchState:
-    """Structure, policy and running total of one search, plus its caches.
+    """Structure, policy, running total and trace of one search, plus its
+    caches.
 
     The code matrix follows the policy one column at a time; it is stored
     column-major, so a family tally reads contiguous columns.  The edge scan
@@ -599,13 +604,12 @@ class _SearchState:
     reads its entries and :meth:`local` its diagonal.  One staleness rule
     guards it: a new parent set at ``v`` makes column ``v`` stale, and a
     policy change at ``w`` makes row ``w``, column ``w`` and the column of
-    every child of ``w`` stale.  :meth:`_fill` is the one way an entry is
-    scored: it tallies and scores the stale entries asked for in one batched
-    pass (:func:`family_tables`, :func:`family_scores`), every score bitwise
-    the one its table gets scored alone.  The cut problem counts through the
-    same tally, so the search has one.  The start fills the diagonal from its
-    network score, and :meth:`apply_edit` keeps the scores the edit moves
-    between the diagonal and the edited entry.
+    every child of ``w`` stale, and the start has every entry stale.
+    :meth:`_fill` is the only code that writes the table: it tallies and
+    scores the stale entries asked for in one batched pass
+    (:func:`family_tables`, :func:`family_scores`), every score bitwise the
+    one its table gets scored alone.  The cut problem counts through the
+    same tally, so the search has one.
 
     A policy solve is memoized on :meth:`solve_key`, exactly what the cut
     problem reads.  That key also decides what to solve again: a policy
@@ -634,21 +638,17 @@ class _SearchState:
         require_policy_mass(dataset, prior, config.resolved_r_max(dataset.n_cases))
         n = dataset.n_variables
         self.codes = np.asfortranarray(discretize_all(dataset, policy))
-        self.arities = list(policy.arities())
         score = network_score(policy, structure, dataset, prior)
         self.total = score.finite_total(dataset.names, "start policy")
-        self.stats = SearchStats()
+        self.trace = SearchTrace()
         self._solves: dict[tuple, DiscretizationPolicy] = {}
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
         self._fresh = np.zeros((2, n, n), dtype=bool)
-        np.fill_diagonal(self._table[1], score.discrete)
-        np.fill_diagonal(self._fresh[1], True)
 
     def set_policy(self, v: int, new: DiscretizationPolicy) -> None:
         self.policy = self.policy.with_policy(v, new)
         self.codes[:, v] = apply_policy(self.dataset.column(v), new)
-        self.arities[v] = new.arity
         self._fresh[:, v] = False
         self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
@@ -667,7 +667,7 @@ class _SearchState:
                 groups.setdefault(entry[2], []).append(entry)
         if groups:
             parents = self.structure.parents
-            tables = family_tables(self.codes, self.arities, [
+            tables = family_tables(self.codes, self.policy.arities(), [
                 (c, parents[c], [parents[c] | {a} if k == 0 else parents[c] - {a}
                                  for k, a, _ in group])
                 for c, group in groups.items()
@@ -675,7 +675,7 @@ class _SearchState:
             refilled = tuple(zip(*chain.from_iterable(groups.values())))
             self._table[refilled] = family_scores(tables, self.prior)
             self._fresh[refilled] = True
-            self.stats.families_computed += len(tables)
+            self.trace.stats.families_computed += len(tables)
         return [self._table.item(e) for e in entries]
 
     def local(self, v: int) -> float:
@@ -735,7 +735,7 @@ class _SearchState:
         # Only the stale entries, found in one pass over the whole table.
         stale = np.nonzero(need & ~self._fresh)
         self._fill(list(zip(*(axis.tolist() for axis in stale))))
-        self.stats.edits_scanned += len(candidates)
+        self.trace.stats.edits_scanned += len(candidates)
 
         fa, fd = self._table
         base = fd.diagonal()
@@ -750,40 +750,29 @@ class _SearchState:
         Candidates are scored in a random permutation drawn from ``rng``,
         and the first maximal delta in that order wins: the edit a
         sequential ``delta > best`` scan keeps.  The best delta is recorded
-        in :attr:`stats`.
+        in the trace's stats.
         """
         candidates = _edit_candidates(self.structure, self.config.max_parents)
         order = rng.permutation(len(candidates))
         if not candidates:
-            self.stats.best_edit_delta = None
+            self.trace.stats.best_edit_delta = None
             return None, -np.inf
         deltas = self.edit_deltas(candidates)[order]
         pick = int(np.argmax(deltas))
         best = float(deltas[pick])
-        self.stats.best_edit_delta = best
+        self.trace.stats.best_edit_delta = best
         return candidates[order[pick]], best
 
     def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
         """Apply one edge edit; returns the variables whose solve key it
         changed: both endpoints and every parent set in :meth:`replaced`.
-
-        Each replaced family's column goes stale but for two entries, moved
-        with their freshness: the edited entry becomes the diagonal, and the
-        old diagonal the entry that reads the edit undone.
+        Each replaced family's column goes stale.
         """
         _, u, v = edit
-        parents = self.structure.parents
-        sets = list(parents)
+        sets = list(self.structure.parents)
         rekeyed = {u, v}
-        table, fresh = self._table, self._fresh
         for c, new in self.replaced(edit):
-            (a,) = new ^ parents[c]
-            k = 0 if a in new else 1
-            carried = table[k, a, c], fresh[k, a, c]
-            old = table[1, c, c], fresh[1, c, c]
-            fresh[:, :, c] = False
-            table[1, c, c], fresh[1, c, c] = carried
-            table[1 - k, a, c], fresh[1 - k, a, c] = old
+            self._fresh[:, :, c] = False
             sets[c] = new
             rekeyed |= new
         self.structure = validate_dag(sets)
@@ -812,9 +801,9 @@ class _SearchState:
         key = self.solve_key(i)
         cached = self._solves.get(key)
         if cached is not None:
-            self.stats.solve_hits += 1
+            self.trace.stats.solve_hits += 1
             return cached
-        self.stats.solves += 1
+        self.trace.stats.solves += 1
         result = optimize_variable(
             i, self.policy, self.structure, self.dataset, self.prior, self.config,
             codes=self.codes,
@@ -822,18 +811,20 @@ class _SearchState:
         self._solves[key] = result
         return result
 
-    def ascend(self, start: Iterable[int] | None = None) -> SearchTrace:
+    def ascend(self, start: Iterable[int] | None = None) -> bool:
         """Coordinate ascent from the current state; see :func:`coordinate_ascent`.
 
         Sweeps the continuous members of ``start``, every continuous
         variable when ``None``.  The variables an accepted change re-queues
-        join the swept set, so later sweeps visit them too.
+        join the swept set, so later sweeps visit them too.  Appends to
+        :attr:`trace`; returns whether it accepted a policy change.
         """
         if start is None:
             start = range(self.structure.n)
         swept = set(start) - self.discrete
-        trace = SearchTrace()
+        trace = self.trace
         trace.termination = "max_sweeps"
+        accepted = False
         for sweep in range(1, self.config.max_sweeps + 1):
             sweep_start = self.total
             queue = deque(v for v in self.structure.topo_order if v in swept)
@@ -853,6 +844,7 @@ class _SearchState:
                     self.set_policy(v, current)
                     continue
                 self.total += delta
+                accepted = True
                 trace.add(
                     "policy",
                     variable=v,
@@ -870,8 +862,7 @@ class _SearchState:
             if self.total - sweep_start < self.config.epsilon:
                 trace.termination = "converged"
                 break
-        trace.final_total = self.total
-        return trace
+        return accepted
 
 
 def coordinate_ascent(
@@ -891,9 +882,8 @@ def coordinate_ascent(
     """
     validate_network_policy(policy, dataset)
     state = _SearchState(structure, policy, dataset, prior, config)
-    trace = state.ascend()
-    trace.stats = state.stats
-    return state.policy, trace
+    state.ascend()
+    return state.policy, state.trace
 
 
 def _edit_candidates(
@@ -963,7 +953,6 @@ def hill_climb_structure(
         prior,
         config,
     )
-    trace = SearchTrace()
     rng = np.random.default_rng(config.seed)
 
     while True:
@@ -971,18 +960,14 @@ def hill_climb_structure(
         if best_edit is None or best_delta <= config.epsilon:
             # No edit helps under the current policies; re-optimize them all
             # and rescan, since better thresholds can expose new edits.
-            sub_trace = state.ascend()
-            trace.extend(sub_trace)
-            if any(r["kind"] == "policy" for r in sub_trace.records):
+            if state.ascend():
                 continue
             break
         rekeyed = state.apply_edit(best_edit, best_delta)
         op, u, v = best_edit
-        trace.add(
+        state.trace.add(
             "edge", op=op, parent=u, child=v, delta=float(best_delta), total=state.total
         )
-        trace.extend(state.ascend(rekeyed))
-    trace.termination = "no_improving_edit"
-    trace.final_total = state.total
-    trace.stats = state.stats
-    return state.structure, state.policy, trace
+        state.ascend(rekeyed)
+    state.trace.termination = "no_improving_edit"
+    return state.structure, state.policy, state.trace

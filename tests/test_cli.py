@@ -80,6 +80,28 @@ class TestSimulate:
         )
         assert rc == 2
 
+    def test_negative_seed_is_user_error(self, tmp_path, capsys):
+        rc = run_cli(
+            "simulate", "--random", "3,2,1", "--seed", "-1", "--n", "5",
+            "--out", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert "error: mechanism seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_negative_mechanism_seed_is_a_data_error(self, tmp_path, capsys):
+        simulate(tmp_path)
+        path = tmp_path / "negative.json"
+        mechanism = json.loads((tmp_path / "sim.mechanism.json").read_text())
+        path.write_text(json.dumps({**mechanism, "seed": -3}))
+        rc = run_cli(
+            "simulate", "--mechanism", str(path), "--n", "5",
+            "--out", str(tmp_path / "x"),
+        )
+        assert rc == 2
+        assert "error: mechanism seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     def test_malformed_random_spec(self, tmp_path):
         rc = run_cli(
             "simulate", "--random", "3;2;2", "--n", "5",
@@ -151,6 +173,18 @@ class TestDiscretize:
         assert "total_score" in manifest
         scale = max(1.0, abs(manifest["total_score"]))
         assert abs(manifest["score_drift"]) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("flag", ["--seed", "--max-parents"])
+    def test_edge_scan_flags_are_learn_only(self, tmp_path, capsys, flag):
+        # discretize scans no edges, so neither flag could change its result.
+        prefix = simulate(tmp_path)
+        rc = run_cli(
+            "discretize", "--data", str(prefix) + ".csv", flag, "1",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit*"))
 
     def test_missing_data_file(self, tmp_path):
         rc = run_cli(
@@ -612,6 +646,16 @@ class TestLearn:
             "--out", str(tmp_path / "fit"),
         )
         assert rc == 3
+        assert not list(tmp_path.glob("fit*"))
+
+    def test_negative_seed_is_user_error(self, tmp_path, capsys):
+        prefix = simulate(tmp_path)
+        rc = run_cli(
+            "learn", "--data", str(prefix) + ".csv", "--seed", "-1",
+            "--out", str(tmp_path / "fit"),
+        )
+        assert rc == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit*"))
 
     def test_search_options_pinned(self, tmp_path):

@@ -83,8 +83,16 @@ class TestMechanismValidation:
                 seed=0,
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            two_node_mechanism(seed=-3)
+
 
 class TestRandomMechanism:
+    def test_negative_seed_rejected_before_drawing(self):
+        with pytest.raises(ValidationError, match="seed"):
+            random_mechanism(3, 1, 2, seed=-1)
+
     def test_shapes(self):
         mech = random_mechanism(4, 2, 3, seed=1)
         assert mech.n == 4

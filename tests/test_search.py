@@ -149,6 +149,8 @@ class TestConfigs:
             SearchConfig(max_sweeps=0)
         with pytest.raises(ValidationError):
             SearchConfig(max_parents=0)
+        with pytest.raises(ValidationError, match="seed"):
+            SearchConfig(seed=-1)
 
     def test_resolved_r_max(self):
         assert SearchConfig().resolved_r_max(100) == 12
@@ -1169,13 +1171,12 @@ class TestSearchState:
         for step in steps:
             step()
             # Entries still fresh after the step are exact: the step made
-            # every entry it changed stale or moved it where it still holds.
-            # Then rescan and check again.
+            # every entry it changed stale.  Then rescan and check again.
             kept.append(self.check_table(state, prior))
             self.check(state, ds, prior, config)
             state.edit_deltas(_edit_candidates(state.structure, config.max_parents))
             assert self.check_table(state, prior) > kept[-1]
-        assert state.stats.solve_hits > 0
+        assert state.trace.stats.solve_hits > 0
         assert all(kept)
 
     def test_a_solve_applies_no_policy(self, monkeypatch):
@@ -1196,7 +1197,7 @@ class TestSearchState:
         monkeypatch.setattr(search, "apply_policy", spy)
         for v in range(4):
             state.solve(v)
-        assert state.stats.solves == 4 and calls == []
+        assert state.trace.stats.solves == 4 and calls == []
         state.set_policy(0, state.solve(0))
         assert calls == [state.policy[0]]
 
@@ -1243,12 +1244,36 @@ class TestSearchState:
         monkeypatch.setattr(
             state, "solve", lambda v: DiscretizationPolicy((), *ds.policy_bounds(v))
         )
-        trace = state.ascend()
-        assert [r["kind"] for r in trace.records] == ["sweep"]
+        kept = len(state.trace.records)
+        assert not state.ascend()
+        assert [r["kind"] for r in state.trace.records[kept:]] == ["sweep"]
         assert state.policy == policy
         assert state.total == total
         monkeypatch.undo()
         self.check(state, ds, prior, config)
+
+    def test_ascend_returns_whether_it_accepted_a_change(self):
+        """``ascend`` returns True exactly when it appended a ``policy``
+        record to the state's one trace."""
+        rng = np.random.default_rng(71)
+        prior = PriorSpec()
+        outcomes = set()
+        for _ in range(8):
+            n = int(rng.integers(2, 5))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=30)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=2))
+            config = SearchConfig(max_sweeps=int(rng.integers(1, 3)))
+            state = _SearchState(
+                structure, random_network_policy(rng, ds), ds, prior, config
+            )
+            for start in (None, ds.continuous_indices()[:1], None):
+                kept = len(state.trace.records)
+                accepted = state.ascend(start)
+                kinds = [r["kind"] for r in state.trace.records[kept:]]
+                assert kinds[-1] == "sweep"
+                assert accepted == ("policy" in kinds)
+                outcomes.add(accepted)
+        assert outcomes == {True, False}
 
     def test_solve_keys_change_exactly_where_requeued(self):
         """A policy change at v re-keys exactly blanket(v); an edit re-keys
@@ -1333,26 +1358,11 @@ class TestSearchState:
                 state.structure = structure
         assert order_sensitive > 0
 
-    def test_start_diagonal_is_the_network_score(self):
-        rng = np.random.default_rng(79)
-        prior, config = PriorSpec(), SearchConfig()
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
-            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
-            policy = random_network_policy(rng, ds)
-            state = _SearchState(structure, policy, ds, prior, config)
-            expected = np.zeros_like(state._fresh)
-            expected[1] = np.eye(n, dtype=bool)
-            assert np.array_equal(state._fresh, expected)
-            discrete = network_score(policy, structure, ds, prior).discrete
-            assert np.array_equal(state._table[1].diagonal(), discrete)
-            assert state.stats.families_computed == 0
-
-    def test_an_edit_carries_scanned_families_to_the_diagonal(self):
-        """After a scan, an edit leaves each replaced family's new score on
-        the diagonal, fresh; without a scan that entry stays stale.  The
-        start's fresh diagonal moves to where the undoing edit reads it."""
+    def test_only_fill_writes_the_table(self):
+        """A new state holds no fresh entry, an edit makes every entry of each
+        replaced family's column stale, and through edits and policy changes
+        every fresh entry equals a fresh family score: ``_fill`` alone writes
+        the table."""
         rng = np.random.default_rng(89)
         prior, config = PriorSpec(), SearchConfig()
         ops = set()
@@ -1360,32 +1370,27 @@ class TestSearchState:
             n = int(rng.integers(3, 7))
             ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
             structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
-            policy = random_network_policy(rng, ds)
-            codes, arities = discretize_all(ds, policy), policy.arities()
-            for edit in _edit_candidates(structure, 3):
-                op, u, v = edit
-                ops.add(op)
-                for scanned in (True, False):
-                    state = _SearchState(structure, policy, ds, prior, config)
-                    if scanned:
-                        state.edit_deltas(_edit_candidates(structure, 3))
-                    replaced = state.replaced(edit)
-                    state.apply_edit(edit, 0.0)
-                    parents = state.structure.parents
-                    for c, new in replaced:
-                        assert parents[c] == new
-                        assert state._fresh[1, c, c] == scanned, (edit, c)
-                        (a,) = new ^ structure.parents[c]
-                        undo = (1, a, c) if a in new else (0, a, c)
-                        assert state._fresh[undo], (edit, c)
-                        assert state._table[undo] == family_score(
-                            codes, arities, c, structure.parents[c], prior
-                        )
-                        if scanned:
-                            assert state._table[1, c, c] == family_score(
-                                codes, arities, c, new, prior
-                            )
-                    assert self.check_table(state, prior) > 0
+            state = _SearchState(
+                structure, random_network_policy(rng, ds), ds, prior, config
+            )
+            assert not state._fresh.any()
+            for _ in range(4):
+                candidates = _edit_candidates(state.structure, 3)
+                state.edit_deltas(candidates)
+                edit = candidates[int(rng.integers(len(candidates)))]
+                ops.add(edit[0])
+                replaced = state.replaced(edit)
+                state.apply_edit(edit, 0.0)
+                for c, new in replaced:
+                    assert state.structure.parents[c] == new
+                    assert not state._fresh[:, :, c].any(), (edit, c)
+                assert self.check_table(state, prior) > 0
+                if not ds.continuous_indices():
+                    continue
+                v = int(rng.choice(ds.continuous_indices()))
+                state.set_policy(v, state.solve(v))
+                state.local(v)
+                assert self.check_table(state, prior) > 0
         assert ops == {"add", "delete", "reverse"}
 
     def test_batched_refill_matches_a_sequential_refill(self, monkeypatch):
@@ -1444,7 +1449,7 @@ class TestSearchState:
                 assert np.array_equal(state._fresh, twin._fresh)
                 fresh = state._fresh
                 assert np.array_equal(state._table[fresh], twin._table[fresh])
-                assert state.stats == twin.stats
+                assert state.trace.stats == twin.trace.stats
                 assert self.check_table(state, prior) > 0
                 edit = candidates[int(rng.integers(len(candidates)))]
                 for st in (state, twin):
@@ -1512,7 +1517,7 @@ class TestSearchState:
                         best, best_delta = candidates[idx], delta
                 ties += deltas.count(best_delta) > 1
                 assert state.scan(np.random.default_rng(seed)) == (best, best_delta)
-                assert state.stats.best_edit_delta == best_delta
+                assert state.trace.stats.best_edit_delta == best_delta
                 if step % 2 == 0:
                     state.apply_edit(best, best_delta)
                     continue
@@ -1561,9 +1566,10 @@ class TestSearchState:
                 return solve(i)
 
             monkeypatch.setattr(state, "solve", recording)
-            trace = state.ascend(start)
-            changed = [r["variable"] for r in trace.records if r["kind"] == "policy"]
-            sweeps = [r for r in trace.records if r["kind"] == "sweep"]
+            state.ascend(start)
+            records = state.trace.records
+            changed = [r["variable"] for r in records if r["kind"] == "policy"]
+            sweeps = [r for r in records if r["kind"] == "sweep"]
             return calls, changed, len(sweeps)
 
         # One sweep: v's accepted change re-queues j behind it.
