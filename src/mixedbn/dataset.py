@@ -420,16 +420,19 @@ def discretize_all(dataset: Dataset, policy: NetworkPolicy) -> np.ndarray:
 
 
 def read_text(source, what: str) -> str:
-    """The text of ``source``, a path, UTF-8 bytes or a text stream; input
-    that is not UTF-8 raises ValidationError naming it as ``what``."""
+    """The text of ``source``, a path, UTF-8 bytes or a text stream, less
+    one leading byte-order mark; input that is not UTF-8 raises
+    ValidationError naming it as ``what``."""
     try:
         if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
-        if isinstance(source, bytes):
-            return source.decode("utf-8")
-        return source.read()
+            text = Path(source).read_text(encoding="utf-8")
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        else:
+            text = source.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} is not UTF-8 text: {exc}") from None
+    return text.removeprefix("\ufeff")
 
 
 def read_json(source, what: str):
@@ -449,31 +452,13 @@ def _infer_meta(name: str, col: np.ndarray) -> VariableMeta:
     return VariableMeta(name, CONTINUOUS)
 
 
-def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Dataset:
-    """Parse a CSV table with a header row into a :class:`Dataset`.
-
-    ``source`` is a path, bytes, or a text stream.  With no schema, column
-    types are inferred: integer-valued columns whose values all lie in
-    ``[0, INFER_MAX_DISTINCT)`` become discrete with arity ``max + 1``;
-    everything else is continuous, however few distinct values it has.
-    With a schema, entries are matched to header names and must cover them
-    exactly.
-    """
-    reader = csv.reader(io.StringIO(read_text(source, "data")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty input: no header row") from None
-    names = [h.strip() for h in header]
-    if any(not n for n in names):
-        raise ValidationError("header contains an empty column name")
-    if len(set(names)) != len(names):
-        raise ValidationError("header contains duplicate column names")
-
-    rows: list[list[float]] = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+def _parse_cells(
+    names: Sequence[str], rows: Sequence[tuple[int, list[str]]]
+) -> np.ndarray:
+    """The values of numbered data rows, parsed one cell at a time; the
+    first bad cell in row order raises ValidationError naming it."""
+    parsed_rows = []
+    for row_num, row in rows:
         if len(row) != len(names):
             raise ValidationError(
                 f"data row {row_num} has {len(row)} fields, expected {len(names)}"
@@ -498,10 +483,50 @@ def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Datase
                     f"at data row {row_num}"
                 )
             parsed.append(value)
-        rows.append(parsed)
+        parsed_rows.append(parsed)
+    return np.asarray(parsed_rows, dtype=np.float64)
+
+
+def load_dataset(source, schema: Sequence[VariableMeta] | None = None) -> Dataset:
+    """Parse a CSV table with a header row into a :class:`Dataset`.
+
+    ``source`` is a path, bytes, or a text stream.  Blank rows are skipped
+    but counted in the data row numbers that errors name.  Every cell is
+    converted by one numpy call, which parses a cell as ``float`` does;
+    only a table it rejects (a ragged row, an empty or non-numeric cell, a
+    non-finite value) is parsed again cell by cell, to name its first bad
+    cell in row order.  With no schema, column types are inferred:
+    integer-valued columns whose values all lie in ``[0,
+    INFER_MAX_DISTINCT)`` become discrete with arity ``max + 1``;
+    everything else is continuous, however few distinct values it has.
+    With a schema, entries are matched to header names and must cover them
+    exactly.
+    """
+    reader = csv.reader(io.StringIO(read_text(source, "data")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("empty input: no header row") from None
+    names = [h.strip() for h in header]
+    if any(not n for n in names):
+        raise ValidationError("header contains an empty column name")
+    if len(set(names)) != len(names):
+        raise ValidationError("header contains duplicate column names")
+
+    rows = [
+        (row_num, row)
+        for row_num, row in enumerate(reader, start=1)
+        if row and (len(row) > 1 or row[0].strip())
+    ]
     if not rows:
         raise ValidationError("dataset needs at least one case")
-    values = np.asarray(rows, dtype=np.float64)
+    try:
+        values = np.array([row for _, row in rows], dtype=np.float64)
+        converted = values.shape[1] == len(names) and np.isfinite(values).all()
+    except ValueError:
+        converted = False
+    if not converted:
+        values = _parse_cells(names, rows)
 
     if schema is None:
         metas = [_infer_meta(n, values[:, i]) for i, n in enumerate(names)]

@@ -18,7 +18,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,7 +71,8 @@ _BLOCK_FLOATS = 1 << 15
 # uniform emission and 13.5 under the multinomial one.
 _WORK_BLOCKS = 16
 
-# Edge edit kinds, in the order the edge scan lists them.
+# Edge edit kinds, in the order the edge scan lists them; the scan's op
+# codes index this tuple.
 _EDIT_OPS = ("add", "delete", "reverse")
 
 
@@ -711,19 +712,20 @@ class _SearchState:
             out.append((u, parents[u] | {v}))
         return out
 
-    def edit_deltas(self, candidates: Sequence[tuple[str, int, int]]) -> np.ndarray:
+    def edit_deltas(
+        self, candidates: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> np.ndarray:
         """Total-score change of each edge edit under the current policy.
 
-        An addition scores ``FA[u, v] - FD[v, v]``, a deletion ``FD[u, v] -
-        FD[v, v]`` and a reversal ``((FD[u, v] - FD[v, v]) + FA[v, u]) -
-        FD[u, u]``: each replaced family's new score minus its old one,
-        summed left to right.  Stale entries the candidates read are
-        refilled first, by one :meth:`_fill` call.
+        ``candidates`` holds the edits as :func:`_edit_candidates` lists
+        them: index arrays of op code (into ``_EDIT_OPS``), parent ``u`` and
+        child ``v``.  An addition scores ``FA[u, v] - FD[v, v]``, a deletion
+        ``FD[u, v] - FD[v, v]`` and a reversal ``((FD[u, v] - FD[v, v]) +
+        FA[v, u]) - FD[u, u]``: each replaced family's new score minus its
+        old one, summed left to right.  Stale entries the candidates read
+        are refilled first, by one :meth:`_fill` call.
         """
-        ops, us, vs = zip(*candidates)
-        kind = np.fromiter(map(_EDIT_OPS.index, ops), np.intp, len(ops))
-        u = np.array(us, dtype=np.intp)
-        v = np.array(vs, dtype=np.intp)
+        kind, u, v = candidates
         add, rev = kind == 0, kind == 2
         # The entries read, indexed [FA or FD, edited parent, child].
         need = np.zeros_like(self._fresh)
@@ -735,7 +737,7 @@ class _SearchState:
         # Only the stale entries, found in one pass over the whole table.
         stale = np.nonzero(need & ~self._fresh)
         self._fill(list(zip(*(axis.tolist() for axis in stale))))
-        self.trace.stats.edits_scanned += len(candidates)
+        self.trace.stats.edits_scanned += len(kind)
 
         fa, fd = self._table
         base = fd.diagonal()
@@ -744,24 +746,27 @@ class _SearchState:
         return delta
 
     def scan(self, rng: np.random.Generator) -> tuple[tuple[str, int, int] | None, float]:
-        """The best legal edge edit and its delta; ``(None, -inf)`` when no
-        edit is legal.
+        """The best legal edge edit, as ``(op, parent, child)``, and its
+        delta; ``(None, -inf)`` when no edit is legal.
 
         Candidates are scored in a random permutation drawn from ``rng``,
-        and the first maximal delta in that order wins: the edit a
-        sequential ``delta > best`` scan keeps.  The best delta is recorded
-        in the trace's stats.
+        also when there are none, and the first maximal delta in that order
+        wins: the edit a sequential ``delta > best`` scan keeps.  Only the
+        winner is built as a tuple.  The best delta is recorded in the
+        trace's stats.
         """
         candidates = _edit_candidates(self.structure, self.config.max_parents)
-        order = rng.permutation(len(candidates))
-        if not candidates:
+        kind, u, v = candidates
+        order = rng.permutation(len(kind))
+        if not len(kind):
             self.trace.stats.best_edit_delta = None
             return None, -np.inf
         deltas = self.edit_deltas(candidates)[order]
         pick = int(np.argmax(deltas))
         best = float(deltas[pick])
         self.trace.stats.best_edit_delta = best
-        return candidates[order[pick]], best
+        won = order[pick]
+        return (_EDIT_OPS[kind[won]], int(u[won]), int(v[won])), best
 
     def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
         """Apply one edge edit; returns the variables whose solve key it
@@ -888,8 +893,9 @@ def coordinate_ascent(
 
 def _edit_candidates(
     structure: DagStructure, max_parents: int
-) -> list[tuple[str, int, int]]:
-    """Every legal single-edge edit: additions in (parent, child) order,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every legal single-edge edit, as index arrays of op code (into
+    ``_EDIT_OPS``), parent and child: additions in (parent, child) order,
     then deletions and reversals in edge order."""
     n = structure.n
     parents = structure.parents
@@ -913,11 +919,8 @@ def _edit_candidates(
     # that is, when u is an ancestor of another parent of v; such a path
     # cannot use u -> v itself, which would make a cycle.
     reverse = edge & ~(reach.astype(np.float64) @ edge > 0) & ~full[:, None]
-    out: list[tuple[str, int, int]] = []
-    for op, mask in zip(_EDIT_OPS, (add, edge, reverse)):
-        us, vs = np.nonzero(mask)
-        out += zip(repeat(op), us.tolist(), vs.tolist())
-    return out
+    # Row-major order over [op, parent, child] is the order above.
+    return np.nonzero(np.stack((add, edge, reverse)))
 
 
 def hill_climb_structure(

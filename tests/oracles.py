@@ -19,10 +19,17 @@ gather per state and cell, and :class:`DenseCutProblem`, the segmentation
 DP over whole dense cost matrices on those tables, which the row-blocked DP
 must match bit for bit.
 The family scores here equal the package's bit for bit.
+Two references keep earlier forms of fast paths:
+:func:`reference_csv_values`, the CSV loader's cell-by-cell parse, and
+:func:`reference_scan`, the edge scan over a list of ``(op, parent,
+child)`` tuples that :func:`reference_edit_candidates` finds by building
+each edited graph.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from typing import Iterable
@@ -40,13 +47,15 @@ from mixedbn import (
     apply_policy,
     discretize_all,
 )
+from mixedbn.dataset import read_text
+from mixedbn.graph import CycleError, validate_dag
 from mixedbn.scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
     continuous_terms,
     interval_count_log_priors,
 )
-from mixedbn.search import TIE_TOLERANCE, _CutProblem
+from mixedbn.search import TIE_TOLERANCE, _EDIT_OPS, _CutProblem
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
@@ -539,3 +548,126 @@ class DenseCutProblem(_CutProblem):
         )
         thresholds = self._dense_reconstruct(*self.table(r), r)
         return DiscretizationPolicy(thresholds, self.lower, self.upper)
+
+
+def reference_csv_values(source):
+    """The data values of a CSV table with a header row, parsed one cell at
+    a time with ``float``, as ``load_dataset`` parsed every table before it
+    converted them in one call; raises its ValidationError for the first
+    bad cell in row order."""
+    reader = csv.reader(io.StringIO(read_text(source, "data")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("empty input: no header row") from None
+    names = [h.strip() for h in header]
+    if any(not n for n in names):
+        raise ValidationError("header contains an empty column name")
+    if len(set(names)) != len(names):
+        raise ValidationError("header contains duplicate column names")
+    rows = []
+    for row_num, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(names):
+            raise ValidationError(
+                f"data row {row_num} has {len(row)} fields, expected {len(names)}"
+            )
+        parsed = []
+        for name, cell in zip(names, row):
+            token = cell.strip()
+            if not token:
+                raise ValidationError(
+                    f"missing value in column {name!r} at data row {row_num}"
+                )
+            try:
+                value = float(token)
+            except ValueError:
+                raise ValidationError(
+                    f"non-numeric value {token!r} in column {name!r} "
+                    f"at data row {row_num}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"non-finite value {token!r} in column {name!r} "
+                    f"at data row {row_num}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+    if not rows:
+        raise ValidationError("dataset needs at least one case")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def edited(structure, op, u, v):
+    """``structure`` after one edge edit, rebuilt from its parent sets."""
+    sets = [set(ps) for ps in structure.parents]
+    if op == "add":
+        sets[v].add(u)
+    else:
+        sets[v].remove(u)
+    if op == "reverse":
+        sets[u].add(v)
+    return validate_dag(sets)
+
+
+def reference_edit_candidates(structure, max_parents):
+    """Every legal single-edge edit as an ``(op, parent, child)`` tuple,
+    legal when the edited graph builds without a cycle: additions in
+    (parent, child) order, then deletions and reversals in edge order."""
+    n = structure.n
+    parents = structure.parents
+    out = []
+    for u, v in itertools.product(range(n), repeat=2):
+        if u == v or u in parents[v] or len(parents[v]) >= max_parents:
+            continue
+        try:
+            edited(structure, "add", u, v)
+        except CycleError:
+            continue
+        out.append(("add", u, v))
+    out += [("delete", u, v) for u, v in structure.edges()]
+    for u, v in structure.edges():
+        if len(parents[u]) >= max_parents:
+            continue
+        try:
+            edited(structure, "reverse", u, v)
+        except CycleError:
+            continue
+        out.append(("reverse", u, v))
+    return out
+
+
+def reference_scan(state, rng):
+    """``state.scan(rng)`` over a list of ``(op, parent, child)`` tuples, as
+    the search scanned before its candidates became index arrays: each
+    edit's delta from the state's family table, refilled through its
+    ``_fill``, and the first maximal delta in ``rng``'s permutation wins."""
+    candidates = reference_edit_candidates(state.structure, state.config.max_parents)
+    order = rng.permutation(len(candidates))
+    if not candidates:
+        state.trace.stats.best_edit_delta = None
+        return None, -np.inf
+    ops, us, vs = zip(*candidates)
+    kind = np.fromiter(map(_EDIT_OPS.index, ops), np.intp, len(ops))
+    u = np.array(us, dtype=np.intp)
+    v = np.array(vs, dtype=np.intp)
+    add, rev = kind == 0, kind == 2
+    need = np.zeros_like(state._fresh)
+    need[0, u[add], v[add]] = True
+    need[1, u[~add], v[~add]] = True
+    need[0, v[rev], u[rev]] = True
+    need[1, v, v] = True
+    need[1, u[rev], u[rev]] = True
+    stale = np.nonzero(need & ~state._fresh)
+    state._fill(list(zip(*(axis.tolist() for axis in stale))))
+    state.trace.stats.edits_scanned += len(candidates)
+    fa, fd = state._table
+    base = fd.diagonal()
+    delta = np.where(add, fa[u, v], fd[u, v]) - base[v]
+    delta[rev] = (delta[rev] + fa[v[rev], u[rev]]) - base[u[rev]]
+    deltas = delta[order]
+    pick = int(np.argmax(deltas))
+    best = float(deltas[pick])
+    state.trace.stats.best_edit_delta = best
+    return candidates[order[pick]], best

@@ -819,6 +819,32 @@ class TestScore:
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error:") and "'a'" in captured.err
 
+    def test_byte_order_marks_are_ignored(self, tmp_path, capsys):
+        """Data, schema, structure and policy files saved with a UTF-8
+        byte-order mark read as without it."""
+        prefix = simulate(tmp_path)
+        names = (tmp_path / "sim.csv").read_text().splitlines()[0].split(",")
+        data, schema = tmp_path / "sim.csv", tmp_path / "sim.schema.json"
+        for path in (data, schema):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / "fit"
+        rc = run_cli(
+            "learn", "--data", str(data), "--schema", str(schema), "--out", str(out),
+        )
+        assert rc == 0
+        structure = tmp_path / "fit.structure.json"
+        assert json.loads(structure.read_text())["variables"] == names
+        policy = tmp_path / "fit.policy.json"
+        for path in (structure, policy):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        capsys.readouterr()
+        rc = run_cli(
+            "score", "--data", str(prefix) + ".csv", "--schema", str(schema),
+            "--structure", str(structure), "--policy", str(policy),
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["schema_version"] == 1
+
     @pytest.mark.parametrize(
         "what, name",
         [

@@ -1,6 +1,7 @@
 import io
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import continuous_dataset, mixed_dataset
+from mixedbn import dataset as dataset_module
 from mixedbn import (
     Dataset,
     DiscretizationPolicy,
@@ -24,6 +26,8 @@ from mixedbn import (
     trivial_network_policy,
     validate_network_policy,
 )
+from mixedbn.dataset import read_text
+from oracles import reference_csv_values
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -442,6 +446,188 @@ class TestLoadDataset:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             load_dataset(io.StringIO("a\ninf\n"))
+
+
+BOM = "\ufeff"
+# The zero of three non-ASCII decimal digit runs: Arabic-Indic, Devanagari
+# and fullwidth.
+DIGIT_ZEROS = ("\u0660", "\u0966", "\uff10")
+
+
+@st.composite
+def number_cells(draw):
+    """A CSV cell that ``float`` reads as a finite number: a plain decimal,
+    an exponent, a signed zero, digits grouped by ``_`` or non-ASCII
+    digits, signed or not, maybe padded with whitespace and quoted."""
+    kind = draw(st.sampled_from(["decimal", "exponent", "zero", "underscore", "script"]))
+    if kind == "decimal":
+        whole, frac = draw(st.integers(0, 10**6)), draw(st.integers(0, 999))
+        body = draw(st.sampled_from([f"{whole}", f"{whole}.{frac}", f".{frac}", f"{whole}."]))
+    elif kind == "exponent":
+        mark = draw(st.sampled_from("eE"))
+        body = f"{draw(st.integers(1, 999))}.{draw(st.integers(0, 99))}{mark}"
+        body += str(draw(st.integers(-20, 20)))
+    elif kind == "zero":
+        body = draw(st.sampled_from(["0", "0.0", "0e0", "00"]))
+    elif kind == "underscore":
+        body = f"{draw(st.integers(1, 99))}_{draw(st.integers(0, 99))}"
+    else:
+        zero = ord(draw(st.sampled_from(DIGIT_ZEROS)))
+        body = "".join(chr(zero + int(d)) for d in str(draw(st.integers(0, 10**4))))
+    pad = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
+    cell = draw(pad) + draw(st.sampled_from(["", "-", "+"])) + body + draw(pad)
+    return f'"{cell}"' if draw(st.booleans()) else cell
+
+
+@st.composite
+def cell_grids(draw, min_rows=1, min_cols=1):
+    n_cols = draw(st.integers(min_cols, 4))
+    n_rows = draw(st.integers(min_rows, 6))
+    return [[draw(number_cells()) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def render_csv(draw, grid, width):
+    """The UTF-8 bytes of ``grid`` under a header of ``width`` names, with
+    blank and whitespace-only lines between rows and LF or CRLF line
+    ends."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for row in grid:
+        lines += draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+        lines.append(",".join(row))
+    return (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
+
+
+def assert_same_error(source):
+    """``load_dataset`` raises the message the cell-by-cell parse raises;
+    returns it."""
+    with pytest.raises(ValidationError) as want:
+        reference_csv_values(source)
+    with pytest.raises(ValidationError) as got:
+        load_dataset(source)
+    assert str(got.value) == str(want.value)
+    return str(want.value)
+
+
+class TestLoaderMatchesTheCellParse:
+    """``load_dataset`` converts every cell in one call; it reads each table
+    as :func:`reference_csv_values` does, cell by cell, and raises its
+    message for the first bad cell."""
+
+    @given(data=st.data())
+    def test_values_and_signs(self, data):
+        grid = data.draw(cell_grids())
+        source = render_csv(data.draw, grid, len(grid[0]))
+        expected = reference_csv_values(source)
+        slow = mock.patch.object(
+            dataset_module, "_parse_cells", side_effect=AssertionError("cell loop")
+        )
+        with slow:
+            values = load_dataset(source).values
+        assert np.array_equal(values, expected)
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    @given(data=st.data())
+    def test_ragged_row(self, data):
+        grid = data.draw(cell_grids())
+        width = len(grid[0])
+        k = data.draw(st.integers(0, len(grid) - 1))
+        if len(grid[k]) > 1 and data.draw(st.booleans()):
+            grid[k] = grid[k][:-1]
+        else:
+            grid[k] = grid[k] + ["1"]
+        source = render_csv(data.draw, grid, width)
+        assert "fields, expected" in assert_same_error(source)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (st.sampled_from(["", " ", '""', "\t"]), "missing value"),
+            (st.sampled_from(["abc", "1__0", "0x10", "1e", "--1", "_1"]), "non-numeric"),
+            (st.sampled_from(["nan", "inf", "-Infinity", " NaN ", "1e999"]), "non-finite"),
+        ],
+        ids=["empty", "non-numeric", "non-finite"],
+    )
+    @given(data=st.data())
+    def test_bad_cell(self, data, bad, message):
+        # One empty cell alone on its row would make a blank row.
+        grid = data.draw(cell_grids(min_cols=2))
+        k = data.draw(st.integers(0, len(grid) - 1))
+        j = data.draw(st.integers(0, len(grid[k]) - 1))
+        grid[k][j] = data.draw(bad)
+        assert message in assert_same_error(render_csv(data.draw, grid, len(grid[0])))
+
+    @given(data=st.data())
+    def test_non_finite_before_non_numeric(self, data):
+        """A row order that the one-call conversion does not follow: it
+        rejects the later non-numeric cell, and the message names the
+        earlier non-finite one."""
+        grid = data.draw(cell_grids(min_rows=2))
+        k = data.draw(st.integers(0, len(grid) - 2))
+        grid[k][0] = "inf"
+        grid[data.draw(st.integers(k + 1, len(grid) - 1))][-1] = "abc"
+        source = render_csv(data.draw, grid, len(grid[0]))
+        assert "non-finite value 'inf'" in assert_same_error(source)
+
+
+class TestByteOrderMark:
+    CSV = "a,b\n0,0.5\n1,1.5\n0,2.5\n"
+    SCHEMA = json.dumps([
+        {"name": "a", "kind": "discrete", "arity": 2},
+        {"name": "b", "kind": "continuous"},
+    ])
+
+    @pytest.mark.parametrize("given_as", ["path", "bytes"])
+    def test_csv_and_schema_load_without_it(self, tmp_path, given_as):
+        sources = []
+        for name, text in (("data.csv", self.CSV), ("schema.json", self.SCHEMA)):
+            raw = (BOM + text).encode("utf-8")
+            if given_as == "path":
+                (tmp_path / name).write_bytes(raw)
+                sources.append(tmp_path / name)
+            else:
+                sources.append(raw)
+        data, schema = sources
+        metas = load_schema(schema)
+        assert [m.name for m in metas] == ["a", "b"]
+        assert load_dataset(data, metas).names == ("a", "b")
+        assert load_dataset(data).names == ("a", "b")
+
+    def test_stream(self):
+        assert load_dataset(io.StringIO(BOM + self.CSV)).names == ("a", "b")
+
+    def test_only_one_is_dropped(self):
+        assert read_text((2 * BOM + "x").encode("utf-8"), "data") == BOM + "x"
+        assert read_text(io.StringIO("x" + BOM), "data") == "x" + BOM
+
+
+def test_a_mixed_wide_table_skips_the_cell_loop(tmp_path, monkeypatch):
+    """A table shaped like the benchmark's wide mixed one (30 columns, the
+    even-numbered ones codes of arity 3, the others one-decimal reals in
+    [0, 1]) loads with its schema without the cell-by-cell parse."""
+    rng = np.random.default_rng(3)
+    n_cols, n_rows = 30, 300
+    names = [f"x{j + 1}" for j in range(n_cols)]
+    schema = [
+        {"name": name, "kind": "discrete", "arity": 3} if j % 2
+        else {"name": name, "kind": "continuous", "bounds": [0.0, 1.0]}
+        for j, name in enumerate(names)
+    ]
+    lines = [",".join(names)]
+    for _ in range(n_rows):
+        lines.append(",".join(
+            str(int(rng.integers(3))) if j % 2 else repr(round(float(rng.random()), 1))
+            for j in range(n_cols)
+        ))
+    data = tmp_path / "input.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "input.schema.json").write_text(json.dumps(schema), encoding="utf-8")
+    monkeypatch.setattr(
+        dataset_module, "_parse_cells", mock.Mock(side_effect=AssertionError("cell loop"))
+    )
+    ds = load_dataset(data, load_schema(tmp_path / "input.schema.json"))
+    assert ds.values.shape == (n_rows, n_cols)
+    assert np.array_equal(ds.values, reference_csv_values(data))
 
 
 class TestLoadSchema:

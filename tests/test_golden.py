@@ -11,10 +11,14 @@ density model.  The digests were recorded before the caches existed.
 import hashlib
 import itertools
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from mixedbn import dataset, load_dataset, load_schema
 from mixedbn.cli import main
+from oracles import reference_csv_values
 
 LEARN_ARTIFACTS = (".structure.json", ".structure.dot", ".policy.json", ".trace.jsonl")
 
@@ -151,3 +155,14 @@ def test_discretize_artifacts(tmp_path, table):
     assert rc == 0
     got = {name: digest(tmp_path / name) for name in ("fit.json", "fit.data.csv")}
     assert got == DISCRETIZE_GOLDEN
+
+
+def test_the_table_loads_without_the_cell_loop(table, monkeypatch):
+    """Valid input never takes the cell-by-cell parse, which is there only
+    to name a bad cell."""
+    data, schema = table
+    monkeypatch.setattr(
+        dataset, "_parse_cells", mock.Mock(side_effect=AssertionError("cell loop"))
+    )
+    ds = load_dataset(data, load_schema(schema))
+    assert np.array_equal(ds.values, reference_csv_values(data))

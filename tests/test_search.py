@@ -48,24 +48,25 @@ from mixedbn.search import (
 )
 from oracles import (
     DenseCutProblem,
+    edited,
     exhaustive_policy_search,
     family_score,
     local_score,
+    reference_edit_candidates,
     reference_prefix_tables,
+    reference_scan,
     reference_slice_terms,
 )
 
 
-def edited(structure, op, u, v):
-    """``structure`` after one edge edit, rebuilt from its parent sets."""
-    sets = [set(ps) for ps in structure.parents]
-    if op == "add":
-        sets[v].add(u)
-    else:
-        sets[v].remove(u)
-    if op == "reverse":
-        sets[u].add(v)
-    return validate_dag(sets)
+def edit_list(candidates):
+    """The index arrays of :func:`_edit_candidates` as ``(op, parent,
+    child)`` tuples."""
+    kind, u, v = candidates
+    return [
+        (search._EDIT_OPS[k], a, b)
+        for k, a, b in zip(kind.tolist(), u.tolist(), v.tolist())
+    ]
 
 
 def cut_problem(i, policy, structure, ds, prior):
@@ -1072,34 +1073,17 @@ class TestJointFixedPoint:
 
 class TestEditCandidates:
     def test_matches_cycle_checks(self):
-        """Ancestor-set legality equals building each edited graph."""
+        """Ancestor-set legality equals building each edited graph, and the
+        index arrays list the edits in the reference's order."""
         rng = np.random.default_rng(5)
         for _ in range(30):
             n = int(rng.integers(2, 7))
             structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
             max_parents = int(rng.integers(1, 4))
-            expected = []
-            for u in range(n):
-                for v in range(n):
-                    if u == v or u in structure.parents[v]:
-                        continue
-                    if len(structure.parents[v]) >= max_parents:
-                        continue
-                    try:
-                        edited(structure, "add", u, v)
-                    except CycleError:
-                        continue
-                    expected.append(("add", u, v))
-            expected += [("delete", u, v) for u, v in structure.edges()]
-            for u, v in structure.edges():
-                if len(structure.parents[u]) >= max_parents:
-                    continue
-                try:
-                    edited(structure, "reverse", u, v)
-                except CycleError:
-                    continue
-                expected.append(("reverse", u, v))
-            assert _edit_candidates(structure, max_parents) == expected
+            candidates = _edit_candidates(structure, max_parents)
+            assert all(axis.dtype == np.intp for axis in candidates)
+            expected = reference_edit_candidates(structure, max_parents)
+            assert edit_list(candidates) == expected
 
 
 class TestSearchState:
@@ -1144,7 +1128,8 @@ class TestSearchState:
         def edit(op, u, v):
             candidates = _edit_candidates(state.structure, config.max_parents)
             deltas = state.edit_deltas(candidates)
-            state.apply_edit((op, u, v), deltas[candidates.index((op, u, v))])
+            pick = edit_list(candidates).index((op, u, v))
+            state.apply_edit((op, u, v), deltas[pick])
 
         def try_and_revert(v, candidate):
             # The ascent's reject path: score the candidate, then set back.
@@ -1224,9 +1209,9 @@ class TestSearchState:
                     else:
                         moves["kept"] += 1
                 self.check(state, ds, prior, config)
-                candidates = _edit_candidates(state.structure, 3)
-                if candidates:
-                    edit = candidates[int(rng.integers(len(candidates)))]
+                edits = edit_list(_edit_candidates(state.structure, 3))
+                if edits:
+                    edit = edits[int(rng.integers(len(edits)))]
                     state.apply_edit(edit, 0.0)
         assert min(moves.values()) > 0
 
@@ -1310,7 +1295,7 @@ class TestSearchState:
                 assert changed(before) == _blanket(state.structure, v) & continuous
                 state.set_policy(v, current)
 
-            for edit in _edit_candidates(state.structure, 3):
+            for edit in edit_list(_edit_candidates(state.structure, 3)):
                 saved = state.structure
                 before = keys()
                 rekeyed = state.apply_edit(edit, 0.0)
@@ -1340,7 +1325,7 @@ class TestSearchState:
             def fam(c, ps, codes=codes, arities=arities):
                 return family_score(codes, arities, c, ps, prior)
 
-            for edit, delta in zip(candidates, deltas.tolist()):
+            for edit, delta in zip(edit_list(candidates), deltas.tolist()):
                 op, u, v = edit
                 new_v = parents[v] | {u} if op == "add" else parents[v] - {u}
                 expected = fam(v, new_v) - fam(v, parents[v])
@@ -1377,7 +1362,8 @@ class TestSearchState:
             for _ in range(4):
                 candidates = _edit_candidates(state.structure, 3)
                 state.edit_deltas(candidates)
-                edit = candidates[int(rng.integers(len(candidates)))]
+                edits = edit_list(candidates)
+                edit = edits[int(rng.integers(len(edits)))]
                 ops.add(edit[0])
                 replaced = state.replaced(edit)
                 state.apply_edit(edit, 0.0)
@@ -1451,7 +1437,8 @@ class TestSearchState:
                 assert np.array_equal(state._table[fresh], twin._table[fresh])
                 assert state.trace.stats == twin.trace.stats
                 assert self.check_table(state, prior) > 0
-                edit = candidates[int(rng.integers(len(candidates)))]
+                edits = edit_list(candidates)
+                edit = edits[int(rng.integers(len(edits)))]
                 for st in (state, twin):
                     st.apply_edit(edit, 0.0)
                 if step % 2:
@@ -1504,7 +1491,9 @@ class TestSearchState:
                     return family_score(codes, arities, c, ps, prior)
 
                 seed = int(rng.integers(2**32))
-                candidates = _edit_candidates(state.structure, config.max_parents)
+                candidates = edit_list(
+                    _edit_candidates(state.structure, config.max_parents)
+                )
                 best, best_delta, deltas = None, -np.inf, []
                 for idx in np.random.default_rng(seed).permutation(len(candidates)):
                     op, u, v = candidates[idx]
@@ -1531,6 +1520,60 @@ class TestSearchState:
                 state.set_policy(v, other)
         # Exact ties for the best edit, which only the scan order resolves.
         assert ties > 0
+
+    def test_scan_matches_the_tuple_list_scan(self):
+        """On random DAGs and seeds, through edits and policy changes, the
+        index-array scan returns the edit, as a tuple of ``str`` and
+        ``int``, and the delta of the tuple-list scan
+        (:func:`reference_scan`), counts the same work, and leaves its
+        generator where the tuple-list scan leaves its own."""
+        rng = np.random.default_rng(101)
+        prior = PriorSpec()
+        ops = set()
+        for _ in range(25):
+            n = int(rng.integers(2, 7))
+            ds = random_mixed_dataset(rng, n_vars=n, n_cases=20)
+            structure = validate_dag(random_parent_sets(rng, n, max_parents=3))
+            policy = random_network_policy(rng, ds)
+            config = SearchConfig(max_parents=int(rng.integers(1, 4)))
+            state = _SearchState(structure, policy, ds, prior, config)
+            twin = _SearchState(structure, policy, ds, prior, config)
+            for step in range(5):
+                seed = int(rng.integers(2**32))
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                edit, delta = state.scan(ours)
+                assert (edit, delta) == reference_scan(twin, theirs)
+                assert ours.integers(2**62) == theirs.integers(2**62)
+                assert state.trace.stats == twin.trace.stats
+                assert [type(x) for x in edit] == [str, int, int]
+                ops.add(edit[0])
+                for st in (state, twin):
+                    st.apply_edit(edit, delta)
+                if step % 2 and ds.continuous_indices():
+                    v = int(rng.choice(ds.continuous_indices()))
+                    for st in (state, twin):
+                        st.set_policy(v, st.solve(v))
+        assert ops == {"add", "delete", "reverse"}
+
+    def test_scan_with_no_legal_edit(self):
+        """One variable has no legal edit: the scan still draws its
+        permutation, returns ``(None, -inf)`` and clears ``best_edit_delta``."""
+        ds = mixed_dataset([("c", np.linspace(0.0, 1.0, 12), None)])
+        prior, config = PriorSpec(), SearchConfig()
+        state = _SearchState(
+            empty_structure(1), initial_policy(ds, config), ds, prior, config
+        )
+        twin = _SearchState(
+            empty_structure(1), initial_policy(ds, config), ds, prior, config
+        )
+        assert all(len(axis) == 0 for axis in _edit_candidates(state.structure, 3))
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        state.trace.stats.best_edit_delta = 1.0
+        assert state.scan(ours) == (None, -np.inf)
+        assert reference_scan(twin, theirs) == (None, -np.inf)
+        assert ours.integers(2**62) == theirs.integers(2**62)
+        assert state.trace.stats.best_edit_delta is None
+        assert state.trace.stats == twin.trace.stats
 
     def test_coparent_across_discrete_collider_is_requeued(self, monkeypatch):
         # j -> d <- v with d discrete: j and v are d-separated by the empty
