@@ -131,11 +131,15 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     """Work counts of one search, for the run manifest; no artifact holds
-    them.  ``best_edit_delta`` is the best delta of the last edge scan,
-    ``None`` before any scan or when no edit is legal."""
+    them.  ``noop_solves`` counts the solves that returned the policy they
+    were given, ``candidates`` sums M over the solves.  ``best_edit_delta``
+    is the best delta of the last edge scan, ``None`` before any scan or
+    when no edit is legal."""
 
     solves: int = 0
     solve_hits: int = 0
+    noop_solves: int = 0
+    candidates: int = 0
     families_computed: int = 0
     edits_scanned: int = 0
     best_edit_delta: float | None = None
@@ -228,6 +232,27 @@ def _shared_starts(starts: np.ndarray) -> np.ndarray:
     return 2 * (starts[:, -1] - starts[:, 0] + 1) <= starts.shape[1]
 
 
+class _Invariants:
+    """What one search's solves read that depends only on a variable and
+    the prior, held read-only: lnΓ tables by pseudo-count, interval-count
+    log priors and, from a variable's second solve on, its emission blocks.
+    The arrays share a budget of ``room`` floats; past it a solve builds
+    its own, as a bare solve (room 0) does."""
+
+    def __init__(self, room: int) -> None:
+        self.room = room
+        self.luts: dict[float, np.ndarray] = {}
+        self.blocks: dict[tuple[int, int, int], np.ndarray] = {}
+        self.log_priors: dict[tuple[int, int], list[float]] = {}
+        self.solved: set[int] = set()
+
+    def hold(self, store: dict, key, array: np.ndarray) -> None:
+        if array.size <= self.room:
+            self.room -= array.size
+            array.flags.writeable = False
+            store[key] = array
+
+
 class _CutProblem:
     """Interval-decomposed local score of one continuous variable.
 
@@ -244,7 +269,9 @@ class _CutProblem:
     search's one tally, :func:`family_tables`, over the blanket's columns of
     ``codes``, the code matrix under ``policy`` (in a search, the state's
     own), with the variable's column replaced by its fine code: the variable
-    cut at every candidate.
+    cut at every candidate.  In a search, ``held`` keeps what depends only
+    on the variable and the prior across its solves, within 4 MiB
+    (:class:`_Invariants`).
     """
 
     def __init__(
@@ -255,12 +282,19 @@ class _CutProblem:
         dataset: Dataset,
         prior: PriorSpec,
         codes: np.ndarray,
+        *,
+        held: _Invariants | None = None,
     ) -> None:
+        self.i = i
         self.prior = prior
         self.n_cases = dataset.n_cases
         self.cands = cands = dataset.candidate_thresholds(i)
         self.lower, self.upper = lo, hi = dataset.policy_bounds(i)
         self.m = len(cands)
+        self.step = max(1, _BLOCK_FLOATS // (self.m + 2))
+        self.held = held = held or _Invariants(0)
+        self.hold_blocks = i in held.solved
+        held.solved.add(i)
 
         positions, fine = dataset.cut_segments(i)
         # Case counts below each cut, as floats: the emission blocks then
@@ -311,7 +345,7 @@ class _CutProblem:
             prior.cell_weight(int(d_pos[-1]), 1)
             self.d_pos = d_pos.astype(np.float64)
             self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
-        self._luts: dict[float, np.ndarray] = {}
+        self._luts = dict(held.luts)
         self._below: dict[int, np.ndarray] = {}
         self._kept: tuple[int, np.ndarray] = (0, np.empty((0, 0)))
 
@@ -319,7 +353,18 @@ class _CutProblem:
         lut = self._luts.get(a)
         if lut is None:
             lut = self._luts[a] = gammaln(a + np.arange(self.n_cases + 1))
+            self.held.hold(self.held.luts, a, lut)
         return lut
+
+    def _block(self, lo: int, hi: int) -> np.ndarray:
+        """The emission block of rows ``lo..hi-1``, held or built."""
+        key = (self.i, lo, hi)
+        block = self.held.blocks.get(key)
+        if block is None:
+            block = self._emission(lo, hi)
+            if self.hold_blocks:
+                self.held.hold(self.held.blocks, key, block)
+        return block
 
     def _emission(self, lo: int, hi: int) -> np.ndarray:
         """Emission cost of the intervals from cuts ``lo..hi-1`` to cuts
@@ -445,11 +490,11 @@ class _CutProblem:
         """
         m = self.m
         layers = {r: np.full((r, m + 2), -np.inf) for r in counts}
-        step = max(1, _BLOCK_FLOATS // (m + 2))
+        step = self.step
         buffer = np.empty(min(step, m + 1) * (m + 1))
         for hi in range(m + 1, 0, -step):
             lo = max(0, hi - step)
-            emission = self._emission(lo, hi)
+            emission = self._block(lo, hi)
             width = m + 1 - lo
             scores = buffer[: (hi - lo) * width].reshape(hi - lo, width)
             for r, table in layers.items():
@@ -468,11 +513,19 @@ class _CutProblem:
 
     def _cost_row(self, r: int, u: int) -> tuple[np.ndarray, int]:
         """Row ``u`` of the cost matrix for ``r`` intervals and its first
-        column; read from the kept top block when it holds it."""
+        column; read from the kept top block when it holds it, its emission
+        row from a held block when one holds it."""
         kept_r, kept = self._kept
         if kept_r == r and u < len(kept):
             return kept[u], 1
-        return self._costs(r, u, u + 1, self._emission(u, u + 1))[0], u + 1
+        hi = self.m + 1 - (self.m - u) // self.step * self.step
+        lo = max(0, hi - self.step)
+        block = self.held.blocks.get((self.i, lo, hi))
+        if block is None:
+            emission = self._emission(u, u + 1)
+        else:
+            emission = block[u - lo:u - lo + 1, u - lo:]
+        return self._costs(r, u, u + 1, emission)[0], u + 1
 
     def count_penalties(self, r_cap: int) -> np.ndarray:
         """Own-family row terms of each interval count ``1..r_cap``; they
@@ -501,7 +554,11 @@ class _CutProblem:
         return tuple(float(self.cands[c - 1]) for c in cuts)
 
     def solve(self, r_cap: int) -> DiscretizationPolicy:
-        log_priors = interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
+        log_priors = self.held.log_priors.get((self.i, r_cap))
+        if log_priors is None:
+            log_priors = self.held.log_priors[self.i, r_cap] = (
+                interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
+            )
         # Per-cell pseudo-counts do not depend on the interval count, so one
         # cost matrix with r_cap layers serves every count.
         per_count = self.prior.dirichlet_mode == BDEU
@@ -534,6 +591,7 @@ def optimize_variable(
     config: SearchConfig,
     *,
     codes: np.ndarray | None = None,
+    held: _Invariants | None = None,
 ) -> DiscretizationPolicy:
     """Best threshold policy for variable ``i`` with everything else fixed.
 
@@ -542,7 +600,8 @@ def optimize_variable(
     tied; ties prefer fewer intervals, then the lexicographically
     smallest threshold sequence.  ``codes`` is the code matrix under
     ``policy``, as :func:`discretize_all` gives it; a search passes its
-    state's, and without it one is built.
+    state's, and without it one is built; likewise ``held``
+    (:class:`_Invariants`).
     """
     if not dataset.is_continuous(i):
         raise ValidationError(
@@ -562,7 +621,8 @@ def optimize_variable(
     # tallied tables, DP layer vectors (r_cap for the one shared cost matrix,
     # or r for the matrix of each interval count r), log-gamma tables (at
     # most three per child and cost matrix), the tally's code matrix over i
-    # and its blanket plus two index columns, and the working row blocks.
+    # and its blanket plus two index columns, the working row blocks, and
+    # in a search the held budget.
     n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
     tables = states(structure.parents[i]) + sum(
         states(structure.parents[c] - {i}) * (policy[c].arity + 1)
@@ -575,6 +635,7 @@ def optimize_variable(
         + luts * (dataset.n_cases + 1)
         + (len(_blanket(structure, i)) + 3) * dataset.n_cases
         + _WORK_BLOCKS * max(_BLOCK_FLOATS, m + 2)
+        + (0 if held is None else _WORK_BLOCKS * _BLOCK_FLOATS)
     )
     limit = scoring.MEMORY_LIMIT_BYTES
     if estimate > limit:
@@ -587,7 +648,9 @@ def optimize_variable(
         )
     if codes is None:
         codes = discretize_all(dataset, policy)
-    return _CutProblem(i, policy, structure, dataset, prior, codes).solve(r_cap)
+    return _CutProblem(
+        i, policy, structure, dataset, prior, codes, held=held
+    ).solve(r_cap)
 
 
 class _SearchState:
@@ -615,7 +678,9 @@ class _SearchState:
     A policy solve is memoized on :meth:`solve_key`, exactly what the cut
     problem reads.  That key also decides what to solve again: a policy
     change at ``v`` changes the keys of ``_blanket(structure, v)`` and
-    nothing else.  The caches hold floats and policies only, and live as
+    nothing else.  The solves share one :class:`_Invariants` of at most
+    ``_WORK_BLOCKS * _BLOCK_FLOATS`` floats (4 MiB), and :meth:`local` keeps
+    each continuous term pair by variable and policy.  Every cache lives as
     long as the state.
 
     The start policy must score a finite total; a policy outside the
@@ -643,6 +708,8 @@ class _SearchState:
         self.total = score.finite_total(dataset.names, "start policy")
         self.trace = SearchTrace()
         self._solves: dict[tuple, DiscretizationPolicy] = {}
+        self.held = _Invariants(_WORK_BLOCKS * _BLOCK_FLOATS)
+        self._terms: dict[tuple, tuple[float, float]] = {}
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
         self._fresh = np.zeros((2, n, n), dtype=bool)
@@ -692,9 +759,13 @@ class _SearchState:
         for family in children:
             score += family
         if v not in self.discrete:
-            emission, log_prior = continuous_terms(
-                self.dataset, v, self.policy[v], self.prior
-            )
+            key = (v, self.policy[v])
+            terms = self._terms.get(key)
+            if terms is None:
+                terms = self._terms[key] = continuous_terms(
+                    self.dataset, v, self.policy[v], self.prior
+                )
+            emission, log_prior = terms
             score += emission
             score += log_prior
         return float(score)
@@ -808,11 +879,15 @@ class _SearchState:
         if cached is not None:
             self.trace.stats.solve_hits += 1
             return cached
-        self.trace.stats.solves += 1
+        stats = self.trace.stats
+        stats.solves += 1
+        stats.candidates += len(self.dataset.candidate_thresholds(i))
         result = optimize_variable(
             i, self.policy, self.structure, self.dataset, self.prior, self.config,
-            codes=self.codes,
+            codes=self.codes, held=self.held,
         )
+        if result.thresholds == self.policy[i].thresholds:
+            stats.noop_solves += 1
         self._solves[key] = result
         return result
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from mixedbn.cli import build_parser, load_structure, main, structure_to_obj
 from mixedbn.dataset import load_schema, policy_from_obj, policy_to_obj
 from mixedbn.graph import empty_structure
 from mixedbn.search import _SearchState
+
+SOURCE = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args):
@@ -239,7 +245,7 @@ class TestDiscretize:
         stats = manifest["stats"]
         assert set(stats) == {
             "best_edit_delta", "edits_scanned", "families_computed", "solves",
-            "solve_hits",
+            "solve_hits", "noop_solves", "candidates",
         }
         # The ascent runs under a fixed structure: no edge scan at all.
         assert stats["best_edit_delta"] is None
@@ -248,6 +254,11 @@ class TestDiscretize:
         # confirming sweep reads its unchanged solve keys from the memo.
         assert stats["solves"] >= 4 and stats["solve_hits"] >= 4
         assert stats["families_computed"] > 0
+        assert 0 <= stats["noop_solves"] <= stats["solves"]
+        ds = load_dataset(str(prefix) + ".csv")
+        m = [len(ds.candidate_thresholds(i)) for i in ds.continuous_indices()]
+        # Each column is solved once: no edge joins two of them.
+        assert stats["solves"] == 4 and stats["candidates"] == sum(m)
         for name in ("p.json", "p.data.csv"):
             text = (tmp_path / name).read_text()
             assert "stats" not in text and "solve_hits" not in text
@@ -410,7 +421,7 @@ class TestLearn:
         stats = manifest["stats"]
         assert set(stats) == {
             "best_edit_delta", "edits_scanned", "families_computed", "solves",
-            "solve_hits",
+            "solve_hits", "noop_solves", "candidates",
         }
         # The fixed-point certificate: no legal edit gains more than epsilon.
         assert stats["best_edit_delta"] <= manifest["search"]["epsilon"]
@@ -419,6 +430,8 @@ class TestLearn:
         # That scan alone tallies the 12 families the additions read.
         assert stats["families_computed"] >= 12
         assert stats["solves"] > 0
+        assert 0 <= stats["noop_solves"] <= stats["solves"]
+        assert stats["candidates"] >= stats["solves"]
         for suffix in (".structure.json", ".structure.dot", ".policy.json",
                        ".trace.jsonl"):
             text = (tmp_path / ("fit" + suffix)).read_text()
@@ -543,6 +556,37 @@ class TestLearn:
         assert rc == 3
         assert "fresh network score" in capsys.readouterr().err
         assert not (tmp_path / "fit.manifest.json").exists()
+
+    def test_searches_share_nothing(self, tmp_path):
+        # Two datasets of one shape: a cache kept at module level, or keyed
+        # by id(), would carry one learn's solves over into the next.
+        prefixes = [
+            simulate(tmp_path, name=f"sim{seed}", n=60, seed=seed, random="4,2,2")
+            for seed in (4, 5)
+        ]
+        suffixes = (".structure.json", ".structure.dot", ".policy.json", ".trace.jsonl")
+
+        def learn(prefix, out, fresh_process):
+            args = ["learn", "--data", str(prefix) + ".csv",
+                    "--policy-prior", "poisson:2", "--out", str(out)]
+            if fresh_process:
+                env = {**os.environ, "PYTHONPATH": str(SOURCE)}
+                done = subprocess.run(
+                    [sys.executable, "-m", "mixedbn", *args], env=env,
+                    capture_output=True, timeout=120,
+                )
+                assert done.returncode == 0, done.stderr
+            else:
+                assert run_cli(*args) == 0
+                stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+                # Some variable is solved again, so the search holds its blocks.
+                assert stats["solves"] > 4
+            return [Path(f"{out}{s}").read_bytes() for s in suffixes]
+
+        fresh = [learn(p, tmp_path / f"fresh{k}", True) for k, p in enumerate(prefixes)]
+        assert fresh[0] != fresh[1]
+        for k in (0, 1, 0):
+            assert learn(prefixes[k], tmp_path / "again", False) == fresh[k]
 
     def test_oversized_solve_exits_2(self, tmp_path, monkeypatch, capsys):
         prefix = simulate(tmp_path)

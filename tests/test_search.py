@@ -766,6 +766,158 @@ class TestMemoryGuard:
             self.solve(ds, PriorSpec(dirichlet_mode="bdeu"))
 
 
+class TestHeldInvariants:
+    """A search's solves read what it holds across them bit for bit as a
+    bare solve builds it, within the budget, and only from a variable's
+    second solve."""
+
+    @staticmethod
+    def inputs(rows, monkeypatch):
+        """The inputs of :class:`TestBlockedCutProblem`, ``x0`` cut once so
+        that the Poisson prior scores the start, under ``rows``-row blocks
+        (``None``: the default, three or more blocks)."""
+        ds, policy, family = TestBlockedCutProblem.problem_inputs(
+            n=48 if rows else 300, tied=rows is not None
+        )
+        cands = ds.candidate_thresholds(0)
+        m = len(cands)
+        policy = policy.with_policy(
+            0, DiscretizationPolicy((float(cands[m // 2]),), *ds.policy_bounds(0))
+        )
+        if rows is not None:
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+        step = search._BLOCK_FLOATS // (m + 2)
+        assert math.ceil((m + 1) / step) >= 3
+        return ds, policy, family, m
+
+    @staticmethod
+    def held_blocks(state, i=0):
+        return {key: block for key, block in state.held.blocks.items() if key[0] == i}
+
+    @staticmethod
+    def spy_emission(monkeypatch, problem):
+        built = []
+        real = problem._emission
+
+        def spy(lo, hi):
+            built.append((lo, hi))
+            return real(lo, hi)
+
+        monkeypatch.setattr(problem, "_emission", spy)
+        return built
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("with_family", [False, True])
+    @pytest.mark.parametrize("mode,policy_prior,density", PRIOR_COMBINATIONS)
+    def test_held_solve_matches_bare_solve(
+        self, monkeypatch, rows, with_family, mode, policy_prior, density
+    ):
+        ds, policy, family, m = self.inputs(rows, monkeypatch)
+        structure = family if with_family else empty_structure(4)
+        prior = PriorSpec(
+            dirichlet_mode=mode, alpha=1.5, ess=3.0, policy_prior=policy_prior,
+            poisson_rate=2.0, density_model=density,
+        )
+        config = SearchConfig(r_max=12)
+        bare = optimize_variable(0, policy, structure, ds, prior, config)
+        state = _SearchState(structure, policy, ds, prior, config)
+        # Small blocks outgrow the budget; here every block is to be held.
+        state.held.room = 1 << 30
+        assert state.solve(0) == bare
+        assert not self.held_blocks(state)
+        again = optimize_variable(
+            0, policy, structure, ds, prior, config,
+            codes=state.codes, held=state.held,
+        )
+        assert again == bare
+        assert len(self.held_blocks(state)) == math.ceil(
+            (m + 1) / (search._BLOCK_FLOATS // (m + 2))
+        )
+
+        # A third solve reads every emission block and row from the held ones.
+        held = _CutProblem(0, policy, structure, ds, prior, state.codes, held=state.held)
+        built = self.spy_emission(monkeypatch, held)
+        fresh = cut_problem(0, policy, structure, ds, prior)
+        counts = range(1, 13) if mode == "bdeu" else [12]
+        got, want = held._layers(counts), fresh._layers(counts)
+        assert got.keys() == want.keys()
+        for r in counts:
+            assert np.array_equal(got[r], want[r])
+            for u in range(m + 1):
+                row, first = held._cost_row(r, u)
+                want_row, want_first = fresh._cost_row(r, u)
+                assert first == want_first
+                assert np.array_equal(row, want_row), (r, u)
+        for r in range(1, 13):
+            cost_r = r if mode == "bdeu" else 12
+            assert held._reconstruct(cost_r, got[cost_r], r) == (
+                fresh._reconstruct(cost_r, want[cost_r], r)
+            )
+        assert held.solve(12) == bare
+        assert built == []
+
+    def test_one_solve_per_variable_holds_no_block(self):
+        # discretize under no structure: coordinate ascent over the empty
+        # graph solves each variable once; the confirming sweep reads the
+        # memo.
+        ds, _ = sample_dataset(random_mechanism(3, 3, 2, seed=1), 120)
+        prior, config = PriorSpec(dirichlet_mode="bdeu"), SearchConfig()
+        state = _SearchState(
+            empty_structure(3), initial_policy(ds, config), ds, prior, config
+        )
+        state.ascend()
+        assert state.trace.stats.solves == 3
+        assert state.trace.stats.solve_hits >= 3
+        assert state.held.blocks == {}
+        # The lnΓ tables are held from the first solve.
+        assert state.held.luts
+
+    def test_budget_caps_what_is_held(self, monkeypatch):
+        ds, policy, family, m = self.inputs(None, monkeypatch)
+        # A budget of one block's worth of floats.
+        monkeypatch.setattr(search, "_WORK_BLOCKS", 1)
+        prior, config = PriorSpec(), SearchConfig(r_max=12)
+        state = _SearchState(family, policy, ds, prior, config)
+        budget = search._BLOCK_FLOATS
+        bare = optimize_variable(0, policy, family, ds, prior, config)
+        for _ in range(3):
+            got = optimize_variable(
+                0, policy, family, ds, prior, config,
+                codes=state.codes, held=state.held,
+            )
+            assert got == bare
+        held = [*state.held.luts.values(), *state.held.blocks.values()]
+        assert 0 <= state.held.room
+        assert sum(a.size for a in held) + state.held.room == budget
+        blocks = self.held_blocks(state)
+        assert 0 < len(blocks) < math.ceil((m + 1) / (budget // (m + 2)))
+
+        problem = _CutProblem(0, policy, family, ds, prior, state.codes, held=state.held)
+        built = self.spy_emission(monkeypatch, problem)
+        fresh = cut_problem(0, policy, family, ds, prior)
+        got, want = problem._layers([12]), fresh._layers([12])
+        assert np.array_equal(got[12], want[12])
+        # The blocks past the budget are built, the held ones read.
+        assert built and not set(built) & {key[1:] for key in blocks}
+        assert state.held.room == budget - sum(a.size for a in held)
+
+    def test_held_arrays_are_read_only(self, monkeypatch):
+        ds, policy, family, _ = self.inputs(3, monkeypatch)
+        prior = PriorSpec(density_model="multinomial")
+        state = _SearchState(family, policy, ds, prior, SearchConfig(r_max=12))
+        for _ in range(2):
+            optimize_variable(
+                0, policy, family, ds, prior, state.config,
+                codes=state.codes, held=state.held,
+            )
+        held = [*state.held.luts.values(), *state.held.blocks.values()]
+        assert state.held.luts and state.held.blocks
+        for array in held:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 class TestBlanket:
     """Hand-built structures for the re-solve sets of ``_SearchState``."""
 
