@@ -232,29 +232,9 @@ def _shared_starts(starts: np.ndarray) -> np.ndarray:
     return 2 * (starts[:, -1] - starts[:, 0] + 1) <= starts.shape[1]
 
 
-class _Invariants:
-    """What one search's solves read that depends only on a variable and
-    the prior, held read-only: lnΓ tables by pseudo-count, interval-count
-    log priors and, from a variable's second solve on, its emission blocks.
-    The arrays share a budget of ``room`` floats; past it a solve builds
-    its own, as a bare solve (room 0) does."""
-
-    def __init__(self, room: int) -> None:
-        self.room = room
-        self.luts: dict[float, np.ndarray] = {}
-        self.blocks: dict[tuple[int, int, int], np.ndarray] = {}
-        self.log_priors: dict[tuple[int, int], list[float]] = {}
-        self.solved: set[int] = set()
-
-    def hold(self, store: dict, key, array: np.ndarray) -> None:
-        if array.size <= self.room:
-            self.room -= array.size
-            array.flags.writeable = False
-            store[key] = array
-
-
 class _CutProblem:
-    """Interval-decomposed local score of one continuous variable.
+    """Interval-decomposed local score of one continuous variable, kept by
+    a search for its whole life.
 
     With cut points ``0..M+1`` (outer bounds plus the M candidates), every
     policy is a chain of cuts and its local score splits into a sum of
@@ -265,48 +245,68 @@ class _CutProblem:
     has its own, and only the emission costs are shared.  No cost matrix is
     ever held whole: the DP builds its upper triangle a block of rows at a
     time, from the last row up, and the top DP layer of each matrix only at
-    row 0, the one row a solve reads it at.  The costs' counts come from the
-    search's one tally, :func:`family_tables`, over the blanket's columns of
-    ``codes``, the code matrix under ``policy`` (in a search, the state's
-    own), with the variable's column replaced by its fine code: the variable
-    cut at every candidate.  In a search, ``held`` keeps what depends only
-    on the variable and the prior across its solves, within 4 MiB
-    (:class:`_Invariants`).
+    row 0, the one row a solve reads it at.  The constructor builds what
+    depends only on the variable and the prior: the column's cut positions,
+    values and distinct-value prefixes, and the interval-count log priors up
+    to ``r_cap``; each :meth:`solve` tallies the family part.  Across solves
+    the problem holds, read-only, its lnΓ tables by pseudo-count and, from
+    its second solve on, its emission blocks by rows, within ``room``
+    floats; past it a solve builds its own, as a problem with room 0 does.
     """
 
     def __init__(
-        self,
-        i: int,
-        policy: NetworkPolicy,
-        structure: DagStructure,
-        dataset: Dataset,
-        prior: PriorSpec,
-        codes: np.ndarray,
-        *,
-        held: _Invariants | None = None,
+        self, i: int, dataset: Dataset, prior: PriorSpec, r_cap: int, room: int
     ) -> None:
         self.i = i
         self.prior = prior
+        self.names = dataset.names
         self.n_cases = dataset.n_cases
         self.cands = cands = dataset.candidate_thresholds(i)
         self.lower, self.upper = lo, hi = dataset.policy_bounds(i)
         self.m = len(cands)
         self.step = max(1, _BLOCK_FLOATS // (self.m + 2))
-        self.held = held = held or _Invariants(0)
-        self.hold_blocks = i in held.solved
-        held.solved.add(i)
+        self.r_cap = r_cap
+        self.room = room
+        self.solves = 0
 
-        positions, fine = dataset.cut_segments(i)
+        positions, self.fine = dataset.cut_segments(i)
         # Case counts below each cut, as floats: the emission blocks then
         # take count differences without an int-to-float cast per cell.
         self.positions = positions.astype(np.float64)
         self.values = np.concatenate(([lo], cands, [hi]))
+        if prior.density_model == MULTINOMIAL_DENSITY:
+            d_pos, seen = dataset.distinct_prefixes(i)
+            # The emission's smallest pseudo-count is that of one interval
+            # holding every distinct value; cell_weight checks it here.
+            prior.cell_weight(int(d_pos[-1]), 1)
+            self.d_pos = d_pos.astype(np.float64)
+            self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
+        self.log_priors = interval_count_log_priors(r_cap, self.m, prior, self.n_cases)
+        self._luts: dict[float, np.ndarray] = {}
+        self._blocks: dict[tuple[int, int], np.ndarray] = {}
+        self._below: dict[int, np.ndarray] = {}
 
+    def _hold(self, array: np.ndarray) -> bool:
+        """Charge ``array`` to the room and make it read-only, if it fits."""
+        fits = array.size <= self.room
+        if fits:
+            self.room -= array.size
+            array.flags.writeable = False
+        return fits
+
+    def _tally(
+        self, policy: NetworkPolicy, structure: DagStructure, codes: np.ndarray
+    ) -> None:
+        """Prefix count tables of the own and each child's family, from the
+        search's one tally, :func:`family_tables`, over the blanket's columns
+        of ``codes`` (in a search, the state's own) with the variable's
+        replaced by its fine code: the variable cut at every candidate."""
+        i = self.i
         # Sorted, so the tables' rows follow the variables' order.
         members = sorted(_blanket(structure, i) | {i})
         place = {v: k for k, v in enumerate(members)}
         codes = codes[:, members]
-        codes[:, place[i]] = fine
+        codes[:, place[i]] = self.fine
         arities = [self.m + 1 if v == i else policy[v].arity for v in members]
         heads = [i, *sorted(structure.children[i])]
         sets = [frozenset(place[p] for p in structure.parents[v]) for v in heads]
@@ -314,7 +314,7 @@ class _CutProblem:
             codes,
             arities,
             [(place[v], ps, [ps]) for v, ps in zip(heads, sets)],
-            names=[dataset.names[v] for v in members],
+            names=[self.names[v] for v in members],
         )
 
         def prefix(counts: np.ndarray) -> np.ndarray:
@@ -338,32 +338,20 @@ class _CutProblem:
             margin_prefix = cell_prefix.reshape(q_other, r_child, -1).sum(axis=1)
             self.child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
 
-        if prior.density_model == MULTINOMIAL_DENSITY:
-            d_pos, seen = dataset.distinct_prefixes(i)
-            # The emission's smallest pseudo-count is that of one interval
-            # holding every distinct value; cell_weight checks it here.
-            prior.cell_weight(int(d_pos[-1]), 1)
-            self.d_pos = d_pos.astype(np.float64)
-            self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
-        self._luts = dict(held.luts)
-        self._below: dict[int, np.ndarray] = {}
-        self._kept: tuple[int, np.ndarray] = (0, np.empty((0, 0)))
-
     def _lut(self, a: float) -> np.ndarray:
         lut = self._luts.get(a)
         if lut is None:
             lut = self._luts[a] = gammaln(a + np.arange(self.n_cases + 1))
-            self.held.hold(self.held.luts, a, lut)
+            self._hold(lut)
         return lut
 
     def _block(self, lo: int, hi: int) -> np.ndarray:
         """The emission block of rows ``lo..hi-1``, held or built."""
-        key = (self.i, lo, hi)
-        block = self.held.blocks.get(key)
+        block = self._blocks.get((lo, hi))
         if block is None:
             block = self._emission(lo, hi)
-            if self.hold_blocks:
-                self.held.hold(self.held.blocks, key, block)
+            if self.solves > 1 and self._hold(block):
+                self._blocks[lo, hi] = block
         return block
 
     def _emission(self, lo: int, hi: int) -> np.ndarray:
@@ -520,7 +508,7 @@ class _CutProblem:
             return kept[u], 1
         hi = self.m + 1 - (self.m - u) // self.step * self.step
         lo = max(0, hi - self.step)
-        block = self.held.blocks.get((self.i, lo, hi))
+        block = self._blocks.get((lo, hi))
         if block is None:
             emission = self._emission(u, u + 1)
         else:
@@ -553,12 +541,15 @@ class _CutProblem:
             u = v
         return tuple(float(self.cands[c - 1]) for c in cuts)
 
-    def solve(self, r_cap: int) -> DiscretizationPolicy:
-        log_priors = self.held.log_priors.get((self.i, r_cap))
-        if log_priors is None:
-            log_priors = self.held.log_priors[self.i, r_cap] = (
-                interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
-            )
+    def solve(
+        self, policy: NetworkPolicy, structure: DagStructure, codes: np.ndarray
+    ) -> DiscretizationPolicy:
+        """Best policy of the variable under ``policy`` and ``structure``;
+        ``codes`` is the code matrix under ``policy``.  Only the held
+        arrays outlive the solve."""
+        self._tally(policy, structure, codes)
+        self.solves += 1
+        r_cap = self.r_cap
         # Per-cell pseudo-counts do not depend on the interval count, so one
         # cost matrix with r_cap layers serves every count.
         per_count = self.prior.dirichlet_mode == BDEU
@@ -569,16 +560,19 @@ class _CutProblem:
 
         penalties = self.count_penalties(r_cap)
         totals = [
-            layers[cost_count(r)][r - 1, 0] + penalties[r - 1] + log_priors[r - 1]
+            layers[cost_count(r)][r - 1, 0] + penalties[r - 1] + self.log_priors[r - 1]
             for r in range(1, r_cap + 1)
         ]
         best_total = max(totals)
-        if not np.isfinite(best_total):
-            return DiscretizationPolicy((), self.lower, self.upper)
-        r = 1 + next(
-            k for k, t in enumerate(totals) if t >= best_total - TIE_TOLERANCE
-        )
-        thresholds = self._reconstruct(cost_count(r), layers[cost_count(r)], r)
+        thresholds: tuple[float, ...] = ()
+        if np.isfinite(best_total):
+            r = 1 + next(
+                k for k, t in enumerate(totals) if t >= best_total - TIE_TOLERANCE
+            )
+            thresholds = self._reconstruct(cost_count(r), layers[cost_count(r)], r)
+        # The held lnΓ tables are the read-only ones.
+        self._luts = {a: t for a, t in self._luts.items() if not t.flags.writeable}
+        del self.own_prefix, self.own_totals, self.child_tables, self._kept
         return DiscretizationPolicy(thresholds, self.lower, self.upper)
 
 
@@ -591,7 +585,7 @@ def optimize_variable(
     config: SearchConfig,
     *,
     codes: np.ndarray | None = None,
-    held: _Invariants | None = None,
+    problems: dict[int, _CutProblem] | None = None,
 ) -> DiscretizationPolicy:
     """Best threshold policy for variable ``i`` with everything else fixed.
 
@@ -600,8 +594,10 @@ def optimize_variable(
     tied; ties prefer fewer intervals, then the lexicographically
     smallest threshold sequence.  ``codes`` is the code matrix under
     ``policy``, as :func:`discretize_all` gives it; a search passes its
-    state's, and without it one is built; likewise ``held``
-    (:class:`_Invariants`).
+    state's, and without it one is built.  ``problems`` is a search's
+    :class:`_CutProblem` per variable, for one dataset, prior and config;
+    a problem added to it gets an equal share of 4 MiB to hold arrays in.
+    Without it a throwaway problem, which holds nothing, is built.
     """
     if not dataset.is_continuous(i):
         raise ValidationError(
@@ -624,6 +620,7 @@ def optimize_variable(
     # and its blanket plus two index columns, the working row blocks, and
     # in a search the held budget.
     n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
+    budget = 0 if problems is None else _WORK_BLOCKS * _BLOCK_FLOATS
     tables = states(structure.parents[i]) + sum(
         states(structure.parents[c] - {i}) * (policy[c].arity + 1)
         for c in structure.children[i]
@@ -635,7 +632,7 @@ def optimize_variable(
         + luts * (dataset.n_cases + 1)
         + (len(_blanket(structure, i)) + 3) * dataset.n_cases
         + _WORK_BLOCKS * max(_BLOCK_FLOATS, m + 2)
-        + (0 if held is None else _WORK_BLOCKS * _BLOCK_FLOATS)
+        + budget
     )
     limit = scoring.MEMORY_LIMIT_BYTES
     if estimate > limit:
@@ -648,9 +645,11 @@ def optimize_variable(
         )
     if codes is None:
         codes = discretize_all(dataset, policy)
-    return _CutProblem(
-        i, policy, structure, dataset, prior, codes, held=held
-    ).solve(r_cap)
+    problems = {} if problems is None else problems
+    if i not in problems:
+        share = budget // len(dataset.continuous_indices())
+        problems[i] = _CutProblem(i, dataset, prior, r_cap, share)
+    return problems[i].solve(policy, structure, codes)
 
 
 class _SearchState:
@@ -678,10 +677,10 @@ class _SearchState:
     A policy solve is memoized on :meth:`solve_key`, exactly what the cut
     problem reads.  That key also decides what to solve again: a policy
     change at ``v`` changes the keys of ``_blanket(structure, v)`` and
-    nothing else.  The solves share one :class:`_Invariants` of at most
-    ``_WORK_BLOCKS * _BLOCK_FLOATS`` floats (4 MiB), and :meth:`local` keeps
-    each continuous term pair by variable and policy.  Every cache lives as
-    long as the state.
+    nothing else.  Each continuous variable keeps one :class:`_CutProblem`
+    in ``problems``, holding at most an equal share of 4 MiB, and
+    :meth:`local` keeps each continuous term pair by variable and policy.
+    Every cache lives as long as the state.
 
     The start policy must score a finite total; a policy outside the
     policy prior's support raises ValidationError.
@@ -708,7 +707,7 @@ class _SearchState:
         self.total = score.finite_total(dataset.names, "start policy")
         self.trace = SearchTrace()
         self._solves: dict[tuple, DiscretizationPolicy] = {}
-        self.held = _Invariants(_WORK_BLOCKS * _BLOCK_FLOATS)
+        self.problems: dict[int, _CutProblem] = {}
         self._terms: dict[tuple, tuple[float, float]] = {}
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
@@ -884,7 +883,7 @@ class _SearchState:
         stats.candidates += len(self.dataset.candidate_thresholds(i))
         result = optimize_variable(
             i, self.policy, self.structure, self.dataset, self.prior, self.config,
-            codes=self.codes, held=self.held,
+            codes=self.codes, problems=self.problems,
         )
         if result.thresholds == self.policy[i].thresholds:
             stats.noop_solves += 1

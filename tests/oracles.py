@@ -45,7 +45,6 @@ from mixedbn import (
     PriorSpec,
     ValidationError,
     apply_policy,
-    discretize_all,
 )
 from mixedbn.dataset import read_text
 from mixedbn.graph import CycleError, validate_dag
@@ -427,18 +426,18 @@ def reference_slice_terms(problem, prefix, a, lo, hi):
 class DenseCutProblem(_CutProblem):
     """The segmentation DP over dense (M+2)² cost matrices.
 
-    Takes its prefix tables from :func:`reference_prefix_tables`, not from
-    the tally of :class:`_CutProblem`, and builds every cost matrix whole,
-    lower triangle included and masked to ``-inf``, with one matrix per
-    interval count under shared sample size.  Reference for the row-blocked
-    DP, which must match it exactly.  :meth:`count_penalty` sums one
-    interval count's row terms at a time, the reference for
-    :meth:`_CutProblem.count_penalties`.
+    Takes the column from the constructor of :class:`_CutProblem` and its
+    prefix tables from :func:`reference_prefix_tables` alone, never from the
+    package's tally, and builds every cost matrix whole, lower triangle
+    included and masked to ``-inf``, with one matrix per interval count
+    under shared sample size.  Reference for the row-blocked DP, which must
+    match it exactly: :meth:`dense_solve` for :meth:`_CutProblem.solve`.
+    :meth:`count_penalty` sums one interval count's row terms at a time, the
+    reference for :meth:`_CutProblem.count_penalties`.
     """
 
-    def __init__(self, i, policy, structure, dataset, prior):
-        codes = discretize_all(dataset, policy)
-        super().__init__(i, policy, structure, dataset, prior, codes)
+    def __init__(self, i, policy, structure, dataset, prior, r_cap=12):
+        super().__init__(i, dataset, prior, r_cap, 0)
         self.positions, self.q_own, self.own_prefix, self.child_tables = (
             reference_prefix_tables(i, policy, structure, dataset)
         )
@@ -534,7 +533,8 @@ class DenseCutProblem(_CutProblem):
             u = v
         return tuple(float(self.cands[c - 1]) for c in cuts)
 
-    def solve(self, r_cap):
+    def dense_solve(self):
+        r_cap = self.r_cap
         log_priors = interval_count_log_priors(r_cap, self.m, self.prior, self.n_cases)
         totals = [
             self.table(r)[1][r][0] + self.count_penalty(r) + log_priors[r - 1]

@@ -70,8 +70,12 @@ def edit_list(candidates):
 
 
 def cut_problem(i, policy, structure, ds, prior):
-    """The cut problem of ``i``, tallied from a fresh code matrix."""
-    return _CutProblem(i, policy, structure, ds, prior, discretize_all(ds, policy))
+    """The cut problem of ``i``, holding nothing, under the default interval
+    cap, tallied from a fresh code matrix."""
+    r_cap = min(12, len(ds.candidate_thresholds(i)) + 1)
+    problem = _CutProblem(i, ds, prior, r_cap, 0)
+    problem._tally(policy, structure, discretize_all(ds, policy))
+    return problem
 
 
 def with_twin(ds):
@@ -580,8 +584,22 @@ class TestBlockedCutProblem:
             assert problem._reconstruct(cost_r, table, r) == (
                 dense._dense_reconstruct(*dense.table(r), r)
             )
-        got = cut_problem(0, policy, structure, ds, prior).solve(r_cap)
-        assert got == dense.solve(r_cap)
+        got = _CutProblem(0, ds, prior, r_cap, 0).solve(
+            policy, structure, discretize_all(ds, policy)
+        )
+        assert got == dense.dense_solve()
+
+    def test_dense_reference_tallies_apart(self, monkeypatch):
+        # The dense DP takes its counts from reference_prefix_tables alone,
+        # so it checks the package's tally instead of running it.
+        ds, policy, family = self.problem_inputs()
+        tallies = []
+        monkeypatch.setattr(
+            search, "family_tables", lambda *a, **k: tallies.append(a)
+        )
+        dense = DenseCutProblem(0, policy, family, ds, PriorSpec())
+        assert tallies == []
+        assert dense.q_own == 2 and len(dense.child_tables) == 1
 
     @pytest.mark.parametrize("shared", [False, True], ids=["per-cell", "shared"])
     def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, shared):
@@ -767,9 +785,10 @@ class TestMemoryGuard:
 
 
 class TestHeldInvariants:
-    """A search's solves read what it holds across them bit for bit as a
-    bare solve builds it, within the budget, and only from a variable's
-    second solve."""
+    """A search keeps one cut problem per continuous variable.  Its solves
+    read what the problem holds across them bit for bit as a bare solve
+    builds it, within the problem's share of the budget, and hold emission
+    blocks only from the second solve on."""
 
     @staticmethod
     def inputs(rows, monkeypatch):
@@ -791,8 +810,8 @@ class TestHeldInvariants:
         return ds, policy, family, m
 
     @staticmethod
-    def held_blocks(state, i=0):
-        return {key: block for key, block in state.held.blocks.items() if key[0] == i}
+    def held(problem):
+        return [*problem._luts.values(), *problem._blocks.values()]
 
     @staticmethod
     def spy_emission(monkeypatch, problem):
@@ -821,39 +840,39 @@ class TestHeldInvariants:
         config = SearchConfig(r_max=12)
         bare = optimize_variable(0, policy, structure, ds, prior, config)
         state = _SearchState(structure, policy, ds, prior, config)
-        # Small blocks outgrow the budget; here every block is to be held.
-        state.held.room = 1 << 30
+        # Small blocks outgrow a share of the budget; here every block is
+        # to be held.
+        problem = state.problems[0] = _CutProblem(0, ds, prior, 12, 1 << 30)
         assert state.solve(0) == bare
-        assert not self.held_blocks(state)
+        assert not problem._blocks
         again = optimize_variable(
             0, policy, structure, ds, prior, config,
-            codes=state.codes, held=state.held,
+            codes=state.codes, problems=state.problems,
         )
         assert again == bare
-        assert len(self.held_blocks(state)) == math.ceil(
-            (m + 1) / (search._BLOCK_FLOATS // (m + 2))
-        )
+        assert state.problems == {0: problem}
+        assert len(problem._blocks) == math.ceil((m + 1) / problem.step)
 
         # A third solve reads every emission block and row from the held ones.
-        held = _CutProblem(0, policy, structure, ds, prior, state.codes, held=state.held)
-        built = self.spy_emission(monkeypatch, held)
+        built = self.spy_emission(monkeypatch, problem)
+        problem._tally(policy, structure, state.codes)
         fresh = cut_problem(0, policy, structure, ds, prior)
         counts = range(1, 13) if mode == "bdeu" else [12]
-        got, want = held._layers(counts), fresh._layers(counts)
+        got, want = problem._layers(counts), fresh._layers(counts)
         assert got.keys() == want.keys()
         for r in counts:
             assert np.array_equal(got[r], want[r])
             for u in range(m + 1):
-                row, first = held._cost_row(r, u)
+                row, first = problem._cost_row(r, u)
                 want_row, want_first = fresh._cost_row(r, u)
                 assert first == want_first
                 assert np.array_equal(row, want_row), (r, u)
         for r in range(1, 13):
             cost_r = r if mode == "bdeu" else 12
-            assert held._reconstruct(cost_r, got[cost_r], r) == (
+            assert problem._reconstruct(cost_r, got[cost_r], r) == (
                 fresh._reconstruct(cost_r, want[cost_r], r)
             )
-        assert held.solve(12) == bare
+        assert problem.solve(policy, structure, state.codes) == bare
         assert built == []
 
     def test_one_solve_per_variable_holds_no_block(self):
@@ -868,38 +887,43 @@ class TestHeldInvariants:
         state.ascend()
         assert state.trace.stats.solves == 3
         assert state.trace.stats.solve_hits >= 3
-        assert state.held.blocks == {}
-        # The lnΓ tables are held from the first solve.
-        assert state.held.luts
+        assert sorted(state.problems) == [0, 1, 2]
+        for problem in state.problems.values():
+            assert problem.solves == 1
+            assert problem._blocks == {}
+            # The lnΓ tables are held from the first solve.
+            assert problem._luts
 
     def test_budget_caps_what_is_held(self, monkeypatch):
         ds, policy, family, m = self.inputs(None, monkeypatch)
-        # A budget of one block's worth of floats.
-        monkeypatch.setattr(search, "_WORK_BLOCKS", 1)
+        # The budget split over the four continuous variables: a share of
+        # one block's worth of floats each.
+        assert len(ds.continuous_indices()) == 4
+        monkeypatch.setattr(search, "_WORK_BLOCKS", 4)
+        share = search._BLOCK_FLOATS
         prior, config = PriorSpec(), SearchConfig(r_max=12)
         state = _SearchState(family, policy, ds, prior, config)
-        budget = search._BLOCK_FLOATS
         bare = optimize_variable(0, policy, family, ds, prior, config)
         for _ in range(3):
             got = optimize_variable(
                 0, policy, family, ds, prior, config,
-                codes=state.codes, held=state.held,
+                codes=state.codes, problems=state.problems,
             )
             assert got == bare
-        held = [*state.held.luts.values(), *state.held.blocks.values()]
-        assert 0 <= state.held.room
-        assert sum(a.size for a in held) + state.held.room == budget
-        blocks = self.held_blocks(state)
-        assert 0 < len(blocks) < math.ceil((m + 1) / (budget // (m + 2)))
+        problem = state.problems[0]
+        held = self.held(problem)
+        assert 0 <= problem.room
+        assert sum(a.size for a in held) + problem.room == share
+        assert 0 < len(problem._blocks) < math.ceil((m + 1) / problem.step)
 
-        problem = _CutProblem(0, policy, family, ds, prior, state.codes, held=state.held)
         built = self.spy_emission(monkeypatch, problem)
+        problem._tally(policy, family, state.codes)
         fresh = cut_problem(0, policy, family, ds, prior)
         got, want = problem._layers([12]), fresh._layers([12])
         assert np.array_equal(got[12], want[12])
         # The blocks past the budget are built, the held ones read.
-        assert built and not set(built) & {key[1:] for key in blocks}
-        assert state.held.room == budget - sum(a.size for a in held)
+        assert built and not set(built) & set(problem._blocks)
+        assert problem.room == share - sum(a.size for a in held)
 
     def test_held_arrays_are_read_only(self, monkeypatch):
         ds, policy, family, _ = self.inputs(3, monkeypatch)
@@ -908,14 +932,46 @@ class TestHeldInvariants:
         for _ in range(2):
             optimize_variable(
                 0, policy, family, ds, prior, state.config,
-                codes=state.codes, held=state.held,
+                codes=state.codes, problems=state.problems,
             )
-        held = [*state.held.luts.values(), *state.held.blocks.values()]
-        assert state.held.luts and state.held.blocks
-        for array in held:
+        problem = state.problems[0]
+        assert problem._luts and problem._blocks
+        for array in self.held(problem):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_learn_keeps_one_problem_per_variable(self, monkeypatch):
+        # A budget of six small blocks, split over five continuous
+        # variables: each share holds some lnΓ tables and small blocks.
+        monkeypatch.setattr(search, "_BLOCK_FLOATS", 4096)
+        monkeypatch.setattr(search, "_WORK_BLOCKS", 6)
+        ds, _ = sample_dataset(random_mechanism(5, 3, 2, seed=4), 150)
+        assert len(ds.continuous_indices()) == 5
+        built, solved = [], set()
+        init, solve = _CutProblem.__init__, _CutProblem.solve
+
+        def spy_init(problem, i, *args):
+            built.append(problem)
+            init(problem, i, *args)
+
+        def spy_solve(problem, *args):
+            solved.add(problem.i)
+            return solve(problem, *args)
+
+        monkeypatch.setattr(_CutProblem, "__init__", spy_init)
+        monkeypatch.setattr(_CutProblem, "solve", spy_solve)
+        prior = PriorSpec(dirichlet_mode="bdeu", ess=10.0)
+        _, _, trace = hill_climb_structure(ds, prior, SearchConfig())
+        assert sorted(p.i for p in built) == sorted(solved)
+        assert trace.stats.solves > len(built)
+        assert any(p._blocks for p in built)
+        # Between solves a problem keeps only held arrays, though under
+        # BDeu's many pseudo-counts some of its lnΓ tables did not fit.
+        held = [a for p in built for a in self.held(p)]
+        assert not any(a.flags.writeable for a in held)
+        budget = search._WORK_BLOCKS * search._BLOCK_FLOATS
+        assert sum(a.size for a in held) <= budget
 
 
 class TestBlanket:
