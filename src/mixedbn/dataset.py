@@ -223,9 +223,10 @@ class Dataset:
     column-major so that reading a column is a contiguous read.
 
     Continuous columns cache their candidate thresholds, each case's fine
-    code under those cuts, and how many cases and distinct values fall
-    below each cut (:meth:`distinct_prefixes`): column-only inputs that
-    every policy solve of the column reads again.
+    code under those cuts, their distinct values with their case counts,
+    and how many cases and distinct values fall below each cut
+    (:meth:`distinct_prefixes`): column-only inputs that every policy solve
+    or emission score of the column reads again.
     """
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):
@@ -326,6 +327,14 @@ class Dataset:
 
         return self._memo("cut_segments", i, build)
 
+    def distinct_values(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values of column ``i``, ascending, and how many
+        cases hold each."""
+        return self._memo(
+            "distinct_values", i,
+            lambda: np.unique(self.values[:, i], return_counts=True),
+        )
+
     def distinct_prefixes(
         self, i: int
     ) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
@@ -335,7 +344,7 @@ class Dataset:
 
         def build():
             sorted_vals = np.sort(self.values[:, i])
-            distinct, occ = np.unique(sorted_vals, return_counts=True)
+            distinct, occ = self.distinct_values(i)
             row_distinct = np.searchsorted(distinct, sorted_vals)
             d_pos = np.append(row_distinct, len(distinct))[self.cut_segments(i)[0]]
             seen = tuple(

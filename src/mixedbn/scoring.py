@@ -207,37 +207,28 @@ def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]
     ``tables[t][j, k]`` counts cases with parent configuration ``j`` and
     child code ``k``.  Each parent configuration contributes the log ratio
     of Dirichlet normalizers before and after observing its row of counts,
-    so a child with a single code scores exactly zero.  The lnΓ terms of
-    every cell and every row of all tables are taken in one vectorized
-    call each.  Each family's row terms and cell terms are then summed over
-    its own contiguous slice with numpy's pairwise ``sum``, so every score
-    is bitwise the one it gets when scored alone.
+    so a child with a single code scores exactly zero.  The tables of one
+    shape ``(q, r)`` are stacked as a ``(k, q, r)`` array, and each lnΓ
+    term is taken in one call per shape.  Each family's row terms and cell
+    terms are the rows of ``(k, q)`` and ``(k, q·r)`` arrays, summed along
+    the row: numpy reduces a contiguous row with the same pairwise sum as
+    the 1-D ``sum`` of that row alone, so every score is bitwise the one it
+    gets when scored alone.
     """
-    if not tables:
-        return []
-    shapes = [table.shape for table in tables]
-    qs = [q for q, _ in shapes]
-    sizes = [q * r for q, r in shapes]
-    a_cells = [prior.cell_weight(r, q) for q, r in shapes]
-    cells = np.concatenate([table.ravel() for table in tables])
-    cell_a = np.repeat(a_cells, sizes)
-    cell_terms = gammaln(cell_a + cells) - gammaln(cell_a)
-    row_len = np.repeat([r for _, r in shapes], qs)
-    margins = np.add.reduceat(cells, np.cumsum(row_len) - row_len)
-    row_a = np.repeat([a * r for a, (_, r) in zip(a_cells, shapes)], qs)
-    row_terms = gammaln(row_a) - gammaln(row_a + margins)
-    scores = []
-    row_end = cell_end = 0
-    for q, size in zip(qs, sizes):
-        row_start, row_end = row_end, row_end + q
-        cell_start, cell_end = cell_end, cell_end + size
-        scores.append(
-            float(
-                row_terms[row_start:row_end].sum()
-                + cell_terms[cell_start:cell_end].sum()
-            )
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for t, table in enumerate(tables):
+        shapes.setdefault(table.shape, []).append(t)
+    scores = np.empty(len(tables))
+    for (q, r), members in shapes.items():
+        stack = np.array([tables[t] for t in members])
+        a_cell = prior.cell_weight(r, q)
+        a_row = a_cell * r
+        row_terms = gammaln(a_row) - gammaln(a_row + stack.sum(axis=2))
+        cell_terms = gammaln(a_cell + stack) - gammaln(a_cell)
+        scores[members] = (
+            row_terms.sum(axis=1) + cell_terms.reshape(len(members), -1).sum(axis=1)
         )
-    return scores
+    return scores.tolist()
 
 
 def continuous_component(
@@ -267,10 +258,22 @@ def multinomial_component(
     multinomial density model: each interval is scored as a
     Dirichlet-multinomial family over the distinct values it contains.
     """
+    values = np.asarray(column, dtype=np.float64)
+    return _multinomial_emission(
+        *np.unique(values, return_counts=True), policy, prior
+    )
+
+
+def _multinomial_emission(
+    distinct: np.ndarray,
+    counts: np.ndarray,
+    policy: DiscretizationPolicy,
+    prior: PriorSpec,
+) -> float:
+    """:func:`multinomial_component` of a column whose ascending distinct
+    values ``distinct`` are held by ``counts`` cases each."""
     if policy.trivial:
         return 0.0
-    values = np.asarray(column, dtype=np.float64)
-    distinct, counts = np.unique(values, return_counts=True)
     groups = apply_policy(distinct, policy)
     # Intervals holding no data are legal here; compact group ids first.
     present = np.unique(groups)
@@ -344,11 +347,10 @@ def continuous_terms(
     mass over the column's candidate cuts.  A discrete variable raises
     ValidationError."""
     n_candidates = len(dataset.candidate_thresholds(i))
-    column = dataset.column(i)
     if prior.density_model == MULTINOMIAL_DENSITY:
-        emission = multinomial_component(column, policy, prior)
+        emission = _multinomial_emission(*dataset.distinct_values(i), policy, prior)
     else:
-        emission = continuous_component(column, policy)
+        emission = continuous_component(dataset.column(i), policy)
     log_prior = interval_count_log_priors(
         policy.arity, n_candidates, prior, dataset.n_cases
     )[-1]

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -67,8 +68,9 @@ TIE_TOLERANCE = 1e-9
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
 # headroom: the tracemalloc peak of one solve over N = 600 cases, less its
-# layer vectors and lnΓ tables, measures at most 7.1 blocks under the
-# uniform emission and 13.5 under the multinomial one.
+# layer vectors and lnΓ tables, measures at most 7.6 blocks under the
+# uniform emission and 13.5 under the multinomial one, and a solve whose
+# 27 states are gathered as one stack, 3.6.
 _WORK_BLOCKS = 16
 
 # Edge edit kinds, in the order the edge scan lists them; the scan's op
@@ -134,7 +136,9 @@ class SearchStats:
     them.  ``noop_solves`` counts the solves that returned the policy they
     were given, ``candidates`` sums M over the solves.  ``best_edit_delta``
     is the best delta of the last edge scan, ``None`` before any scan or
-    when no edit is legal."""
+    when no edit is legal.  ``solve_s`` and ``scan_s`` are the wall seconds
+    spent in policy solves and in edge-scan deltas; stats compare equal
+    whatever their times."""
 
     solves: int = 0
     solve_hits: int = 0
@@ -143,6 +147,8 @@ class SearchStats:
     families_computed: int = 0
     edits_scanned: int = 0
     best_edit_delta: float | None = None
+    solve_s: float = field(default=0.0, compare=False)
+    scan_s: float = field(default=0.0, compare=False)
 
 
 class SearchTrace:
@@ -401,18 +407,41 @@ class _CutProblem:
         """Sum over non-empty states of ``lnG(a + n) - lnG(a)``, where ``n``
         counts a state's cases between cuts; same block as ``_emission``.
 
-        A state's counts from rows with the same start ``row[u]`` form the
+        Every cell adds its states' terms in state order and subtracts
+        ``lnG(a)`` after each.  When two or more states are live and their
+        counts fit in ``_BLOCK_FLOATS`` cells, one gather stacks the terms
+        of all of them, and one running sum (``np.add.accumulate``) along
+        the stack adds them up in that order, the ``-lnG(a)`` terms
+        interleaved; a pairwise ``sum`` over the states would round
+        differently.  Otherwise the states are gathered one at a time, and
+        a state's counts from rows with the same start ``row[u]`` form the
         same row, so when :func:`_shared_starts` finds few distinct starts
         in the block the counts are gathered once per distinct start and
-        copied to the rows sharing it.  Every cell adds the same terms in the
-        same order on either path.  The first live state's terms start the
-        sum, which equals adding them to zeros: no lnΓ table holds -0.0.
+        copied to the rows sharing it.  The first live state's terms start
+        the sum, which equals adding them to zeros: no lnΓ table holds -0.0.
         """
         lut = self._lut(a)
-        out = None
-        n = None
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
         base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
+        shape = (hi - lo, self.m + 1 - lo)
+        cells = shape[0] * shape[1]
+        # Only a table of two or more rows, in a block where two states'
+        # counts fit, pays the numpy calls that find its live states.
+        if len(prefix) > 1 and 2 * cells <= _BLOCK_FLOATS:
+            live = prefix[prefix[:, -1] != 0]
+            states = len(live)
+            if 1 < states and states * cells <= _BLOCK_FLOATS:
+                # Where v <= u a count is negative, as on the paths below.
+                terms = lut[live[:, None, lo + 1:] - live[:, lo:hi, None]]
+                if base is not None:
+                    # Each state's terms, then -lnG(a): x + -b is x - b.
+                    paired = np.empty((states, 2, *shape))
+                    paired[:, 0] = terms
+                    paired[:, 1] = -base
+                    terms = paired.reshape(2 * states, *shape)
+                return np.add.accumulate(terms, axis=0, out=terms)[-1]
+        out = None
+        n = None
         for row, share in zip(prefix, _shared_starts(prefix[:, lo:hi]).tolist()):
             if row[-1] == 0:
                 continue
@@ -831,7 +860,9 @@ class _SearchState:
         if not len(kind):
             self.trace.stats.best_edit_delta = None
             return None, -np.inf
+        started = time.perf_counter()
         deltas = self.edit_deltas(candidates)[order]
+        self.trace.stats.scan_s += time.perf_counter() - started
         pick = int(np.argmax(deltas))
         best = float(deltas[pick])
         self.trace.stats.best_edit_delta = best
@@ -881,10 +912,12 @@ class _SearchState:
         stats = self.trace.stats
         stats.solves += 1
         stats.candidates += len(self.dataset.candidate_thresholds(i))
+        started = time.perf_counter()
         result = optimize_variable(
             i, self.policy, self.structure, self.dataset, self.prior, self.config,
             codes=self.codes, problems=self.problems,
         )
+        stats.solve_s += time.perf_counter() - started
         if result.thresholds == self.policy[i].thresholds:
             stats.noop_solves += 1
         self._solves[key] = result

@@ -245,11 +245,12 @@ class TestDiscretize:
         stats = manifest["stats"]
         assert set(stats) == {
             "best_edit_delta", "edits_scanned", "families_computed", "solves",
-            "solve_hits", "noop_solves", "candidates",
+            "solve_hits", "noop_solves", "candidates", "solve_s", "scan_s",
         }
         # The ascent runs under a fixed structure: no edge scan at all.
         assert stats["best_edit_delta"] is None
-        assert stats["edits_scanned"] == 0
+        assert stats["edits_scanned"] == 0 and stats["scan_s"] == 0.0
+        assert stats["solve_s"] > 0.0
         # Each of the 4 continuous columns is solved at least once, and the
         # confirming sweep reads its unchanged solve keys from the memo.
         assert stats["solves"] >= 4 and stats["solve_hits"] >= 4
@@ -421,7 +422,7 @@ class TestLearn:
         stats = manifest["stats"]
         assert set(stats) == {
             "best_edit_delta", "edits_scanned", "families_computed", "solves",
-            "solve_hits", "noop_solves", "candidates",
+            "solve_hits", "noop_solves", "candidates", "solve_s", "scan_s",
         }
         # The fixed-point certificate: no legal edit gains more than epsilon.
         assert stats["best_edit_delta"] <= manifest["search"]["epsilon"]
@@ -429,6 +430,7 @@ class TestLearn:
         assert stats["edits_scanned"] >= 12
         # That scan alone tallies the 12 families the additions read.
         assert stats["families_computed"] >= 12
+        assert stats["scan_s"] > 0.0 and stats["solve_s"] > 0.0
         assert stats["solves"] > 0
         assert 0 <= stats["noop_solves"] <= stats["solves"]
         assert stats["candidates"] >= stats["solves"]

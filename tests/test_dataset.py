@@ -321,6 +321,12 @@ class TestDataset:
             (c, [0, *(sum(occurs[v] == c for v in b) for b in below)])
             for c in sorted(set(occurs.values()))
         ]
+        # The distinct values and their case counts are built once, frozen.
+        distinct, counts = ds.distinct_values(0)
+        assert dict(zip(distinct.tolist(), counts.tolist())) == occurs
+        assert np.all(np.diff(distinct) > 0)
+        assert ds.distinct_values(0)[0] is distinct
+        assert not distinct.flags.writeable and not counts.flags.writeable
 
     def test_candidate_thresholds_cached_per_column(self):
         ds = continuous_dataset(np.array([[0.0], [1.0], [9.0], [10.0]]))

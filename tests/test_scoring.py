@@ -182,6 +182,26 @@ class TestFamilyScores:
                 assert score == family_scores([table], prior)[0]
 
     @pytest.mark.parametrize("prior", PRIORS, ids=["k2", "k2-0.3", "bdeu-1", "bdeu-7.5"])
+    def test_stacked_tables_of_one_shape_are_bitwise_each_alone(self, prior):
+        # Tables of one shape are scored as one stack: row sums along rows of
+        # q terms and of q * r cell terms, on both sides of the lengths where
+        # numpy's pairwise sum changes its blocking (8 and 128).
+        rng = np.random.default_rng(29)
+        shapes = [(q, r) for q in (7, 8, 9, 128, 129) for r in (1, 2, 15, 16, 17)]
+        tables = [
+            rng.integers(0, int(rng.integers(1, 300)), size=shape)
+            for shape in shapes
+            for _ in range(int(rng.integers(2, 6)))
+        ]
+        order = rng.permutation(len(tables))
+        tables = [tables[t] for t in order]
+        scores = family_scores(tables, prior)
+        assert len(scores) == len(tables)
+        for table, score in zip(tables, scores):
+            assert score == closed_form_family_score(table, prior)
+            assert score == family_scores([table], prior)[0]
+
+    @pytest.mark.parametrize("prior", PRIORS, ids=["k2", "k2-0.3", "bdeu-1", "bdeu-7.5"])
     def test_single_code_child_is_exactly_zero(self, prior):
         rng = np.random.default_rng(23)
         for q in (1, 5, 8, 130, 700):

@@ -465,11 +465,11 @@ def chain_problem(n=600):
     return ds, policy, validate_dag([set(), {0}, {1}])
 
 
-def solve_peak(ds, policy, structure, prior):
-    """Tracemalloc peak of solving x1, in bytes."""
+def solve_peak(ds, policy, structure, prior, i=1):
+    """Tracemalloc peak of solving ``x{i}``, in bytes."""
     tracemalloc.start()
     try:
-        optimize_variable(1, policy, structure, ds, prior, SearchConfig())
+        optimize_variable(i, policy, structure, ds, prior, SearchConfig())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -640,15 +640,10 @@ class TestBlockedCutProblem:
             )
         return ds, policy, validate_dag([{1, 2, 3}, set(), set(), set()])
 
-    @pytest.mark.parametrize("a", [1.0, 1.5])
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_shared_start_gather_matches_reference(self, monkeypatch, tied, a):
-        ds, policy, structure = self.three_parent_inputs(tied)
-        problem = cut_problem(0, policy, structure, ds, PriorSpec())
-        m = problem.m
-        assert (m + 1 < ds.n_cases) == tied
-        assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
-
+    @staticmethod
+    def spy_shared_starts(monkeypatch):
+        """Record each decision of ``_shared_starts``: one call per block
+        that gathers its states one at a time."""
         decided = []
         real = search._shared_starts
 
@@ -657,19 +652,39 @@ class TestBlockedCutProblem:
             decided.append(share.tolist())
             return share
 
-        def same_bits(got, want):
-            return np.array_equal(got, want) and np.array_equal(
-                np.signbit(got), np.signbit(want)
-            )
-
         monkeypatch.setattr(search, "_shared_starts", spy)
+        return decided
+
+    @staticmethod
+    def same_bits(got, want):
+        return np.array_equal(got, want) and np.array_equal(
+            np.signbit(got), np.signbit(want)
+        )
+
+    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-state"])
+    @pytest.mark.parametrize("a", [1.0, 1.5])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_shared_start_gather_matches_reference(
+        self, monkeypatch, tied, a, stacked
+    ):
+        ds, policy, structure = self.three_parent_inputs(tied)
+        problem = cut_problem(0, policy, structure, ds, PriorSpec())
+        m = problem.m
+        assert (m + 1 < ds.n_cases) == tied
+        assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
+        full = search._BLOCK_FLOATS // (m + 2)
+        if not stacked:
+            # No stack of two or more states fits: one gather per state.
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", 1)
+        decided = self.spy_shared_starts(monkeypatch)
+        same_bits = self.same_bits
         # The sum starts from the first live state's terms, so also check a
         # table with no live state and one whose only live state is its last.
         empty = np.zeros_like(problem.own_prefix)
         last_only = problem.own_prefix.copy()
         last_only[:-1] = 0
         last_paths = set()
-        for rows in (1, 3, search._BLOCK_FLOATS // (m + 2)):
+        for rows in (1, 3, full):
             for hi in range(m + 1, 0, -rows):
                 lo = max(0, hi - rows)
                 for live in range(1, 28):
@@ -687,6 +702,50 @@ class TestBlockedCutProblem:
         # both started the sum of the table whose only live state is last.
         assert set(itertools.chain.from_iterable(decided)) == {False, True}
         assert last_paths == {False, True}
+
+    @pytest.mark.parametrize("a", [1.0, 1.5])
+    def test_stacked_gather_adds_states_in_order(self, monkeypatch, a):
+        # Nine live states and a dead one, each live state holding cases in
+        # the last three fine segments: the one-cell block at the bottom sums
+        # nine nonzero terms per cell, where numpy's pairwise sum over the
+        # states would round differently from the states' order.
+        ds, policy, structure = self.three_parent_inputs(tied=True)
+        problem = cut_problem(0, policy, structure, ds, PriorSpec())
+        m = problem.m
+        default = search._BLOCK_FLOATS
+        decided = self.spy_shared_starts(monkeypatch)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            counts = rng.integers(0, 3, size=(10, m + 1))
+            counts[:, -3:] += 1
+            counts[4] = 0
+            prefix = np.zeros((10, m + 2), dtype=np.int64)
+            np.cumsum(counts, axis=1, out=prefix[:, 1:])
+            assert prefix[:, -1].max() <= ds.n_cases
+
+            def check(lo, hi):
+                got = problem._slice_terms(prefix, a, lo, hi)
+                want = reference_slice_terms(problem, prefix, a, lo, hi)
+                assert self.same_bits(got, want), (seed, lo, hi)
+
+            # One-row blocks, down to the one-column block at the bottom.
+            for lo in range(m, -1, -1):
+                check(lo, lo + 1)
+            assert decided == []
+            # The whole matrix as one block, its stack of 9 (M+1)² counts
+            # just within the limit and just over it.
+            cells = 9 * (m + 1) ** 2
+            for limit, stacked in ((cells, True), (cells - 1, False)):
+                monkeypatch.setattr(search, "_BLOCK_FLOATS", limit)
+                check(0, m + 1)
+                assert (decided == []) == stacked
+                decided.clear()
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", default)
+        # A count past N is refused by the stacked gather too.
+        prefix[:, -1] += ds.n_cases + 1
+        with pytest.raises(IndexError):
+            problem._slice_terms(prefix, a, m, m + 1)
+        assert decided == []
 
     def test_no_log_gamma_table_holds_negative_zero(self):
         # _slice_terms starts its sum from gathered lnΓ terms instead of
@@ -761,15 +820,24 @@ class TestMemoryGuard:
         for part in ("'depth'", "N=40", "M=39", "round the column", "discrete"):
             assert part in message
 
+    @pytest.mark.parametrize("inputs", ["chain", "stacked"])
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     @pytest.mark.parametrize("density", ["uniform", "multinomial"])
-    def test_guard_charges_the_measured_peak(self, monkeypatch, mode, density):
-        ds, policy, structure = chain_problem()
+    def test_guard_charges_the_measured_peak(self, monkeypatch, mode, density, inputs):
+        if inputs == "chain":
+            i, (ds, policy, structure) = 1, chain_problem()
+        else:
+            # 27 live states over M = 28 cuts: every block of the own family
+            # gathers its states as one stack.
+            i = 0
+            ds, policy, structure = TestBlockedCutProblem.three_parent_inputs(True)
+            m = len(ds.candidate_thresholds(0))
+            assert 27 * (m + 1) ** 2 <= search._BLOCK_FLOATS
         prior = PriorSpec(dirichlet_mode=mode, density_model=density)
-        peak = solve_peak(ds, policy, structure, prior)
+        peak = solve_peak(ds, policy, structure, prior, i)
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", peak - 1)
         with pytest.raises(ValidationError, match="policy solve"):
-            optimize_variable(1, policy, structure, ds, prior, SearchConfig())
+            optimize_variable(i, policy, structure, ds, prior, SearchConfig())
 
     def test_shared_sample_size_counts_every_cost_matrix(self, monkeypatch):
         ds = continuous_dataset(np.arange(40.0).reshape(-1, 1))
