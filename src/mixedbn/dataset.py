@@ -225,8 +225,8 @@ class Dataset:
     Continuous columns cache their candidate thresholds, each case's fine
     code under those cuts, their distinct values with their case counts,
     and how many cases and distinct values fall below each cut
-    (:meth:`distinct_prefixes`): column-only inputs that every policy solve
-    or emission score of the column reads again.
+    (:meth:`distinct_prefixes`): column-only inputs that a search's cut
+    problem of the column reads once, and every emission score again.
     """
 
     def __init__(self, variables: Sequence[VariableMeta], values: np.ndarray):

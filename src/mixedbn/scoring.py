@@ -249,29 +249,15 @@ def continuous_component(
     return float(-np.sum(counts * np.log(widths)))
 
 
-def multinomial_component(
-    column: np.ndarray, policy: DiscretizationPolicy, prior: PriorSpec
-) -> float:
-    """Within-interval multinomial marginal over distinct observed values.
-
-    Replaces the uniform emission term when the prior selects the
-    multinomial density model: each interval is scored as a
-    Dirichlet-multinomial family over the distinct values it contains.
-    """
-    values = np.asarray(column, dtype=np.float64)
-    return _multinomial_emission(
-        *np.unique(values, return_counts=True), policy, prior
-    )
-
-
 def _multinomial_emission(
     distinct: np.ndarray,
     counts: np.ndarray,
     policy: DiscretizationPolicy,
     prior: PriorSpec,
 ) -> float:
-    """:func:`multinomial_component` of a column whose ascending distinct
-    values ``distinct`` are held by ``counts`` cases each."""
+    """Within-interval multinomial marginal of a column whose ascending
+    distinct values ``distinct`` are held by ``counts`` cases each: every
+    interval is a Dirichlet-multinomial family over the values it holds."""
     if policy.trivial:
         return 0.0
     groups = apply_policy(distinct, policy)

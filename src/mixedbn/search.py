@@ -205,10 +205,10 @@ def initial_policy(dataset: Dataset, config: SearchConfig) -> NetworkPolicy:
         lo, hi = dataset.policy_bounds(i)
         picked: set[int] = set()
         if init.kind == EQFREQ:
-            cut_pos = dataset.cut_segments(i)[0][1:-1]
+            cut_pos = dataset.cut_segments(i)[0][1:-1].astype(np.float64)
             for k in range(1, r):
                 target = min(max(round(k * n / r), 1), n - 1)
-                picked.add(_nearest_index(cut_pos.astype(np.float64), target))
+                picked.add(_nearest_index(cut_pos, target))
         else:
             for k in range(1, r):
                 target = lo + k * (hi - lo) / r
@@ -227,6 +227,15 @@ def _blanket(structure: DagStructure, v: int) -> set[int]:
         out |= structure.parents[c]
     out.discard(v)
     return out
+
+
+def _solve_inputs(structure: DagStructure, i: int) -> tuple[list[int], tuple]:
+    """What a policy solve of ``i`` reads: the sorted members of its Markov
+    blanket, ``i`` included, and its families as (head, parent set), the
+    heads ``i`` then its children in sorted order."""
+    heads = (i, *sorted(structure.children[i]))
+    families = tuple((v, structure.parents[v]) for v in heads)
+    return sorted(_blanket(structure, i) | {i}), families
 
 
 def _shared_starts(starts: np.ndarray) -> np.ndarray:
@@ -254,10 +263,11 @@ class _CutProblem:
     row 0, the one row a solve reads it at.  The constructor builds what
     depends only on the variable and the prior: the column's cut positions,
     values and distinct-value prefixes, and the interval-count log priors up
-    to ``r_cap``; each :meth:`solve` tallies the family part.  Across solves
-    the problem holds, read-only, its lnΓ tables by pseudo-count and, from
-    its second solve on, its emission blocks by rows, within ``room``
-    floats; past it a solve builds its own, as a problem with room 0 does.
+    to ``r_cap``; each :meth:`solve` tallies the family part, keeping the
+    count rows of the states that hold cases.  Across solves the problem
+    holds, read-only, its lnΓ tables by pseudo-count and, from its second
+    solve on, its emission blocks by rows, within ``room`` floats; past it
+    a solve builds its own, as a problem with room 0 does.
     """
 
     def __init__(
@@ -304,45 +314,49 @@ class _CutProblem:
         self, policy: NetworkPolicy, structure: DagStructure, codes: np.ndarray
     ) -> None:
         """Prefix count tables of the own and each child's family, from the
-        search's one tally, :func:`family_tables`, over the blanket's columns
-        of ``codes`` (in a search, the state's own) with the variable's
-        replaced by its fine code: the variable cut at every candidate."""
+        search's one tally, :func:`family_tables`, over the columns of
+        :func:`_solve_inputs` in ``codes`` (in a search, the state's own),
+        the variable's replaced by its fine code: the variable cut at every
+        candidate.  Only live rows, states holding cases, are kept; state
+        counts, own totals and margins come from the full tables."""
         i = self.i
-        # Sorted, so the tables' rows follow the variables' order.
-        members = sorted(_blanket(structure, i) | {i})
+        members, families = _solve_inputs(structure, i)
         place = {v: k for k, v in enumerate(members)}
         codes = codes[:, members]
         codes[:, place[i]] = self.fine
         arities = [self.m + 1 if v == i else policy[v].arity for v in members]
-        heads = [i, *sorted(structure.children[i])]
-        sets = [frozenset(place[p] for p in structure.parents[v]) for v in heads]
+        sets = [frozenset(place[p] for p in ps) for _, ps in families]
         own, *child_counts = family_tables(
             codes,
             arities,
-            [(place[v], ps, [ps]) for v, ps in zip(heads, sets)],
+            [(place[v], ps, [ps]) for (v, _), ps in zip(families, sets)],
             names=[self.names[v] for v in members],
         )
 
-        def prefix(counts: np.ndarray) -> np.ndarray:
-            # Cumulated along the last axis, i's, behind a zero column.
-            out = np.zeros((*counts.shape[:-1], self.m + 2), dtype=np.int64)
-            np.cumsum(counts, axis=-1, out=out[..., 1:])
-            return out.reshape(-1, self.m + 2)
+        def live_prefix(counts: np.ndarray) -> np.ndarray:
+            # The live rows, in order, cumulated along i's axis, the last,
+            # behind a zero column.
+            counts = counts[counts.any(axis=-1)]
+            out = np.zeros((len(counts), self.m + 2), dtype=np.int64)
+            np.cumsum(counts, axis=1, out=out[:, 1:])
+            return out
 
         self.q_own = len(own)
-        self.own_prefix = prefix(own)
-        self.own_totals = self.own_prefix[:, -1]
+        self.own_totals = own.sum(axis=1)
+        self.own_prefix = live_prefix(own)
 
         self.child_tables: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for child, ps, counts in zip(heads[1:], sets[1:], child_counts):
+        for (child, _), ps, counts in zip(families[1:], sets[1:], child_counts):
             r_child = policy[child].arity
             before = math.prod(arities[k] for k in ps if k < place[i])
             # With i's axis last, the rows are (configuration of the other
             # parents, child code).
-            cell_prefix = prefix(counts.reshape(before, self.m + 1, -1).swapaxes(1, 2))
-            q_other = len(cell_prefix) // r_child
-            margin_prefix = cell_prefix.reshape(q_other, r_child, -1).sum(axis=1)
-            self.child_tables.append((r_child, q_other, cell_prefix, margin_prefix))
+            cells = counts.reshape(before, self.m + 1, -1).swapaxes(1, 2)
+            q_other = len(counts) // (self.m + 1)
+            margins = cells.reshape(q_other, r_child, -1).sum(axis=1)
+            self.child_tables.append(
+                (r_child, q_other, live_prefix(cells), live_prefix(margins))
+            )
 
     def _lut(self, a: float) -> np.ndarray:
         lut = self._luts.get(a)
@@ -376,7 +390,7 @@ class _CutProblem:
         else:
             counts = self.positions[cols] - self.positions[rows, None]
             np.maximum(counts, 0.0, out=counts)
-            # As in multinomial_component, an interval holding k distinct
+            # As in _multinomial_emission, an interval holding k distinct
             # values gives each a pseudo-count of cell_weight(k, 1).  Its cell
             # terms group those values by occurrence count c.
             k = np.maximum(self.d_pos[cols] - self.d_pos[rows, None], 0.0)
@@ -404,47 +418,41 @@ class _CutProblem:
     def _slice_terms(
         self, prefix: np.ndarray, a: float, lo: int, hi: int
     ) -> np.ndarray:
-        """Sum over non-empty states of ``lnG(a + n) - lnG(a)``, where ``n``
+        """Sum over the states of ``prefix``, one or more live rows as
+        :meth:`_tally` keeps them, of ``lnG(a + n) - lnG(a)``, where ``n``
         counts a state's cases between cuts; same block as ``_emission``.
 
         Every cell adds its states' terms in state order and subtracts
-        ``lnG(a)`` after each.  When two or more states are live and their
-        counts fit in ``_BLOCK_FLOATS`` cells, one gather stacks the terms
-        of all of them, and one running sum (``np.add.accumulate``) along
-        the stack adds them up in that order, the ``-lnG(a)`` terms
-        interleaved; a pairwise ``sum`` over the states would round
-        differently.  Otherwise the states are gathered one at a time, and
-        a state's counts from rows with the same start ``row[u]`` form the
-        same row, so when :func:`_shared_starts` finds few distinct starts
-        in the block the counts are gathered once per distinct start and
-        copied to the rows sharing it.  The first live state's terms start
-        the sum, which equals adding them to zeros: no lnΓ table holds -0.0.
+        ``lnG(a)`` after each.  When two or more states' counts fit in
+        ``_BLOCK_FLOATS`` cells, one gather stacks the terms of all of them,
+        and one running sum (``np.add.accumulate``) along the stack adds
+        them up in that order, the ``-lnG(a)`` terms interleaved; a pairwise
+        ``sum`` over the states would round differently.  Otherwise the
+        states are gathered one at a time, and a state's counts from rows
+        with the same start ``row[u]`` form the same row, so when
+        :func:`_shared_starts` finds few distinct starts in the block the
+        counts are gathered once per distinct start and copied to the rows
+        sharing it.  The first state's terms start the sum, which equals
+        adding them to zeros: no lnΓ table holds -0.0.
         """
         lut = self._lut(a)
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
         base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
         shape = (hi - lo, self.m + 1 - lo)
-        cells = shape[0] * shape[1]
-        # Only a table of two or more rows, in a block where two states'
-        # counts fit, pays the numpy calls that find its live states.
-        if len(prefix) > 1 and 2 * cells <= _BLOCK_FLOATS:
-            live = prefix[prefix[:, -1] != 0]
-            states = len(live)
-            if 1 < states and states * cells <= _BLOCK_FLOATS:
-                # Where v <= u a count is negative, as on the paths below.
-                terms = lut[live[:, None, lo + 1:] - live[:, lo:hi, None]]
-                if base is not None:
-                    # Each state's terms, then -lnG(a): x + -b is x - b.
-                    paired = np.empty((states, 2, *shape))
-                    paired[:, 0] = terms
-                    paired[:, 1] = -base
-                    terms = paired.reshape(2 * states, *shape)
-                return np.add.accumulate(terms, axis=0, out=terms)[-1]
+        states = len(prefix)
+        if 1 < states and states * shape[0] * shape[1] <= _BLOCK_FLOATS:
+            # Where v <= u a count is negative, as on the paths below.
+            terms = lut[prefix[:, None, lo + 1:] - prefix[:, lo:hi, None]]
+            if base is not None:
+                # Each state's terms, then -lnG(a): x + -b is x - b.
+                paired = np.empty((states, 2, *shape))
+                paired[:, 0] = terms
+                paired[:, 1] = -base
+                terms = paired.reshape(2 * states, *shape)
+            return np.add.accumulate(terms, axis=0, out=terms)[-1]
         out = None
         n = None
         for row, share in zip(prefix, _shared_starts(prefix[:, lo:hi]).tolist()):
-            if row[-1] == 0:
-                continue
             # Where v <= u the count is negative, at least -N, and reads some
             # entry of the table; _emission's -inf masks those cells.  Both
             # paths read the same counts, so one off the table raises IndexError.
@@ -467,8 +475,6 @@ class _CutProblem:
                 out += terms
             if base is not None:
                 out -= base
-        if out is None:
-            return np.zeros((hi - lo, self.m + 1 - lo))
         return out
 
     def _costs(self, r: int, lo: int, hi: int, emission: np.ndarray) -> np.ndarray:
@@ -886,21 +892,10 @@ class _SearchState:
         return rekeyed
 
     def solve_key(self, i: int) -> tuple:
-        """What the cut problem of ``i`` reads: its parents, its children and
-        the children's other parents, each with its policy."""
-        structure, policy = self.structure, self.policy
-        return (
-            i,
-            tuple((p, policy[p]) for p in sorted(structure.parents[i])),
-            tuple(
-                (
-                    c,
-                    policy[c],
-                    tuple((p, policy[p]) for p in sorted(structure.parents[c] - {i})),
-                )
-                for c in sorted(structure.children[i])
-            ),
-        )
+        """What the cut problem of ``i`` reads, from :func:`_solve_inputs`:
+        its families, and the policy of every other blanket member."""
+        members, families = _solve_inputs(self.structure, i)
+        return families, tuple(self.policy[v] for v in members if v != i)
 
     def solve(self, i: int) -> DiscretizationPolicy:
         """``optimize_variable`` for ``i``, reused while its inputs stand."""

@@ -8,7 +8,9 @@ needs, check each other here: :func:`moral_dsep` by moralization and
 :func:`d_separated` by an active-trail sweep.
 Everything here sticks to plain Python loops and math calls, except
 :func:`closed_form_family_score`, the Dirichlet ratio of one table summed
-with ``np.sum``, :func:`family_score`, which applies it to
+with ``np.sum``, :func:`multinomial_component`, the package's multinomial
+emission of a column whose distinct values it counts with ``np.unique``,
+:func:`family_score`, which applies :func:`closed_form_family_score` to
 :func:`family_counts`, :func:`local_score`, which sums those family scores
 and the package's other score terms on a freshly coded matrix,
 :func:`exhaustive_policy_search`, which scores each enumerated subset with
@@ -46,6 +48,7 @@ from mixedbn import (
     ValidationError,
     apply_policy,
 )
+from mixedbn import scoring
 from mixedbn.dataset import read_text
 from mixedbn.graph import CycleError, validate_dag
 from mixedbn.scoring import (
@@ -277,6 +280,17 @@ def brute_univariate_best(values, lower, upper, candidates, alpha=1.0):
     return best
 
 
+def multinomial_component(column, policy, prior):
+    """Within-interval multinomial marginal of a raw column: the reference
+    for ``scoring._multinomial_emission``, which :func:`continuous_terms`
+    runs on the dataset's cached distinct values, here counted afresh by
+    ``np.unique``."""
+    values = np.asarray(column, dtype=np.float64)
+    return scoring._multinomial_emission(
+        *np.unique(values, return_counts=True), policy, prior
+    )
+
+
 def local_score(
     i: int,
     policy: NetworkPolicy,
@@ -412,7 +426,8 @@ def reference_slice_terms(problem, prefix, a, lo, hi):
     """``problem._slice_terms(prefix, a, lo, hi)`` gathered one cell at a
     time per state: for every non-empty row of ``prefix``, the counts of
     rows ``lo..hi-1`` to columns ``lo+1..M+1`` index the lnΓ table, and
-    ``lnG(a)`` is subtracted after each row, whatever its value."""
+    ``lnG(a)`` is subtracted after each row, whatever its value.  It takes
+    a full table too, where ``_slice_terms`` takes only the live rows."""
     lut = gammaln(a + np.arange(problem.n_cases + 1))
     out = np.zeros((hi - lo, problem.m + 1 - lo))
     for row in prefix:

@@ -44,3 +44,25 @@ def test_readme_library_example_prints_the_search_total(tmp_path, monkeypatch):
     printed = float(out.getvalue())
     total = namespace["trace"].final_total
     assert abs(printed - total) <= 1e-6 * max(1.0, abs(total))
+
+
+def test_every_definition_is_used_or_exported():
+    """Every module-level function and class of the package is referenced
+    by other package code or listed in ``__all__``.  Only names and
+    attributes count, not docstrings or comments; a reference from inside
+    a definition's own body does not count for it."""
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "mixedbn").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {
+                ref.id if isinstance(ref, ast.Name) else ref.attr
+                for ref in ast.walk(node)
+                if isinstance(ref, (ast.Name, ast.Attribute))
+            }
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+                names.discard(node.name)
+            used |= names
+    unused = {name: module for name, module in defined.items()
+              if name not in used and name not in mixedbn.__all__}
+    assert unused == {}

@@ -30,12 +30,12 @@ from mixedbn.scoring import (
     family_scores,
     family_tables,
     interval_count_log_priors,
-    multinomial_component,
 )
 from oracles import (
     closed_form_family_score,
     family_counts,
     local_score,
+    multinomial_component,
     sequential_log_marginal,
 )
 

@@ -392,6 +392,9 @@ class TestCutProblem:
             assert np.array_equal(np.signbit(got[live]), np.signbit(block[live]))
 
     def test_prefix_tables_match_reference(self):
+        def live(prefix):
+            return prefix[prefix[:, -1] != 0]
+
         rng = np.random.default_rng(67)
         n_vars, n_cases = 6, 40
         seen = set()
@@ -418,13 +421,19 @@ class TestCutProblem:
                 assert np.array_equal(problem.positions, positions)
                 assert problem.q_own == q_own
                 assert problem.own_prefix.dtype == own_prefix.dtype == np.int64
-                assert np.array_equal(problem.own_prefix, own_prefix)
+                # The cut problem keeps the reference's live rows, in order,
+                # and the totals of all of them.
+                assert np.array_equal(problem.own_prefix, live(own_prefix))
                 assert np.array_equal(problem.own_totals, own_prefix[:, -1])
+                if len(own_prefix) > len(problem.own_prefix):
+                    seen.add("dead states")
                 assert len(problem.child_tables) == len(child_tables)
                 for got, want in zip(problem.child_tables, child_tables):
                     assert got[:2] == want[:2]
-                    assert np.array_equal(got[2], want[2])
-                    assert np.array_equal(got[3], want[3])
+                    assert np.array_equal(got[2], live(want[2]))
+                    assert np.array_equal(got[3], live(want[3]))
+                    if len(want[2]) > len(got[2]):
+                        seen.add("dead cells")
 
                 tied = len(ds.candidate_thresholds(i)) + 1 < n_cases
                 seen.add("tied" if tied else "untied")
@@ -444,7 +453,7 @@ class TestCutProblem:
                     seen.add("continuous" if ds.is_continuous(v) else "discrete")
         assert seen == {
             "tied", "untied", "no parents", "before", "between", "after",
-            "continuous", "discrete",
+            "continuous", "discrete", "dead states", "dead cells",
         }
 
 
@@ -678,11 +687,9 @@ class TestBlockedCutProblem:
             monkeypatch.setattr(search, "_BLOCK_FLOATS", 1)
         decided = self.spy_shared_starts(monkeypatch)
         same_bits = self.same_bits
-        # The sum starts from the first live state's terms, so also check a
-        # table with no live state and one whose only live state is its last.
-        empty = np.zeros_like(problem.own_prefix)
-        last_only = problem.own_prefix.copy()
-        last_only[:-1] = 0
+        # The sum starts from the first state's terms, so also check the
+        # table of the last state alone.
+        last_only = problem.own_prefix[-1:]
         last_paths = set()
         for rows in (1, 3, full):
             for hi in range(m + 1, 0, -rows):
@@ -692,23 +699,21 @@ class TestBlockedCutProblem:
                     got = problem._slice_terms(prefix, a, lo, hi)
                     want = reference_slice_terms(problem, prefix, a, lo, hi)
                     assert same_bits(got, want), (rows, lo, live)
-                got = problem._slice_terms(empty, a, lo, hi)
-                assert same_bits(got, np.zeros((hi - lo, m + 1 - lo)))
                 got = problem._slice_terms(last_only, a, lo, hi)
                 last_paths.add(decided[-1][-1])
                 want = reference_slice_terms(problem, last_only, a, lo, hi)
                 assert same_bits(got, want), (rows, lo)
         # Both gathers ran, once per distinct start and once per cell, and
-        # both started the sum of the table whose only live state is last.
+        # both started the sum of the last state's table.
         assert set(itertools.chain.from_iterable(decided)) == {False, True}
         assert last_paths == {False, True}
 
     @pytest.mark.parametrize("a", [1.0, 1.5])
     def test_stacked_gather_adds_states_in_order(self, monkeypatch, a):
-        # Nine live states and a dead one, each live state holding cases in
-        # the last three fine segments: the one-cell block at the bottom sums
-        # nine nonzero terms per cell, where numpy's pairwise sum over the
-        # states would round differently from the states' order.
+        # Nine live states, each holding cases in the last three fine
+        # segments: the one-cell block at the bottom sums nine nonzero
+        # terms per cell, where numpy's pairwise sum over the states would
+        # round differently from the states' order.
         ds, policy, structure = self.three_parent_inputs(tied=True)
         problem = cut_problem(0, policy, structure, ds, PriorSpec())
         m = problem.m
@@ -716,10 +721,9 @@ class TestBlockedCutProblem:
         decided = self.spy_shared_starts(monkeypatch)
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            counts = rng.integers(0, 3, size=(10, m + 1))
+            counts = rng.integers(0, 3, size=(9, m + 1))
             counts[:, -3:] += 1
-            counts[4] = 0
-            prefix = np.zeros((10, m + 2), dtype=np.int64)
+            prefix = np.zeros((9, m + 2), dtype=np.int64)
             np.cumsum(counts, axis=1, out=prefix[:, 1:])
             assert prefix[:, -1].max() <= ds.n_cases
 
@@ -746,6 +750,49 @@ class TestBlockedCutProblem:
         with pytest.raises(IndexError):
             problem._slice_terms(prefix, a, m, m + 1)
         assert decided == []
+
+    @pytest.mark.parametrize("a", [1.0, 1.5])
+    def test_tally_keeps_live_states_of_full_tables(self, a):
+        # x2 never takes code 2 and x3 never code 0: the own family of x1,
+        # whose parent is x2, and the family of its child x4, whose other
+        # parent is x3, hold states with no case.
+        rng = np.random.default_rng(11)
+        n = 60
+        ds = mixed_dataset([
+            ("c", rng.normal(size=n), None),
+            ("d", rng.integers(0, 2, n), 3),
+            ("d", rng.integers(1, 3, n), 3),
+            ("d", rng.integers(0, 2, n), 2),
+        ])
+        policy = trivial_network_policy(ds)
+        structure = validate_dag([{1}, set(), set(), {0, 2}])
+        problem = cut_problem(0, policy, structure, ds, PriorSpec())
+        m = problem.m
+        _, q_own, own_prefix, child_tables = reference_prefix_tables(
+            0, policy, structure, ds
+        )
+        # State counts and own totals are the full tables'.
+        assert problem.q_own == q_own == 3
+        assert np.array_equal(problem.own_totals, own_prefix[:, -1])
+        ((r_child, q_other, cell_prefix, margin_prefix),) = child_tables
+        ((got_r, got_q, got_cells, got_margins),) = problem.child_tables
+        assert (got_r, got_q) == (r_child, q_other) == (2, 3)
+        pairs = [
+            (problem.own_prefix, own_prefix),
+            (got_cells, cell_prefix),
+            (got_margins, margin_prefix),
+        ]
+        for got, full in pairs:
+            live = full[:, -1] != 0
+            # The dead states are dropped, the live ones kept in order; a
+            # tally over N >= 1 cases leaves every table a live state.
+            assert 0 < live.sum() < len(live)
+            assert np.array_equal(got, full[live])
+            # The reference skips the full table's dead states; the live
+            # rows alone sum to what it gives.
+            for lo in (0, m // 2, m):
+                want = reference_slice_terms(problem, full, a, lo, m + 1)
+                assert self.same_bits(problem._slice_terms(got, a, lo, m + 1), want)
 
     def test_no_log_gamma_table_holds_negative_zero(self):
         # _slice_terms starts its sum from gathered lnΓ terms instead of
