@@ -60,17 +60,17 @@ EQWIDTH = "eqwidth"
 TIE_TOLERANCE = 1e-9
 
 # The cut DP builds each cost matrix a block of rows at a time; a block
-# holds about this many float64 (256 KiB), enough rows to amortize the
-# per-state loop while the block and its gather and max-plus temporaries
-# stay in a core's L2 cache.  Half this size serves small K2 solves a
-# little faster, but BDeu solves, whose per-state loop runs once per
-# interval count, and solves over thousands of cuts slower.
+# holds about this many float64 (256 KiB), so the block and its gather and
+# max-plus temporaries stay in a core's L2 cache while its rows amortize
+# the per-call work of its slice terms: a gather per state, or under the
+# row recurrence a gather per table and one row summed exactly.
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
 # headroom: the tracemalloc peak of one solve over N = 600 cases, less its
-# layer vectors and lnΓ tables, measures at most 7.6 blocks under the
-# uniform emission and 13.5 under the multinomial one, and a solve whose
-# 27 states are gathered as one stack, 3.6.
+# layer vectors and its lnΓ tables and their increments, measures at most
+# 6.3 blocks under the uniform emission and 13.2 under the multinomial one;
+# a solve whose 27 states are gathered as one stack, 3.6, and one whose 27
+# untied states take the row recurrence, 2.5.
 _WORK_BLOCKS = 16
 
 # Edge edit kinds, in the order the edge scan lists them; the scan's op
@@ -238,15 +238,6 @@ def _solve_inputs(structure: DagStructure, i: int) -> tuple[list[int], tuple]:
     return sorted(_blanket(structure, i) | {i}), families
 
 
-def _shared_starts(starts: np.ndarray) -> np.ndarray:
-    """Which rows of ``starts``, each nondecreasing integers, hold at most
-    half as many distinct values as entries, few enough for one gather per
-    distinct value to pay.  A row from ``a`` to ``b`` holds at most
-    ``b - a + 1`` distinct values, and that bound decides: counting them
-    exactly costs more than the gathers it saves on small blocks."""
-    return 2 * (starts[:, -1] - starts[:, 0] + 1) <= starts.shape[1]
-
-
 class _CutProblem:
     """Interval-decomposed local score of one continuous variable, kept by
     a search for its whole life.
@@ -265,9 +256,10 @@ class _CutProblem:
     values and distinct-value prefixes, and the interval-count log priors up
     to ``r_cap``; each :meth:`solve` tallies the family part, keeping the
     count rows of the states that hold cases.  Across solves the problem
-    holds, read-only, its lnΓ tables by pseudo-count and, from its second
-    solve on, its emission blocks by rows, within ``room`` floats; past it
-    a solve builds its own, as a problem with room 0 does.
+    holds, read-only, its lnΓ tables and their increments by pseudo-count
+    and, from its second solve on, its emission blocks by rows, within
+    ``room`` floats; past it a solve builds its own, as a problem with
+    room 0 does.
     """
 
     def __init__(
@@ -298,7 +290,7 @@ class _CutProblem:
             self.d_pos = d_pos.astype(np.float64)
             self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
         self.log_priors = interval_count_log_priors(r_cap, self.m, prior, self.n_cases)
-        self._luts: dict[float, np.ndarray] = {}
+        self._luts: dict[tuple[float, bool], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._below: dict[int, np.ndarray] = {}
 
@@ -358,10 +350,16 @@ class _CutProblem:
                 (r_child, q_other, live_prefix(cells), live_prefix(margins))
             )
 
-    def _lut(self, a: float) -> np.ndarray:
-        lut = self._luts.get(a)
+    def _lut(self, a: float, steps: bool = False) -> np.ndarray:
+        """``lnG(a + n)`` for ``n = 0..N``, or with ``steps`` its increments
+        over ``n - 1``, 0 at ``n = 0``."""
+        lut = self._luts.get((a, steps))
         if lut is None:
-            lut = self._luts[a] = gammaln(a + np.arange(self.n_cases + 1))
+            if steps:
+                lut = np.diff(self._lut(a), prepend=self._lut(a)[0])
+            else:
+                lut = gammaln(a + np.arange(self.n_cases + 1))
+            self._luts[a, steps] = lut
             self._hold(lut)
         return lut
 
@@ -428,12 +426,8 @@ class _CutProblem:
         and one running sum (``np.add.accumulate``) along the stack adds
         them up in that order, the ``-lnG(a)`` terms interleaved; a pairwise
         ``sum`` over the states would round differently.  Otherwise the
-        states are gathered one at a time, and a state's counts from rows
-        with the same start ``row[u]`` form the same row, so when
-        :func:`_shared_starts` finds few distinct starts in the block the
-        counts are gathered once per distinct start and copied to the rows
-        sharing it.  The first state's terms start the sum, which equals
-        adding them to zeros: no lnΓ table holds -0.0.
+        states are gathered one at a time.  The first state's terms start
+        the sum, which equals adding them to zeros: no lnΓ table holds -0.0.
         """
         lut = self._lut(a)
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
@@ -441,7 +435,7 @@ class _CutProblem:
         shape = (hi - lo, self.m + 1 - lo)
         states = len(prefix)
         if 1 < states and states * shape[0] * shape[1] <= _BLOCK_FLOATS:
-            # Where v <= u a count is negative, as on the paths below.
+            # Where v <= u a count is negative, as on the path below.
             terms = lut[prefix[:, None, lo + 1:] - prefix[:, lo:hi, None]]
             if base is not None:
                 # Each state's terms, then -lnG(a): x + -b is x - b.
@@ -451,24 +445,15 @@ class _CutProblem:
                 terms = paired.reshape(2 * states, *shape)
             return np.add.accumulate(terms, axis=0, out=terms)[-1]
         out = None
-        n = None
-        for row, share in zip(prefix, _shared_starts(prefix[:, lo:hi]).tolist()):
+        n = np.empty(shape, dtype=np.int64)
+        for row in prefix:
             # Where v <= u the count is negative, at least -N, and reads some
             # entry of the table; _emission's -inf masks those cells.  Both
             # paths read the same counts, so one off the table raises IndexError.
             # Indexing gathers straight into a new array; np.take with out=
             # would copy through a buffer.
-            ends, starts = row[lo + 1:], row[lo:hi]
-            if share:
-                first = np.empty(hi - lo, dtype=bool)
-                first[0] = True
-                np.not_equal(starts[1:], starts[:-1], out=first[1:])
-                terms = lut[ends - starts[first, None]][np.cumsum(first) - 1]
-            else:
-                if n is None:
-                    n = np.empty((hi - lo, self.m + 1 - lo), dtype=np.int64)
-                np.subtract(ends, starts[:, None], out=n)
-                terms = lut[n]
+            np.subtract(row[lo + 1:], row[lo:hi, None], out=n)
+            terms = lut[n]
             if out is None:
                 out = terms
             else:
@@ -477,19 +462,65 @@ class _CutProblem:
                 out -= base
         return out
 
-    def _costs(self, r: int, lo: int, hi: int, emission: np.ndarray) -> np.ndarray:
+    def _costs(
+        self, r: int, lo: int, hi: int, emission: np.ndarray | float
+    ) -> np.ndarray:
         """Rows ``lo..hi-1`` of the cost matrix for ``r`` intervals, columns
-        ``lo+1..M+1``, with ``-inf`` wherever ``v <= u`` from ``emission``,
-        which every slice term leaves there: no lnΓ table entry is
-        infinite."""
-        g = self._slice_terms(
-            self.own_prefix, self.prior.cell_weight(r, self.q_own), lo, hi
-        )
-        g += emission
+        ``lo+1..M+1``, with ``-inf`` wherever ``v <= u`` from ``emission``:
+        no lnΓ table entry is infinite.  The own and child cell tables add
+        their slice terms and the margins subtract theirs, by
+        :meth:`_recurrence` where each row but the last starts a one-case
+        fine segment and the tables hold more live states than one per
+        table, else table by table with the emission after the own
+        family's."""
+        tables = [(self.own_prefix, self.prior.cell_weight(r, self.q_own), np.add)]
         for r_child, q_other, cell_prefix, margin_prefix in self.child_tables:
             a_cell = self.prior.cell_weight(r_child, r * q_other)
-            g += self._slice_terms(cell_prefix, a_cell, lo, hi)
-            g -= self._slice_terms(margin_prefix, a_cell * r_child, lo, hi)
+            tables += [
+                (cell_prefix, a_cell, np.add),
+                (margin_prefix, a_cell * r_child, np.subtract),
+            ]
+        # Every fine segment holds a case, so each of rows lo..hi-2 starts a
+        # one-case segment when they start hi - 1 - lo cases in all.
+        if (
+            hi - lo > 1
+            and self.positions[hi - 1] - self.positions[lo] == hi - 1 - lo
+            and sum(len(prefix) for prefix, _, _ in tables) > len(tables)
+        ):
+            g = self._recurrence(r, tables, lo, hi)
+            g += emission
+            return g
+        g = self._slice_terms(self.own_prefix, tables[0][1], lo, hi)
+        g += emission
+        for prefix, a, op in tables[1:]:
+            op(g, self._slice_terms(prefix, a, lo, hi), out=g)
+        return g
+
+    def _recurrence(self, r: int, tables: list, lo: int, hi: int) -> np.ndarray:
+        """The slice terms of :meth:`_costs`'s ``tables`` by the row
+        recurrence of optimal partitioning (Jackson et al. 2005)."""
+        # Moving an interval's start from u+1 to u adds fine segment u's one
+        # case, in one state s per table, so the table's terms grow by
+        # lnG(a + n) - lnG(a + n - 1) at the count n = P_s[v] - P_s[u]: one
+        # gather per table and cell.  Each row is the row below plus its
+        # increments; the last, summed exactly, anchors the block.
+        g = np.zeros((hi - lo, self.m + 1 - lo))
+        n = terms = None
+        for prefix, a, op in tables:
+            state = (prefix[:, lo + 1:hi] - prefix[:, lo:hi - 1]).argmax(axis=0)
+            n = np.take(prefix[:, lo + 1:], state, axis=0, mode="clip", out=n)
+            n -= prefix[state, np.arange(lo, hi - 1)][:, None]
+            # Prefix rows never decrease: a row's last count is its largest.
+            if n[:, -1].max() > self.n_cases:
+                raise IndexError(f"a count past N = {self.n_cases}")
+            # Clipping reads counts <= 0, at v <= u, at the 0 entry.
+            terms = np.take(self._lut(a, steps=True), n, mode="clip", out=terms)
+            op(g[:-1], terms, out=g[:-1])
+        g[-1, hi - lo - 1:] = self._costs(r, hi - 1, hi, 0.0)[0]
+        below = g[-1]
+        for row in g[-2::-1]:
+            row += below
+            below = row
         return g
 
     def _layers(self, counts: Sequence[int]) -> dict[int, np.ndarray]:
@@ -606,7 +637,7 @@ class _CutProblem:
             )
             thresholds = self._reconstruct(cost_count(r), layers[cost_count(r)], r)
         # The held lnΓ tables are the read-only ones.
-        self._luts = {a: t for a, t in self._luts.items() if not t.flags.writeable}
+        self._luts = {k: t for k, t in self._luts.items() if not t.flags.writeable}
         del self.own_prefix, self.own_totals, self.child_tables, self._kept
         return DiscretizationPolicy(thresholds, self.lower, self.upper)
 
@@ -650,10 +681,11 @@ def optimize_variable(
     # Charged in float64-sized words: prefix count tables (the own family's,
     # and a cell and a margin table per child) and as much again for the
     # tallied tables, DP layer vectors (r_cap for the one shared cost matrix,
-    # or r for the matrix of each interval count r), log-gamma tables (at
-    # most three per child and cost matrix), the tally's code matrix over i
-    # and its blanket plus two index columns, the working row blocks, and
-    # in a search the held budget.
+    # or r for the matrix of each interval count r), log-gamma tables and
+    # their increments (at most three each per child and cost matrix), the
+    # tally's code matrix over i and its blanket plus two index columns, the
+    # working row blocks, which hold the row recurrence's temporaries too,
+    # and in a search the held budget.
     n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
     budget = 0 if problems is None else _WORK_BLOCKS * _BLOCK_FLOATS
     tables = states(structure.parents[i]) + sum(
@@ -664,7 +696,7 @@ def optimize_variable(
     luts = n_costs * (1 + 2 * len(structure.children[i]))
     estimate = 8 * (
         (2 * tables + vectors) * (m + 2)
-        + luts * (dataset.n_cases + 1)
+        + 2 * luts * (dataset.n_cases + 1)
         + (len(_blanket(structure, i)) + 3) * dataset.n_cases
         + _WORK_BLOCKS * max(_BLOCK_FLOATS, m + 2)
         + budget

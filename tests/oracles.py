@@ -9,7 +9,8 @@ needs, check each other here: :func:`moral_dsep` by moralization and
 Everything here sticks to plain Python loops and math calls, except
 :func:`closed_form_family_score`, the Dirichlet ratio of one table summed
 with ``np.sum``, :func:`multinomial_component`, the package's multinomial
-emission of a column whose distinct values it counts with ``np.unique``,
+emission of a column whose distinct values it counts with ``np.unique``
+(:func:`plain_multinomial_emission` is its plain-loop reference),
 :func:`family_score`, which applies :func:`closed_form_family_score` to
 :func:`family_counts`, :func:`local_score`, which sums those family scores
 and the package's other score terms on a freshly coded matrix,
@@ -19,7 +20,8 @@ sorted-order state index instead of the package's family tally,
 :func:`reference_slice_terms`, the cut problem's lnΓ slice terms with one
 gather per state and cell, and :class:`DenseCutProblem`, the segmentation
 DP over whole dense cost matrices on those tables, which the row-blocked DP
-must match bit for bit.
+must match bit for bit where it sums slice terms state by state, and within
+a fixed bound where the row recurrence builds a block.
 The family scores here equal the package's bit for bit.
 Two references keep earlier forms of fast paths:
 :func:`reference_csv_values`, the CSV loader's cell-by-cell parse, and
@@ -291,6 +293,33 @@ def multinomial_component(column, policy, prior):
     )
 
 
+def plain_multinomial_emission(column, policy, prior):
+    """Within-interval multinomial marginal of a raw column, one interval
+    and one distinct value at a time: the independent reference for
+    ``scoring._multinomial_emission``.
+
+    A dict counts the values and each value's interval is the number of
+    thresholds below it.  Every interval holding data is a
+    Dirichlet-multinomial family over its k distinct values, a pseudo-count
+    of ``prior.cell_weight(k, 1)`` each; an interval holding none costs
+    nothing.  Every term comes from ``math.lgamma``."""
+    counts: dict[float, int] = {}
+    for x in column:
+        counts[float(x)] = counts.get(float(x), 0) + 1
+    intervals: dict[int, list[int]] = {}
+    for x, n in counts.items():
+        code = sum(1 for t in policy.thresholds if t < x)
+        intervals.setdefault(code, []).append(n)
+    score = 0.0
+    for members in intervals.values():
+        k = len(members)
+        a = prior.cell_weight(k, 1)
+        score += math.lgamma(a * k) - math.lgamma(a * k + sum(members))
+        for n in members:
+            score += math.lgamma(a + n) - math.lgamma(a)
+    return score
+
+
 def local_score(
     i: int,
     policy: NetworkPolicy,
@@ -445,8 +474,9 @@ class DenseCutProblem(_CutProblem):
     prefix tables from :func:`reference_prefix_tables` alone, never from the
     package's tally, and builds every cost matrix whole, lower triangle
     included and masked to ``-inf``, with one matrix per interval count
-    under shared sample size.  Reference for the row-blocked DP, which must
-    match it exactly: :meth:`dense_solve` for :meth:`_CutProblem.solve`.
+    under shared sample size.  Reference for the row-blocked DP, whose
+    solves must match it exactly: :meth:`dense_solve` for
+    :meth:`_CutProblem.solve`.
     :meth:`count_penalty` sums one interval count's row terms at a time, the
     reference for :meth:`_CutProblem.count_penalties`.
     """

@@ -36,6 +36,7 @@ from oracles import (
     family_counts,
     local_score,
     multinomial_component,
+    plain_multinomial_emission,
     sequential_log_marginal,
 )
 
@@ -423,6 +424,30 @@ class TestMultinomialComponent:
         got = multinomial_component(column, policy, PriorSpec())
         # Gamma(3)/Gamma(6) * Gamma(2)^3 = 2/120
         assert got == pytest.approx(math.log(2.0 / 120.0), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    def test_matches_plain_loop(self, mode):
+        # Random tied columns under random thresholds, which leave some
+        # intervals empty; the bound was fixed before the first run, from
+        # float64 rounding over a few hundred lnΓ terms of at most a few
+        # thousand nats.
+        rng = np.random.default_rng(23)
+        empty = 0
+        for trial in range(60):
+            n = int(rng.integers(1, 120))
+            column = np.round(rng.uniform(0.0, 4.0, n), int(rng.integers(0, 3)))
+            cuts = np.sort(rng.uniform(0.0, 4.0, int(rng.integers(0, 9))))
+            policy = DiscretizationPolicy(tuple(np.unique(cuts)), 0.0, 4.0)
+            prior = PriorSpec(
+                dirichlet_mode=mode, alpha=float(rng.uniform(0.2, 3.0)),
+                ess=float(rng.uniform(0.5, 20.0)), density_model="multinomial",
+            )
+            codes = np.searchsorted(policy.thresholds, column, side="left")
+            empty += policy.arity - len(np.unique(codes))
+            want = plain_multinomial_emission(column, policy, prior)
+            got = multinomial_component(column, policy, prior)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-10), trial
+        assert empty > 0
 
     def test_emission_dispatch(self):
         policy = DiscretizationPolicy(thresholds=(), lower=0.0, upper=2.0)

@@ -78,6 +78,62 @@ def cut_problem(i, policy, structure, ds, prior):
     return problem
 
 
+# The row recurrence sums a block's slice terms in another order than the
+# state-by-state sums, so its costs, and the DP layers built on them, may
+# differ from theirs by rounding.  The bound was fixed before the recurrence
+# first ran: a block here sums at most a few hundred rows, each rounding by
+# half an ulp of partial sums under a few thousand nats.
+RECURRENCE_RTOL, RECURRENCE_ATOL = 1e-12, 1e-10
+
+
+def within_recurrence_bound(got, want):
+    return np.allclose(got, want, rtol=RECURRENCE_RTOL, atol=RECURRENCE_ATOL)
+
+
+def spy_recurrence(problem):
+    """Record the blocks, as ``(lo, hi)``, that ``problem`` builds by the
+    row recurrence."""
+    built = []
+    real = problem._recurrence
+
+    def spy(r, tables, lo, hi):
+        built.append((lo, hi))
+        return real(r, tables, lo, hi)
+
+    problem._recurrence = spy
+    return built
+
+
+class LoggedTable(np.ndarray):
+    """An lnΓ table that logs the kind of each gather from it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            # One state's counts are a matrix, a stack of states' counts 3-D.
+            self.gathers.append("stacked" if key.ndim == 3 else "per-state")
+        got = super().__getitem__(key)
+        return got.view(np.ndarray) if isinstance(got, np.ndarray) else got
+
+
+def spy_gathers(problem):
+    """Record how ``problem``'s slice terms gather from its lnΓ tables:
+    ``"stacked"`` for one gather of all the states' counts, ``"per-state"``
+    for one state's."""
+    gathers = []
+    real = problem._lut
+
+    def spy(a, steps=False):
+        table = real(a, steps)
+        if steps:
+            return table
+        table = table.view(LoggedTable)
+        table.gathers = gathers
+        return table
+
+    problem._lut = spy
+    return gathers
+
+
 def with_twin(ds):
     """``ds`` with its last column replaced by a copy of its first, so that
     edits touching either score alike."""
@@ -485,7 +541,10 @@ def solve_peak(ds, policy, structure, prior, i=1):
 
 
 class TestBlockedCutProblem:
-    """The row-blocked DP equals the dense-matrix DP bit for bit."""
+    """The row-blocked DP equals the dense-matrix DP: its layers bit for bit
+    where every block sums its slice terms state by state, and within the
+    recurrence bound where the row recurrence builds a block; its backtracks
+    and solved policies exactly."""
 
     @staticmethod
     def problem_inputs(n=48, tied=True):
@@ -577,16 +636,18 @@ class TestBlockedCutProblem:
         r_cap = 12
         dense = DenseCutProblem(0, policy, structure, ds, prior)
         problem = cut_problem(0, policy, structure, ds, prior)
+        built = spy_recurrence(problem)
         per_count = mode == "bdeu"
         layers = problem._layers(range(1, r_cap + 1) if per_count else [r_cap])
+        same = within_recurrence_bound if built else np.array_equal
         for r in range(1, r_cap + 1):
             table = layers[r if per_count else r_cap]
             want = dense.table(r)[1]
-            assert table[r - 1, 0] == want[r][0]
+            assert same(table[r - 1, 0], want[r][0])
             # The top layer, k = len(table), is defined only at row 0, which
             # the line above compares; every layer below it at every row.
             for k in range(1, min(r + 1, len(table))):
-                assert np.array_equal(table[k - 1], want[k])
+                assert same(table[k - 1], want[k])
             # Backtracking every interval count walks rows on both sides
             # of the kept top block.
             cost_r = r if per_count else r_cap
@@ -610,25 +671,75 @@ class TestBlockedCutProblem:
         assert tallies == []
         assert dense.q_own == 2 and len(dense.child_tables) == 1
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["per-cell", "shared"])
-    def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, shared):
-        ds, policy, _ = self.problem_inputs()
-        problem = cut_problem(0, policy, empty_structure(4), ds, PriorSpec())
+    @pytest.mark.parametrize("rows", [2, 3, None])
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    @pytest.mark.parametrize("a", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_recurrence_matches_reference(self, monkeypatch, tied, a, mode, rows):
+        # x0 with a 2-state parent and a child with a 2-state other parent:
+        # an own, a cell and a margin table of two or more live states.
+        ds, policy, family = self.problem_inputs(n=120, tied=tied)
+        m = len(ds.candidate_thresholds(0))
+        if rows is not None:
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+        prior = PriorSpec(dirichlet_mode=mode, alpha=a, ess=a)
+        problem = cut_problem(0, policy, family, ds, prior)
+        dense = DenseCutProblem(0, policy, family, ds, prior)
+        assert problem.q_own == 2 and len(problem.child_tables) == 1
+        built = spy_recurrence(problem)
+        kinds = set()
+        for r in (2, 12):
+            want = dense._interval_matrix(r)
+            for hi in range(m + 1, 0, -problem.step):
+                lo = max(0, hi - problem.step)
+                got = problem._costs(r, lo, hi, problem._emission(lo, hi))
+                cells = want[lo:hi, lo + 1:]
+                # Only the cells v > u are costs.
+                upper = ~np.tri(*got.shape, k=-1, dtype=bool)
+                untied = (np.diff(problem.positions[lo:hi]) == 1).all()
+                if hi - lo > 1 and untied:
+                    kinds.add("recurrence")
+                    assert built == [(lo, hi)]
+                    assert within_recurrence_bound(got[upper], cells[upper])
+                else:
+                    # A block holding a tie is summed state by state.
+                    kinds.add("exact")
+                    assert built == []
+                    assert np.array_equal(got[upper], cells[upper])
+                built.clear()
+        if tied:
+            assert "exact" in kinds
+        else:
+            assert kinds == {"recurrence"}
+
+    @pytest.mark.parametrize("path", ["stacked", "per-state", "recurrence"])
+    def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, path):
+        # 27 live states; the tied cuts sum the one block state by state, as
+        # one stack unless it is made not to fit, the untied ones by the row
+        # recurrence.
+        ds, policy, structure = self.three_parent_inputs(tied=path != "recurrence")
+        problem = cut_problem(0, policy, structure, ds, PriorSpec())
+        cells = (problem.m + 1) ** 2
+        assert problem.step > problem.m
+        if path != "recurrence":
+            assert 27 * cells <= search._BLOCK_FLOATS
+        if path == "per-state":
+            monkeypatch.setattr(search, "_BLOCK_FLOATS", 27 * cells - 1)
         # A last prefix entry above N makes the counts of the intervals that
         # end there exceed N; the gather must refuse them, not wrap around.
         problem.own_prefix = problem.own_prefix.copy()
         problem.own_prefix[0, -1] += ds.n_cases + 1
-        # Every row takes the gather path under test, whatever its starts.
-        calls = []
-
-        def force(starts):
-            calls.append(starts)
-            return np.full(len(starts), shared)
-
-        monkeypatch.setattr(search, "_shared_starts", force)
+        built = spy_recurrence(problem)
+        gathers = spy_gathers(problem)
         with pytest.raises(IndexError):
             problem._layers([3])
-        assert calls
+        if path == "recurrence":
+            # The increments refuse it before the block's last row is summed
+            # state by state.
+            assert built and gathers == []
+        else:
+            # The first gather of the own table refuses it.
+            assert not built and gathers == [path]
 
     @staticmethod
     def three_parent_inputs(tied):
@@ -650,21 +761,6 @@ class TestBlockedCutProblem:
         return ds, policy, validate_dag([{1, 2, 3}, set(), set(), set()])
 
     @staticmethod
-    def spy_shared_starts(monkeypatch):
-        """Record each decision of ``_shared_starts``: one call per block
-        that gathers its states one at a time."""
-        decided = []
-        real = search._shared_starts
-
-        def spy(starts):
-            share = real(starts)
-            decided.append(share.tolist())
-            return share
-
-        monkeypatch.setattr(search, "_shared_starts", spy)
-        return decided
-
-    @staticmethod
     def same_bits(got, want):
         return np.array_equal(got, want) and np.array_equal(
             np.signbit(got), np.signbit(want)
@@ -673,40 +769,37 @@ class TestBlockedCutProblem:
     @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-state"])
     @pytest.mark.parametrize("a", [1.0, 1.5])
     @pytest.mark.parametrize("tied", [True, False])
-    def test_shared_start_gather_matches_reference(
-        self, monkeypatch, tied, a, stacked
-    ):
+    def test_state_sums_match_reference(self, monkeypatch, tied, a, stacked):
         ds, policy, structure = self.three_parent_inputs(tied)
         problem = cut_problem(0, policy, structure, ds, PriorSpec())
         m = problem.m
         assert (m + 1 < ds.n_cases) == tied
         assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
         full = search._BLOCK_FLOATS // (m + 2)
-        if not stacked:
-            # No stack of two or more states fits: one gather per state.
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", 1)
-        decided = self.spy_shared_starts(monkeypatch)
+        # Every block of two or more states stacks them, or none does.
+        limit = 27 * (m + 1) ** 2 if stacked else 1
+        monkeypatch.setattr(search, "_BLOCK_FLOATS", limit)
+        gathers = spy_gathers(problem)
         same_bits = self.same_bits
         # The sum starts from the first state's terms, so also check the
         # table of the last state alone.
         last_only = problem.own_prefix[-1:]
-        last_paths = set()
         for rows in (1, 3, full):
             for hi in range(m + 1, 0, -rows):
                 lo = max(0, hi - rows)
                 for live in range(1, 28):
                     prefix = problem.own_prefix[:live]
+                    gathers.clear()
                     got = problem._slice_terms(prefix, a, lo, hi)
                     want = reference_slice_terms(problem, prefix, a, lo, hi)
                     assert same_bits(got, want), (rows, lo, live)
+                    if live > 1 and stacked:
+                        assert gathers == ["stacked"]
+                    else:
+                        assert gathers == ["per-state"] * live
                 got = problem._slice_terms(last_only, a, lo, hi)
-                last_paths.add(decided[-1][-1])
                 want = reference_slice_terms(problem, last_only, a, lo, hi)
                 assert same_bits(got, want), (rows, lo)
-        # Both gathers ran, once per distinct start and once per cell, and
-        # both started the sum of the last state's table.
-        assert set(itertools.chain.from_iterable(decided)) == {False, True}
-        assert last_paths == {False, True}
 
     @pytest.mark.parametrize("a", [1.0, 1.5])
     def test_stacked_gather_adds_states_in_order(self, monkeypatch, a):
@@ -717,8 +810,7 @@ class TestBlockedCutProblem:
         ds, policy, structure = self.three_parent_inputs(tied=True)
         problem = cut_problem(0, policy, structure, ds, PriorSpec())
         m = problem.m
-        default = search._BLOCK_FLOATS
-        decided = self.spy_shared_starts(monkeypatch)
+        gathers = spy_gathers(problem)
         for seed in range(6):
             rng = np.random.default_rng(seed)
             counts = rng.integers(0, 3, size=(9, m + 1))
@@ -735,21 +827,22 @@ class TestBlockedCutProblem:
             # One-row blocks, down to the one-column block at the bottom.
             for lo in range(m, -1, -1):
                 check(lo, lo + 1)
-            assert decided == []
+            assert gathers == ["stacked"] * (m + 1)
+            gathers.clear()
             # The whole matrix as one block, its stack of 9 (M+1)² counts
-            # just within the limit and just over it.
+            # just within the limit, then just over it: one gather per state.
             cells = 9 * (m + 1) ** 2
-            for limit, stacked in ((cells, True), (cells - 1, False)):
+            for limit, kinds in ((cells, ["stacked"]), (cells - 1, ["per-state"] * 9)):
                 monkeypatch.setattr(search, "_BLOCK_FLOATS", limit)
                 check(0, m + 1)
-                assert (decided == []) == stacked
-                decided.clear()
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", default)
+                assert gathers == kinds, limit
+                gathers.clear()
+            monkeypatch.undo()
         # A count past N is refused by the stacked gather too.
         prefix[:, -1] += ds.n_cases + 1
         with pytest.raises(IndexError):
             problem._slice_terms(prefix, a, m, m + 1)
-        assert decided == []
+        assert gathers == ["stacked"]
 
     @pytest.mark.parametrize("a", [1.0, 1.5])
     def test_tally_keeps_live_states_of_full_tables(self, a):
@@ -867,19 +960,22 @@ class TestMemoryGuard:
         for part in ("'depth'", "N=40", "M=39", "round the column", "discrete"):
             assert part in message
 
-    @pytest.mark.parametrize("inputs", ["chain", "stacked"])
+    @pytest.mark.parametrize("inputs", ["chain", "stacked", "untied"])
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     @pytest.mark.parametrize("density", ["uniform", "multinomial"])
     def test_guard_charges_the_measured_peak(self, monkeypatch, mode, density, inputs):
         if inputs == "chain":
             i, (ds, policy, structure) = 1, chain_problem()
         else:
-            # 27 live states over M = 28 cuts: every block of the own family
-            # gathers its states as one stack.
+            # 27 live states: over M = 28 tied cuts every block of the own
+            # family gathers its states as one stack; over M = 80 untied
+            # ones it takes the row recurrence.
             i = 0
-            ds, policy, structure = TestBlockedCutProblem.three_parent_inputs(True)
-            m = len(ds.candidate_thresholds(0))
-            assert 27 * (m + 1) ** 2 <= search._BLOCK_FLOATS
+            ds, policy, structure = TestBlockedCutProblem.three_parent_inputs(
+                inputs == "stacked"
+            )
+            cells = (len(ds.candidate_thresholds(0)) + 1) ** 2
+            assert (27 * cells <= search._BLOCK_FLOATS) == (inputs == "stacked")
         prior = PriorSpec(dirichlet_mode=mode, density_model=density)
         peak = solve_peak(ds, policy, structure, prior, i)
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", peak - 1)
