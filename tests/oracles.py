@@ -59,7 +59,8 @@ from mixedbn.scoring import (
     continuous_terms,
     interval_count_log_priors,
 )
-from mixedbn.search import TIE_TOLERANCE, _EDIT_OPS, _CutProblem
+from mixedbn.cutdp import TIE_TOLERANCE, _CutProblem
+from mixedbn.search import _EDIT_OPS
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
 

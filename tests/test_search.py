@@ -38,14 +38,9 @@ from mixedbn import (
 from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
 from mixedbn.graph import CycleError, empty_structure, validate_dag
-from mixedbn import scoring, search
-from mixedbn.search import (
-    TIE_TOLERANCE,
-    _blanket,
-    _CutProblem,
-    _edit_candidates,
-    _SearchState,
-)
+from mixedbn import cutdp, scoring, search
+from mixedbn.cutdp import TIE_TOLERANCE, _blanket, _CutProblem
+from mixedbn.search import _edit_candidates, _SearchState
 from oracles import (
     DenseCutProblem,
     edited,
@@ -435,7 +430,7 @@ class TestCutProblem:
         want = DenseCutProblem(0, policy, empty_structure(1), ds, prior).density
         m = problem.m
         assert (m + 1 < len(x)) == (data != "untied")
-        step = rows or search._BLOCK_FLOATS // (m + 2)
+        step = rows or cutdp._BLOCK_FLOATS // (m + 2)
         for hi in range(m + 1, 0, -step):
             lo = max(0, hi - step)
             got = problem._emission(lo, hi)
@@ -574,7 +569,7 @@ class TestBlockedCutProblem:
         m = len(ds.candidate_thresholds(0))
         assert m > 20
         if rows is not None:
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", rows * (m + 2))
         self.check(ds, policy, family if with_family else empty_structure(4),
                    mode, policy_prior, density)
 
@@ -587,7 +582,7 @@ class TestBlockedCutProblem:
         m = len(ds.candidate_thresholds(0))
         assert m == 299
         # Rows 0..M of the upper triangle, a default block's worth at a time.
-        assert math.ceil((m + 1) / (search._BLOCK_FLOATS // (m + 2))) >= 3
+        assert math.ceil((m + 1) / (cutdp._BLOCK_FLOATS // (m + 2))) >= 3
         self.check(ds, policy, family if with_family else empty_structure(4),
                    mode, policy_prior, density)
 
@@ -602,7 +597,7 @@ class TestBlockedCutProblem:
         ds, policy, family = self.problem_inputs()
         m = len(ds.candidate_thresholds(0))
         if rows is not None:
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", rows * (m + 2))
         prior = PriorSpec(
             dirichlet_mode=mode, alpha=1.5, ess=3.0, policy_prior=policy_prior,
             poisson_rate=2.0, density_model=density,
@@ -665,7 +660,7 @@ class TestBlockedCutProblem:
         ds, policy, family = self.problem_inputs()
         tallies = []
         monkeypatch.setattr(
-            search, "family_tables", lambda *a, **k: tallies.append(a)
+            cutdp, "family_tables", lambda *a, **k: tallies.append(a)
         )
         dense = DenseCutProblem(0, policy, family, ds, PriorSpec())
         assert tallies == []
@@ -681,7 +676,7 @@ class TestBlockedCutProblem:
         ds, policy, family = self.problem_inputs(n=120, tied=tied)
         m = len(ds.candidate_thresholds(0))
         if rows is not None:
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", rows * (m + 2))
         prior = PriorSpec(dirichlet_mode=mode, alpha=a, ess=a)
         problem = cut_problem(0, policy, family, ds, prior)
         dense = DenseCutProblem(0, policy, family, ds, prior)
@@ -722,9 +717,9 @@ class TestBlockedCutProblem:
         cells = (problem.m + 1) ** 2
         assert problem.step > problem.m
         if path != "recurrence":
-            assert 27 * cells <= search._BLOCK_FLOATS
+            assert 27 * cells <= cutdp._BLOCK_FLOATS
         if path == "per-state":
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", 27 * cells - 1)
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 27 * cells - 1)
         # A last prefix entry above N makes the counts of the intervals that
         # end there exceed N; the gather must refuse them, not wrap around.
         problem.own_prefix = problem.own_prefix.copy()
@@ -775,10 +770,10 @@ class TestBlockedCutProblem:
         m = problem.m
         assert (m + 1 < ds.n_cases) == tied
         assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
-        full = search._BLOCK_FLOATS // (m + 2)
+        full = cutdp._BLOCK_FLOATS // (m + 2)
         # Every block of two or more states stacks them, or none does.
         limit = 27 * (m + 1) ** 2 if stacked else 1
-        monkeypatch.setattr(search, "_BLOCK_FLOATS", limit)
+        monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", limit)
         gathers = spy_gathers(problem)
         same_bits = self.same_bits
         # The sum starts from the first state's terms, so also check the
@@ -833,7 +828,7 @@ class TestBlockedCutProblem:
             # just within the limit, then just over it: one gather per state.
             cells = 9 * (m + 1) ** 2
             for limit, kinds in ((cells, ["stacked"]), (cells - 1, ["per-state"] * 9)):
-                monkeypatch.setattr(search, "_BLOCK_FLOATS", limit)
+                monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", limit)
                 check(0, m + 1)
                 assert gathers == kinds, limit
                 gathers.clear()
@@ -975,7 +970,7 @@ class TestMemoryGuard:
                 inputs == "stacked"
             )
             cells = (len(ds.candidate_thresholds(0)) + 1) ** 2
-            assert (27 * cells <= search._BLOCK_FLOATS) == (inputs == "stacked")
+            assert (27 * cells <= cutdp._BLOCK_FLOATS) == (inputs == "stacked")
         prior = PriorSpec(dirichlet_mode=mode, density_model=density)
         peak = solve_peak(ds, policy, structure, prior, i)
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", peak - 1)
@@ -987,7 +982,7 @@ class TestMemoryGuard:
         # M=39, r_cap=12, no family: one prefix table, the working blocks,
         # 12 layer vectors and 12 log-gamma tables fit.  K2 needs one table;
         # BDeu needs all 12, and 1+2+...+12 = 78 layer vectors.
-        blocks = search._WORK_BLOCKS * search._BLOCK_FLOATS
+        blocks = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
         limit = 8 * ((1 + 12) * 41 + 12 * 41 + blocks)
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", limit)
         self.solve(ds, PriorSpec())
@@ -1015,8 +1010,8 @@ class TestHeldInvariants:
             0, DiscretizationPolicy((float(cands[m // 2]),), *ds.policy_bounds(0))
         )
         if rows is not None:
-            monkeypatch.setattr(search, "_BLOCK_FLOATS", rows * (m + 2))
-        step = search._BLOCK_FLOATS // (m + 2)
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", rows * (m + 2))
+        step = cutdp._BLOCK_FLOATS // (m + 2)
         assert math.ceil((m + 1) / step) >= 3
         return ds, policy, family, m
 
@@ -1110,8 +1105,8 @@ class TestHeldInvariants:
         # The budget split over the four continuous variables: a share of
         # one block's worth of floats each.
         assert len(ds.continuous_indices()) == 4
-        monkeypatch.setattr(search, "_WORK_BLOCKS", 4)
-        share = search._BLOCK_FLOATS
+        monkeypatch.setattr(cutdp, "_WORK_BLOCKS", 4)
+        share = cutdp._BLOCK_FLOATS
         prior, config = PriorSpec(), SearchConfig(r_max=12)
         state = _SearchState(family, policy, ds, prior, config)
         bare = optimize_variable(0, policy, family, ds, prior, config)
@@ -1155,8 +1150,8 @@ class TestHeldInvariants:
     def test_learn_keeps_one_problem_per_variable(self, monkeypatch):
         # A budget of six small blocks, split over five continuous
         # variables: each share holds some lnΓ tables and small blocks.
-        monkeypatch.setattr(search, "_BLOCK_FLOATS", 4096)
-        monkeypatch.setattr(search, "_WORK_BLOCKS", 6)
+        monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 4096)
+        monkeypatch.setattr(cutdp, "_WORK_BLOCKS", 6)
         ds, _ = sample_dataset(random_mechanism(5, 3, 2, seed=4), 150)
         assert len(ds.continuous_indices()) == 5
         built, solved = [], set()
@@ -1181,7 +1176,7 @@ class TestHeldInvariants:
         # BDeu's many pseudo-counts some of its lnΓ tables did not fit.
         held = [a for p in built for a in self.held(p)]
         assert not any(a.flags.writeable for a in held)
-        budget = search._WORK_BLOCKS * search._BLOCK_FLOATS
+        budget = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
         assert sum(a.size for a in held) <= budget
 
 
