@@ -9,6 +9,7 @@ program over the candidate cut points: :class:`_CutProblem`.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +38,12 @@ TIE_TOLERANCE = 1e-9
 # row recurrence a gather per table and one row summed exactly.
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
-# headroom: the tracemalloc peak of one solve over N = 600 cases, less its
-# layer vectors and its lnΓ tables and their increments, measures at most
-# 6.3 blocks under the uniform emission and 13.2 under the multinomial one;
-# a solve whose 27 states are gathered as one stack, 3.6, and one whose 27
-# untied states take the row recurrence, 2.5.
+# headroom: the tracemalloc peak of one solve over N = 600 cases with a
+# parent and a child, less its layer vectors, its lnΓ tables in every form
+# and its held counts (3.0 blocks under shared sample size), measures at
+# most 6.4 blocks under the uniform emission and 13.7 under the multinomial
+# one; a solve whose 27 states are gathered as one stack, 3.7, and one
+# whose 27 untied states take the row recurrence, 2.3.
 _WORK_BLOCKS = 16
 
 
@@ -78,15 +80,17 @@ class _CutProblem:
     has its own, and only the emission costs are shared.  No cost matrix is
     ever held whole: the DP builds its upper triangle a block of rows at a
     time, from the last row up, and the top DP layer of each matrix only at
-    row 0, the one row a solve reads it at.  The constructor builds what
-    depends only on the variable and the prior: the column's cut positions,
-    values and distinct-value prefixes, and the interval-count log priors up
-    to ``r_cap``; each :meth:`solve` tallies the family part, keeping the
-    count rows of the states that hold cases.  Across solves the problem
-    holds, read-only, its lnΓ tables and their increments by pseudo-count
-    and, from its second solve on, its emission blocks by rows, within
-    ``room`` floats; past it a solve builds its own, as a problem with
-    room 0 does.
+    row 0, the one row a solve reads it at.  Under shared sample size only
+    the lnΓ tables differ between counts, so a block's count-independent
+    inputs, its case counts, are built once and held while the counts read
+    them.  The constructor builds what depends only on the variable and the
+    prior: the column's cut positions, values and distinct-value prefixes,
+    and the interval-count log priors up to ``r_cap``; each :meth:`solve`
+    tallies the family part, keeping the count rows of the states that hold
+    cases.  Across solves the problem holds, read-only, its lnΓ tables,
+    shifted and as increments too, by pseudo-count and, from its second
+    solve on, its emission blocks by rows, within ``room`` floats; past it
+    a solve builds its own, as a problem with room 0 does.
     """
 
     def __init__(
@@ -117,7 +121,7 @@ class _CutProblem:
             self.d_pos = d_pos.astype(np.float64)
             self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
         self.log_priors = interval_count_log_priors(r_cap, self.m, prior, self.n_cases)
-        self._luts: dict[tuple[float, bool], np.ndarray] = {}
+        self._luts: dict[tuple[float, str], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._below: dict[int, np.ndarray] = {}
 
@@ -176,17 +180,29 @@ class _CutProblem:
             self.child_tables.append(
                 (r_child, q_other, live_prefix(cells), live_prefix(margins))
             )
+        self.one_state = all(len(prefix) == 1 for prefix in self._prefixes())
 
-    def _lut(self, a: float, steps: bool = False) -> np.ndarray:
-        """``lnG(a + n)`` for ``n = 0..N``, or with ``steps`` its increments
-        over ``n - 1``, 0 at ``n = 0``."""
-        lut = self._luts.get((a, steps))
+    def _prefixes(self) -> list[np.ndarray]:
+        """The live prefix tables, own first, then each child's cell and
+        margin table."""
+        children = chain.from_iterable(t[2:] for t in self.child_tables)
+        return [self.own_prefix, *children]
+
+    def _lut(self, a: float, form: str = "") -> np.ndarray:
+        """``lnG(a + n)`` for ``n = 0..N``; in the ``"shifted"`` form less
+        ``lnG(a)``, in the ``"steps"`` form its increments over ``n - 1``,
+        0 at ``n = 0``."""
+        lut = self._luts.get((a, form))
         if lut is None:
-            if steps:
-                lut = np.diff(self._lut(a), prepend=self._lut(a)[0])
+            if form:
+                full = self._lut(a)
+                if form == "shifted":
+                    lut = full - full[0]
+                else:
+                    lut = np.diff(full, prepend=full[0])
             else:
                 lut = gammaln(a + np.arange(self.n_cases + 1))
-            self._luts[a, steps] = lut
+            self._luts[a, form] = lut
             self._hold(lut)
         return lut
 
@@ -240,46 +256,59 @@ class _CutProblem:
         emission[:, :height][below] = -np.inf
         return emission
 
-    def _slice_terms(
-        self, prefix: np.ndarray, a: float, lo: int, hi: int
-    ) -> np.ndarray:
-        """Sum over the states of ``prefix``, one or more live rows as
-        :meth:`_tally` keeps them, of ``lnG(a + n) - lnG(a)``, where ``n``
-        counts a state's cases between cuts; same block as ``_emission``.
+    def _state_counts(self, prefix: np.ndarray, lo: int, hi: int):
+        """The counts ``n = P_s[v] - P_s[u]`` of each state ``s`` of
+        ``prefix``, rows ``lo..hi-1`` to columns ``lo+1..M+1`` as in
+        ``_emission``: one state's as a (rows, columns) block, two or more
+        as one (states, rows, columns) stack when it holds at most
+        ``_BLOCK_FLOATS`` cells or one row, else lazily, a state at a time
+        into one buffer.  Where ``v <= u`` a count is negative, at least -N,
+        and reads some entry of the table; ``_emission``'s -inf masks those
+        cells."""
+        rows, cols = hi - lo, self.m + 1 - lo
+        if len(prefix) == 1:
+            return prefix[0, lo + 1:] - prefix[0, lo:hi, None]
+        if rows == 1 or len(prefix) * rows * cols <= _BLOCK_FLOATS:
+            return prefix[:, None, lo + 1:] - prefix[:, lo:hi, None]
+        n = np.empty((rows, cols), dtype=np.int64)
+        return (np.subtract(row[lo + 1:], row[lo:hi, None], out=n) for row in prefix)
 
-        Every cell adds its states' terms in state order and subtracts
-        ``lnG(a)`` after each.  When two or more states' counts fit in
-        ``_BLOCK_FLOATS`` cells, one gather stacks the terms of all of them,
-        and one running sum (``np.add.accumulate``) along the stack adds
-        them up in that order, the ``-lnG(a)`` terms interleaved; a pairwise
-        ``sum`` over the states would round differently.  Otherwise the
-        states are gathered one at a time.  The first state's terms start
-        the sum, which equals adding them to zeros: no lnΓ table holds -0.0.
+    def _slice_terms(self, counts, a: float) -> np.ndarray:
+        """Sum over the states of ``counts``, as :meth:`_state_counts` gives
+        them, of ``lnG(a + n) - lnG(a)``.
+
+        One state's terms are one gather from the shifted lnΓ table, each
+        entry the difference rounded once, as subtracting ``lnG(a)`` after
+        the gather rounds it.  Two or more states' terms are added in state
+        order, ``lnG(a)`` subtracted after each.  A stack of at most
+        ``_BLOCK_FLOATS`` cells is gathered at once, and one running sum
+        (``np.add.accumulate``) along the stack adds the terms up in that
+        order, the ``-lnG(a)`` terms interleaved; a pairwise ``sum`` over
+        the states would round differently.  Otherwise the states are
+        gathered one at a time.  The first state's terms start the sum,
+        which equals adding them to zeros: no lnΓ table holds -0.0.  A
+        count off the table raises IndexError.
         """
+        if isinstance(counts, np.ndarray) and counts.ndim == 2:
+            return self._lut(a, "shifted")[counts]
         lut = self._lut(a)
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
         base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
-        shape = (hi - lo, self.m + 1 - lo)
-        states = len(prefix)
-        if 1 < states and states * shape[0] * shape[1] <= _BLOCK_FLOATS:
-            # Where v <= u a count is negative, as on the path below.
-            terms = lut[prefix[:, None, lo + 1:] - prefix[:, lo:hi, None]]
+        if isinstance(counts, np.ndarray) and counts.size <= _BLOCK_FLOATS:
+            terms = lut[counts]
+            # Unless held, the counts are freed before the running sum.
+            del counts
             if base is not None:
                 # Each state's terms, then -lnG(a): x + -b is x - b.
-                paired = np.empty((states, 2, *shape))
+                paired = np.empty((len(terms), 2, *terms.shape[1:]))
                 paired[:, 0] = terms
                 paired[:, 1] = -base
-                terms = paired.reshape(2 * states, *shape)
+                terms = paired.reshape(-1, *terms.shape[1:])
             return np.add.accumulate(terms, axis=0, out=terms)[-1]
         out = None
-        n = np.empty(shape, dtype=np.int64)
-        for row in prefix:
-            # Where v <= u the count is negative, at least -N, and reads some
-            # entry of the table; _emission's -inf masks those cells.  Both
-            # paths read the same counts, so one off the table raises IndexError.
+        for n in counts:
             # Indexing gathers straight into a new array; np.take with out=
             # would copy through a buffer.
-            np.subtract(row[lo + 1:], row[lo:hi, None], out=n)
             terms = lut[n]
             if out is None:
                 out = terms
@@ -289,61 +318,95 @@ class _CutProblem:
                 out -= base
         return out
 
+    def _recurs(self, lo: int, hi: int) -> bool:
+        """Whether rows ``lo..hi-1`` take :meth:`_recurrence`: the tables
+        hold more live states than one per table, and each row but the
+        last, of two or more, starts a one-case fine segment."""
+        # Every fine segment holds a case, so each of rows lo..hi-2 starts a
+        # one-case segment when they start hi - 1 - lo cases in all.
+        return (
+            not self.one_state
+            and hi - lo > 1
+            and self.positions[hi - 1] - self.positions[lo] == hi - 1 - lo
+        )
+
+    def _counts(self, lo: int, hi: int, keep: bool = False):
+        """What the slice terms of rows ``lo..hi-1`` gather at, whatever the
+        interval count, in the order :meth:`_costs` reads it: each table's
+        :meth:`_state_counts`, tables in the order of :meth:`_prefixes`.
+        Where the rows take the row recurrence, first the exact last row's
+        counts, a list as the exact path reads them, then each table's
+        increment counts, checked against the lnΓ tables.
+
+        Lazy, one table at a time: the increments go into one buffer reused
+        from table to table, each read before the next is built, unless
+        ``keep`` asks for arrays to hold across interval counts.
+        """
+        prefixes = self._prefixes()
+        if not self._recurs(lo, hi):
+            for prefix in prefixes:
+                yield self._state_counts(prefix, lo, hi)
+            return
+        yield list(self._counts(hi - 1, hi))
+        n = None
+        for prefix in prefixes:
+            # Moving an interval's start from u+1 to u adds fine segment u's
+            # one case, in one state s per table, so the table's terms grow
+            # at the count n = P_s[v] - P_s[u].
+            state = (prefix[:, lo + 1:hi] - prefix[:, lo:hi - 1]).argmax(axis=0)
+            n = np.take(
+                prefix[:, lo + 1:], state, axis=0, mode="clip",
+                out=None if keep else n,
+            )
+            n -= prefix[state, np.arange(lo, hi - 1)][:, None]
+            # Prefix rows never decrease: a row's last count is its largest.
+            if n[:, -1].max() > self.n_cases:
+                raise IndexError(f"a count past N = {self.n_cases}")
+            yield n
+
     def _costs(
-        self, r: int, lo: int, hi: int, emission: np.ndarray | float
+        self, r: int, lo: int, hi: int, emission: np.ndarray | float, counts=None
     ) -> np.ndarray:
         """Rows ``lo..hi-1`` of the cost matrix for ``r`` intervals, columns
         ``lo+1..M+1``, with ``-inf`` wherever ``v <= u`` from ``emission``:
         no lnΓ table entry is infinite.  The own and child cell tables add
         their slice terms and the margins subtract theirs, by
-        :meth:`_recurrence` where each row but the last starts a one-case
-        fine segment and the tables hold more live states than one per
-        table, else table by table with the emission after the own
-        family's."""
-        tables = [(self.own_prefix, self.prior.cell_weight(r, self.q_own), np.add)]
-        for r_child, q_other, cell_prefix, margin_prefix in self.child_tables:
+        :meth:`_recurrence` where the rows take it, else table by table
+        with the emission after the own family's.  ``counts`` are the rows'
+        :meth:`_counts` when held across interval counts; without them each
+        table's are built as it is read."""
+        tables = [(self.prior.cell_weight(r, self.q_own), np.add)]
+        for r_child, q_other, _, _ in self.child_tables:
             a_cell = self.prior.cell_weight(r_child, r * q_other)
-            tables += [
-                (cell_prefix, a_cell, np.add),
-                (margin_prefix, a_cell * r_child, np.subtract),
-            ]
-        # Every fine segment holds a case, so each of rows lo..hi-2 starts a
-        # one-case segment when they start hi - 1 - lo cases in all.
-        if (
-            hi - lo > 1
-            and self.positions[hi - 1] - self.positions[lo] == hi - 1 - lo
-            and sum(len(prefix) for prefix, _, _ in tables) > len(tables)
-        ):
-            g = self._recurrence(r, tables, lo, hi)
+            tables += [(a_cell, np.add), (a_cell * r_child, np.subtract)]
+        counts = iter(self._counts(lo, hi) if counts is None else counts)
+        if self._recurs(lo, hi):
+            g = self._recurrence(r, tables, counts, lo, hi)
             g += emission
             return g
-        g = self._slice_terms(self.own_prefix, tables[0][1], lo, hi)
+        g = self._slice_terms(next(counts), tables[0][0])
         g += emission
-        for prefix, a, op in tables[1:]:
-            op(g, self._slice_terms(prefix, a, lo, hi), out=g)
+        for a, op in tables[1:]:
+            op(g, self._slice_terms(next(counts), a), out=g)
         return g
 
-    def _recurrence(self, r: int, tables: list, lo: int, hi: int) -> np.ndarray:
+    def _recurrence(
+        self, r: int, tables: list, counts, lo: int, hi: int
+    ) -> np.ndarray:
         """The slice terms of :meth:`_costs`'s ``tables`` by the row
-        recurrence of optimal partitioning (Jackson et al. 2005)."""
-        # Moving an interval's start from u+1 to u adds fine segment u's one
-        # case, in one state s per table, so the table's terms grow by
-        # lnG(a + n) - lnG(a + n - 1) at the count n = P_s[v] - P_s[u]: one
-        # gather per table and cell.  Each row is the row below plus its
-        # increments; the last, summed exactly, anchors the block.
+        recurrence of optimal partitioning (Jackson et al. 2005), read from
+        the rows' :meth:`_counts`."""
+        # Each row is the row below plus its increments, lnG(a + n) -
+        # lnG(a + n - 1) at each table's count n: one gather per table and
+        # cell.  The last row, summed exactly, anchors the block.
+        last = next(counts)
         g = np.zeros((hi - lo, self.m + 1 - lo))
-        n = terms = None
-        for prefix, a, op in tables:
-            state = (prefix[:, lo + 1:hi] - prefix[:, lo:hi - 1]).argmax(axis=0)
-            n = np.take(prefix[:, lo + 1:], state, axis=0, mode="clip", out=n)
-            n -= prefix[state, np.arange(lo, hi - 1)][:, None]
-            # Prefix rows never decrease: a row's last count is its largest.
-            if n[:, -1].max() > self.n_cases:
-                raise IndexError(f"a count past N = {self.n_cases}")
+        terms = None
+        for (a, op), n in zip(tables, counts):
             # Clipping reads counts <= 0, at v <= u, at the 0 entry.
-            terms = np.take(self._lut(a, steps=True), n, mode="clip", out=terms)
+            terms = np.take(self._lut(a, "steps"), n, mode="clip", out=terms)
             op(g[:-1], terms, out=g[:-1])
-        g[-1, hi - lo - 1:] = self._costs(r, hi - 1, hi, 0.0)[0]
+        g[-1, hi - lo - 1:] = self._costs(r, hi - 1, hi, 0.0, last)[0]
         below = g[-1]
         for row in g[-2::-1]:
             row += below
@@ -363,6 +426,14 @@ class _CutProblem:
         built, is kept for the backtrack.  Every max-plus step adds into one
         buffer, reshaped to each block.
 
+        When two or more counts read a block that takes the row recurrence,
+        or whose tables each hold one live state, its :meth:`_counts` are
+        built once, one array per table and the last row's, and held until
+        every count has read them: each count then gathers from its own
+        lnΓ tables and adds, cell by cell, as a lone count does with the
+        counts it builds, so every layer is the same bit for bit.  Other
+        blocks, and a lone count, build them table by table.
+
         A step adds the whole contiguous cost block, columns ``lo+1..M+1``,
         to layer ``k - 1`` at rows ``lo+1..M+1``.  Row ``M+1`` of a layer is
         never written and stays ``-inf``, and no cost is ``+inf`` or NaN, so
@@ -378,10 +449,13 @@ class _CutProblem:
             emission = self._block(lo, hi)
             width = m + 1 - lo
             scores = buffer[: (hi - lo) * width].reshape(hi - lo, width)
-            for r, table in layers.items():
-                if r == 1 and lo > 0:
-                    continue
-                g = self._costs(r, lo, hi, emission)
+            readers = [r for r in layers if r > 1 or lo == 0]
+            held = None
+            if len(readers) > 1 and (self.one_state or self._recurs(lo, hi)):
+                held = list(self._counts(lo, hi, keep=True))
+            for r in readers:
+                table = layers[r]
+                g = self._costs(r, lo, hi, emission, held)
                 table[0, lo:hi] = g[:, -1]
                 for k in range(1, r - 1):
                     np.add(g, table[k - 1, lo + 1:], out=scores)

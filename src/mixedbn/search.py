@@ -233,26 +233,29 @@ def optimize_variable(
         return math.prod(policy[p].arity for p in members)
 
     # Charged in float64-sized words: prefix count tables (the own family's,
-    # and a cell and a margin table per child) and as much again for the
-    # tallied tables, DP layer vectors (r_cap for the one shared cost matrix,
-    # or r for the matrix of each interval count r), log-gamma tables and
-    # their increments (at most three each per child and cost matrix), the
+    # and a cell and a margin table per child), as much again for the
+    # tallied tables and again for the counts of a block's exact last row,
+    # DP layer vectors (r_cap for the one shared cost matrix, or r for the
+    # matrix of each interval count r), log-gamma tables, shifted and as
+    # increments too (at most three each per table and cost matrix), the
     # tally's code matrix over i and its blanket plus two index columns, the
     # working row blocks, which hold the row recurrence's temporaries too,
-    # and in a search the held budget.
+    # a block of counts per table when several cost matrices read them, and
+    # in a search the held budget.
     n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
     budget = 0 if problems is None else cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
-    tables = states(structure.parents[i]) + sum(
+    rows = states(structure.parents[i]) + sum(
         states(structure.parents[c] - {i}) * (policy[c].arity + 1)
         for c in structure.children[i]
     )
     vectors = r_cap * (r_cap + 1) // 2 if n_costs > 1 else r_cap
-    luts = n_costs * (1 + 2 * len(structure.children[i]))
+    tables = 1 + 2 * len(structure.children[i])
+    held = tables if n_costs > 1 else 0
     estimate = 8 * (
-        (2 * tables + vectors) * (m + 2)
-        + 2 * luts * (dataset.n_cases + 1)
+        (3 * rows + vectors) * (m + 2)
+        + 3 * n_costs * tables * (dataset.n_cases + 1)
         + (len(_blanket(structure, i)) + 3) * dataset.n_cases
-        + cutdp._WORK_BLOCKS * max(cutdp._BLOCK_FLOATS, m + 2)
+        + (cutdp._WORK_BLOCKS + held) * max(cutdp._BLOCK_FLOATS, m + 2)
         + budget
     )
     limit = scoring.MEMORY_LIMIT_BYTES

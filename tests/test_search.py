@@ -91,9 +91,9 @@ def spy_recurrence(problem):
     built = []
     real = problem._recurrence
 
-    def spy(r, tables, lo, hi):
+    def spy(r, tables, counts, lo, hi):
         built.append((lo, hi))
-        return real(r, tables, lo, hi)
+        return real(r, tables, counts, lo, hi)
 
     problem._recurrence = spy
     return built
@@ -117,9 +117,9 @@ def spy_gathers(problem):
     gathers = []
     real = problem._lut
 
-    def spy(a, steps=False):
-        table = real(a, steps)
-        if steps:
+    def spy(a, form=""):
+        table = real(a, form)
+        if form == "steps":
             return table
         table = table.view(LoggedTable)
         table.gathers = gathers
@@ -525,6 +525,24 @@ def chain_problem(n=600):
     return ds, policy, validate_dag([set(), {0}, {1}])
 
 
+def children_problem(children=6, n=600):
+    """Untied x0 with ``children`` children, each x0 plus noise cut at its
+    median: under shared sample size a solve of x0 holds a block of counts
+    for each of its 13 tables."""
+    rng = np.random.default_rng(1)
+    x0 = rng.uniform(0.0, 1.0, n)
+    ds = continuous_dataset(
+        np.c_[tuple([x0] + [x0 + rng.normal(0.0, 0.3, n) for _ in range(children)])]
+    )
+    policy = trivial_network_policy(ds)
+    for v in range(1, children + 1):
+        cut = (float(np.median(ds.column(v))),)
+        policy = policy.with_policy(
+            v, DiscretizationPolicy(cut, *ds.policy_bounds(v))
+        )
+    return ds, policy, validate_dag([set()] + [{0}] * children)
+
+
 def solve_peak(ds, policy, structure, prior, i=1):
     """Tracemalloc peak of solving ``x{i}``, in bytes."""
     tracemalloc.start()
@@ -607,8 +625,8 @@ class TestBlockedCutProblem:
         blocks = []
         costs = problem._costs
 
-        def spy(r, lo, hi, emission):
-            g = costs(r, lo, hi, emission)
+        def spy(r, lo, hi, emission, counts=None):
+            g = costs(r, lo, hi, emission, counts)
             blocks.append(g.copy())
             return g
 
@@ -665,6 +683,39 @@ class TestBlockedCutProblem:
         dense = DenseCutProblem(0, policy, family, ds, PriorSpec())
         assert tallies == []
         assert dense.q_own == 2 and len(dense.child_tables) == 1
+
+    @pytest.mark.parametrize("rows", [3, None])
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    @pytest.mark.parametrize("inputs", ["untied", "tied", "one-state"])
+    def test_held_counts_match_one_count_builds(self, monkeypatch, inputs, mode, rows):
+        # Several interval counts read a block's counts from one held build;
+        # a single count builds them table by table as it reads them.
+        ds, policy, family = self.problem_inputs(n=120, tied=inputs == "tied")
+        structure = empty_structure(4) if inputs == "one-state" else family
+        m = len(ds.candidate_thresholds(0))
+        if rows is not None:
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", rows * (m + 2))
+        prior = PriorSpec(dirichlet_mode=mode, alpha=1.5, ess=3.0)
+        problem = cut_problem(0, policy, structure, ds, prior)
+        assert problem.one_state == (inputs == "one-state")
+        built = spy_recurrence(problem)
+        kept = []
+        counts = problem._counts
+
+        def spy(lo, hi, keep=False):
+            kept.append(keep)
+            return counts(lo, hi, keep)
+
+        problem._counts = spy
+        every = problem._layers(range(1, 13))
+        # Tied blocks of many states build their counts per interval count.
+        assert any(kept) == (inputs != "tied")
+        assert bool(built) == (inputs == "untied")
+        for r in range(1, 13):
+            kept.clear()
+            one = problem._layers([r])[r]
+            assert not any(kept)
+            assert self.same_bits(every[r], one), r
 
     @pytest.mark.parametrize("rows", [2, 3, None])
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
@@ -785,14 +836,16 @@ class TestBlockedCutProblem:
                 for live in range(1, 28):
                     prefix = problem.own_prefix[:live]
                     gathers.clear()
-                    got = problem._slice_terms(prefix, a, lo, hi)
+                    counts = problem._state_counts(prefix, lo, hi)
+                    got = problem._slice_terms(counts, a)
                     want = reference_slice_terms(problem, prefix, a, lo, hi)
                     assert same_bits(got, want), (rows, lo, live)
                     if live > 1 and stacked:
                         assert gathers == ["stacked"]
                     else:
                         assert gathers == ["per-state"] * live
-                got = problem._slice_terms(last_only, a, lo, hi)
+                counts = problem._state_counts(last_only, lo, hi)
+                got = problem._slice_terms(counts, a)
                 want = reference_slice_terms(problem, last_only, a, lo, hi)
                 assert same_bits(got, want), (rows, lo)
 
@@ -815,7 +868,8 @@ class TestBlockedCutProblem:
             assert prefix[:, -1].max() <= ds.n_cases
 
             def check(lo, hi):
-                got = problem._slice_terms(prefix, a, lo, hi)
+                counts = problem._state_counts(prefix, lo, hi)
+                got = problem._slice_terms(counts, a)
                 want = reference_slice_terms(problem, prefix, a, lo, hi)
                 assert self.same_bits(got, want), (seed, lo, hi)
 
@@ -836,7 +890,7 @@ class TestBlockedCutProblem:
         # A count past N is refused by the stacked gather too.
         prefix[:, -1] += ds.n_cases + 1
         with pytest.raises(IndexError):
-            problem._slice_terms(prefix, a, m, m + 1)
+            problem._slice_terms(problem._state_counts(prefix, m, m + 1), a)
         assert gathers == ["stacked"]
 
     @pytest.mark.parametrize("a", [1.0, 1.5])
@@ -880,7 +934,8 @@ class TestBlockedCutProblem:
             # rows alone sum to what it gives.
             for lo in (0, m // 2, m):
                 want = reference_slice_terms(problem, full, a, lo, m + 1)
-                assert self.same_bits(problem._slice_terms(got, a, lo, m + 1), want)
+                counts = problem._state_counts(got, lo, m + 1)
+                assert self.same_bits(problem._slice_terms(counts, a), want)
 
     def test_no_log_gamma_table_holds_negative_zero(self):
         # _slice_terms starts its sum from gathered lnΓ terms instead of
@@ -955,12 +1010,16 @@ class TestMemoryGuard:
         for part in ("'depth'", "N=40", "M=39", "round the column", "discrete"):
             assert part in message
 
-    @pytest.mark.parametrize("inputs", ["chain", "stacked", "untied"])
+    @pytest.mark.parametrize("inputs", ["chain", "children", "stacked", "untied"])
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     @pytest.mark.parametrize("density", ["uniform", "multinomial"])
     def test_guard_charges_the_measured_peak(self, monkeypatch, mode, density, inputs):
         if inputs == "chain":
             i, (ds, policy, structure) = 1, chain_problem()
+        elif inputs == "children":
+            # Under shared sample size and the multinomial emission the 13
+            # held count blocks take the peak past the rest of the charge.
+            i, (ds, policy, structure) = 0, children_problem()
         else:
             # 27 live states: over M = 28 tied cuts every block of the own
             # family gathers its states as one stack; over M = 80 untied
