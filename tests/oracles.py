@@ -453,11 +453,12 @@ def reference_prefix_tables(i, policy, structure, dataset):
 
 
 def reference_slice_terms(problem, prefix, a, lo, hi):
-    """``problem._slice_terms(prefix, a, lo, hi)`` gathered one cell at a
-    time per state: for every non-empty row of ``prefix``, the counts of
-    rows ``lo..hi-1`` to columns ``lo+1..M+1`` index the lnΓ table, and
-    ``lnG(a)`` is subtracted after each row, whatever its value.  It takes
-    a full table too, where ``_slice_terms`` takes only the live rows."""
+    """``problem._slice_terms`` of ``problem._state_counts(prefix, lo,
+    hi)`` and ``a``, gathered one cell at a time per state: for every
+    non-empty row of ``prefix``, the counts of rows ``lo..hi-1`` to columns
+    ``lo+1..M+1`` index the lnΓ table, and ``lnG(a)`` is subtracted after
+    each row, whatever its value.  It takes a full table too, where
+    ``_state_counts`` takes only the live rows."""
     lut = gammaln(a + np.arange(problem.n_cases + 1))
     out = np.zeros((hi - lo, problem.m + 1 - lo))
     for row in prefix:
