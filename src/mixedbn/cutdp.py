@@ -34,16 +34,16 @@ TIE_TOLERANCE = 1e-9
 # The cut DP builds each cost matrix a block of rows at a time; a block
 # holds about this many float64 (256 KiB), so the block and its gather and
 # max-plus temporaries stay in a core's L2 cache while its rows amortize
-# the per-call work of its slice terms: a gather per state, or under the
-# row recurrence a gather per table and one row summed exactly.
+# the per-call work of its slice terms: a gather per chunk of states, or
+# under the row recurrence a gather per table and one row summed exactly.
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
 # headroom: the tracemalloc peak of one solve over N = 600 cases with a
 # parent and a child, less its layer vectors, its lnΓ tables in every form
 # and its held counts (3.0 blocks under shared sample size), measures at
 # most 6.4 blocks under the uniform emission and 13.7 under the multinomial
-# one; a solve whose 27 states are gathered as one stack, 3.7, and one
-# whose 27 untied states take the row recurrence, 2.3.
+# one; a solve whose 27 states are gathered as one chunk and folded, 2.2,
+# and one whose 27 untied states take the row recurrence, 2.3.
 _WORK_BLOCKS = 16
 
 
@@ -260,18 +260,17 @@ class _CutProblem:
         """The counts ``n = P_s[v] - P_s[u]`` of each state ``s`` of
         ``prefix``, rows ``lo..hi-1`` to columns ``lo+1..M+1`` as in
         ``_emission``: one state's as a (rows, columns) block, two or more
-        as one (states, rows, columns) stack when it holds at most
-        ``_BLOCK_FLOATS`` cells or one row, else lazily, a state at a time
-        into one buffer.  Where ``v <= u`` a count is negative, at least -N,
-        and reads some entry of the table; ``_emission``'s -inf masks those
-        cells."""
-        rows, cols = hi - lo, self.m + 1 - lo
+        lazily, in state order, as (states, rows, columns) chunks of at
+        most ``_BLOCK_FLOATS`` cells or one state.  Where ``v <= u`` a count
+        is negative, at least -N, and reads some entry of the table;
+        ``_emission``'s -inf masks those cells."""
         if len(prefix) == 1:
             return prefix[0, lo + 1:] - prefix[0, lo:hi, None]
-        if rows == 1 or len(prefix) * rows * cols <= _BLOCK_FLOATS:
-            return prefix[:, None, lo + 1:] - prefix[:, lo:hi, None]
-        n = np.empty((rows, cols), dtype=np.int64)
-        return (np.subtract(row[lo + 1:], row[lo:hi, None], out=n) for row in prefix)
+        chunk = max(1, _BLOCK_FLOATS // ((hi - lo) * (self.m + 1 - lo)))
+        return (
+            prefix[s:s + chunk, None, lo + 1:] - prefix[s:s + chunk, lo:hi, None]
+            for s in range(0, len(prefix), chunk)
+        )
 
     def _slice_terms(self, counts, a: float) -> np.ndarray:
         """Sum over the states of ``counts``, as :meth:`_state_counts` gives
@@ -279,43 +278,32 @@ class _CutProblem:
 
         One state's terms are one gather from the shifted lnΓ table, each
         entry the difference rounded once, as subtracting ``lnG(a)`` after
-        the gather rounds it.  Two or more states' terms are added in state
-        order, ``lnG(a)`` subtracted after each.  A stack of at most
-        ``_BLOCK_FLOATS`` cells is gathered at once, and one running sum
-        (``np.add.accumulate``) along the stack adds the terms up in that
-        order, the ``-lnG(a)`` terms interleaved; a pairwise ``sum`` over
-        the states would round differently.  Otherwise the states are
-        gathered one at a time.  The first state's terms start the sum,
-        which equals adding them to zeros: no lnΓ table holds -0.0.  A
-        count off the table raises IndexError.
+        the gather rounds it.  Two or more states' terms are gathered a
+        chunk at a time and added in state order, ``lnG(a)`` subtracted
+        after each; a pairwise ``sum`` over the states would round
+        differently.  The first state's terms start the sum, which equals
+        adding them to zeros: no lnΓ table holds -0.0.  A count off the
+        table raises IndexError.
         """
-        if isinstance(counts, np.ndarray) and counts.ndim == 2:
+        if isinstance(counts, np.ndarray):
             return self._lut(a, "shifted")[counts]
         lut = self._lut(a)
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
         base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
-        if isinstance(counts, np.ndarray) and counts.size <= _BLOCK_FLOATS:
-            terms = lut[counts]
-            # Unless held, the counts are freed before the running sum.
-            del counts
-            if base is not None:
-                # Each state's terms, then -lnG(a): x + -b is x - b.
-                paired = np.empty((len(terms), 2, *terms.shape[1:]))
-                paired[:, 0] = terms
-                paired[:, 1] = -base
-                terms = paired.reshape(-1, *terms.shape[1:])
-            return np.add.accumulate(terms, axis=0, out=terms)[-1]
         out = None
         for n in counts:
             # Indexing gathers straight into a new array; np.take with out=
             # would copy through a buffer.
             terms = lut[n]
-            if out is None:
-                out = terms
-            else:
-                out += terms
-            if base is not None:
-                out -= base
+            # Unless held, a chunk's counts are freed before its fold.
+            del n
+            for state in terms:
+                if out is None:
+                    out = state
+                else:
+                    out += state
+                if base is not None:
+                    out -= base
         return out
 
     def _recurs(self, lo: int, hi: int) -> bool:
@@ -335,8 +323,9 @@ class _CutProblem:
         interval count, in the order :meth:`_costs` reads it: each table's
         :meth:`_state_counts`, tables in the order of :meth:`_prefixes`.
         Where the rows take the row recurrence, first the exact last row's
-        counts, a list as the exact path reads them, then each table's
-        increment counts, checked against the lnΓ tables.
+        counts, a list as the exact path reads them with each table's
+        chunks built, then each table's increment counts, checked against
+        the lnΓ tables.
 
         Lazy, one table at a time: the increments go into one buffer reused
         from table to table, each read before the next is built, unless
@@ -347,7 +336,10 @@ class _CutProblem:
             for prefix in prefixes:
                 yield self._state_counts(prefix, lo, hi)
             return
-        yield list(self._counts(hi - 1, hi))
+        yield [
+            c if isinstance(c, np.ndarray) else list(c)
+            for c in self._counts(hi - 1, hi)
+        ]
         n = None
         for prefix in prefixes:
             # Moving an interval's start from u+1 to u adds fine segment u's

@@ -100,20 +100,19 @@ def spy_recurrence(problem):
 
 
 class LoggedTable(np.ndarray):
-    """An lnΓ table that logs the kind of each gather from it."""
+    """An lnΓ table that logs the state count of each gather from it."""
 
     def __getitem__(self, key):
         if isinstance(key, np.ndarray):
-            # One state's counts are a matrix, a stack of states' counts 3-D.
-            self.gathers.append("stacked" if key.ndim == 3 else "per-state")
+            # One state's counts are a matrix, a chunk of states' counts 3-D.
+            self.gathers.append(len(key) if key.ndim == 3 else 1)
         got = super().__getitem__(key)
         return got.view(np.ndarray) if isinstance(got, np.ndarray) else got
 
 
 def spy_gathers(problem):
-    """Record how ``problem``'s slice terms gather from its lnΓ tables:
-    ``"stacked"`` for one gather of all the states' counts, ``"per-state"``
-    for one state's."""
+    """Record the state count of each gather of ``problem``'s slice terms
+    from its lnΓ tables."""
     gathers = []
     real = problem._lut
 
@@ -127,6 +126,22 @@ def spy_gathers(problem):
 
     problem._lut = spy
     return gathers
+
+
+def assert_chunk_rule(gathers, live, cells):
+    """``gathers``, as :func:`spy_gathers` logs them, are one slice-terms
+    sum over ``live`` states of ``cells`` counts each: one state's one
+    gather, two or more states' chunks that cover them all, each of at most
+    ``_BLOCK_FLOATS`` cells or one state, each but the last the largest
+    such."""
+    if live == 1:
+        assert gathers == [1]
+        return
+    assert sum(gathers) == live, gathers
+    for k, states in enumerate(gathers):
+        assert states == 1 or states * cells <= cutdp._BLOCK_FLOATS, gathers
+        if k < len(gathers) - 1:
+            assert (states + 1) * cells > cutdp._BLOCK_FLOATS, gathers
 
 
 def with_twin(ds):
@@ -758,10 +773,10 @@ class TestBlockedCutProblem:
         else:
             assert kinds == {"recurrence"}
 
-    @pytest.mark.parametrize("path", ["stacked", "per-state", "recurrence"])
+    @pytest.mark.parametrize("path", ["one-chunk", "chunks", "recurrence"])
     def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, path):
         # 27 live states; the tied cuts sum the one block state by state, as
-        # one stack unless it is made not to fit, the untied ones by the row
+        # one chunk unless it is made not to fit, the untied ones by the row
         # recurrence.
         ds, policy, structure = self.three_parent_inputs(tied=path != "recurrence")
         problem = cut_problem(0, policy, structure, ds, PriorSpec())
@@ -769,7 +784,7 @@ class TestBlockedCutProblem:
         assert problem.step > problem.m
         if path != "recurrence":
             assert 27 * cells <= cutdp._BLOCK_FLOATS
-        if path == "per-state":
+        if path == "chunks":
             monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 27 * cells - 1)
         # A last prefix entry above N makes the counts of the intervals that
         # end there exceed N; the gather must refuse them, not wrap around.
@@ -784,8 +799,9 @@ class TestBlockedCutProblem:
             # state by state.
             assert built and gathers == []
         else:
-            # The first gather of the own table refuses it.
-            assert not built and gathers == [path]
+            # The first chunk of the own table, which holds the state,
+            # refuses it.
+            assert not built and gathers == [27 if path == "one-chunk" else 26]
 
     @staticmethod
     def three_parent_inputs(tied):
@@ -812,19 +828,24 @@ class TestBlockedCutProblem:
             np.signbit(got), np.signbit(want)
         )
 
-    @pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per-state"])
+    @pytest.mark.parametrize("chunks", ["default", "whole", "uneven", "single"])
     @pytest.mark.parametrize("a", [1.0, 1.5])
     @pytest.mark.parametrize("tied", [True, False])
-    def test_state_sums_match_reference(self, monkeypatch, tied, a, stacked):
+    def test_state_sums_match_reference(self, monkeypatch, tied, a, chunks):
         ds, policy, structure = self.three_parent_inputs(tied)
         problem = cut_problem(0, policy, structure, ds, PriorSpec())
         m = problem.m
         assert (m + 1 < ds.n_cases) == tied
         assert problem.q_own == 27 and (problem.own_prefix[:, -1] == 3).all()
         full = cutdp._BLOCK_FLOATS // (m + 2)
-        # Every block of two or more states stacks them, or none does.
-        limit = 27 * (m + 1) ** 2 if stacked else 1
-        monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", limit)
+        # By default the whole untied matrix takes chunks of 4 states, the
+        # last of 3.  Otherwise every block gathers its 27 states as one
+        # chunk, the whole matrix takes chunks of 5, the last of 2, or every
+        # state is gathered alone.
+        square = (m + 1) ** 2
+        limit = {"whole": 27 * square, "uneven": 5 * square, "single": 1}.get(chunks)
+        if limit is not None:
+            monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", limit)
         gathers = spy_gathers(problem)
         same_bits = self.same_bits
         # The sum starts from the first state's terms, so also check the
@@ -833,6 +854,7 @@ class TestBlockedCutProblem:
         for rows in (1, 3, full):
             for hi in range(m + 1, 0, -rows):
                 lo = max(0, hi - rows)
+                cells = (hi - lo) * (m + 1 - lo)
                 for live in range(1, 28):
                     prefix = problem.own_prefix[:live]
                     gathers.clear()
@@ -840,17 +862,18 @@ class TestBlockedCutProblem:
                     got = problem._slice_terms(counts, a)
                     want = reference_slice_terms(problem, prefix, a, lo, hi)
                     assert same_bits(got, want), (rows, lo, live)
-                    if live > 1 and stacked:
-                        assert gathers == ["stacked"]
-                    else:
-                        assert gathers == ["per-state"] * live
+                    assert_chunk_rule(gathers, live, cells)
+                # The chunks hold the states' counts in state order.
+                chunked = np.concatenate(list(problem._state_counts(prefix, lo, hi)))
+                stack = prefix[:, None, lo + 1:] - prefix[:, lo:hi, None]
+                assert np.array_equal(chunked, stack)
                 counts = problem._state_counts(last_only, lo, hi)
                 got = problem._slice_terms(counts, a)
                 want = reference_slice_terms(problem, last_only, a, lo, hi)
                 assert same_bits(got, want), (rows, lo)
 
     @pytest.mark.parametrize("a", [1.0, 1.5])
-    def test_stacked_gather_adds_states_in_order(self, monkeypatch, a):
+    def test_chunked_gather_adds_states_in_order(self, monkeypatch, a):
         # Nine live states, each holding cases in the last three fine
         # segments: the one-cell block at the bottom sums nine nonzero
         # terms per cell, where numpy's pairwise sum over the states would
@@ -859,6 +882,16 @@ class TestBlockedCutProblem:
         problem = cut_problem(0, policy, structure, ds, PriorSpec())
         m = problem.m
         gathers = spy_gathers(problem)
+
+        def check(lo, hi):
+            gathers.clear()
+            counts = problem._state_counts(prefix, lo, hi)
+            got = problem._slice_terms(counts, a)
+            want = reference_slice_terms(problem, prefix, a, lo, hi)
+            assert self.same_bits(got, want), (seed, lo, hi)
+            return gathers
+
+        square = (m + 1) ** 2
         for seed in range(6):
             rng = np.random.default_rng(seed)
             counts = rng.integers(0, 3, size=(9, m + 1))
@@ -866,32 +899,40 @@ class TestBlockedCutProblem:
             prefix = np.zeros((9, m + 2), dtype=np.int64)
             np.cumsum(counts, axis=1, out=prefix[:, 1:])
             assert prefix[:, -1].max() <= ds.n_cases
-
-            def check(lo, hi):
-                counts = problem._state_counts(prefix, lo, hi)
-                got = problem._slice_terms(counts, a)
-                want = reference_slice_terms(problem, prefix, a, lo, hi)
-                assert self.same_bits(got, want), (seed, lo, hi)
-
-            # One-row blocks, down to the one-column block at the bottom.
-            for lo in range(m, -1, -1):
-                check(lo, lo + 1)
-            assert gathers == ["stacked"] * (m + 1)
-            gathers.clear()
-            # The whole matrix as one block, its stack of 9 (M+1)² counts
-            # just within the limit, then just over it: one gather per state.
-            cells = 9 * (m + 1) ** 2
-            for limit, kinds in ((cells, ["stacked"]), (cells - 1, ["per-state"] * 9)):
+            # One-row blocks, down to the one-column block at the bottom:
+            # one chunk each, then, over a limit of two rows, in chunks of
+            # two states or more, the widest row in chunks of two.
+            for limit, widest in (
+                (cutdp._BLOCK_FLOATS, [9]),
+                (2 * (m + 1), [2, 2, 2, 2, 1]),
+            ):
                 monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", limit)
-                check(0, m + 1)
-                assert gathers == kinds, limit
-                gathers.clear()
+                for lo in range(m, -1, -1):
+                    assert_chunk_rule(check(lo, lo + 1), 9, m + 1 - lo)
+                assert gathers == widest
+                assert check(m, m + 1) == [9]
+            # The whole matrix as one block, its 9 (M+1)² counts just within
+            # the limit, then just over it, then in chunks of 4 states, which
+            # do not divide the 9, and of one state.
+            for limit, want in (
+                (9 * square, [9]),
+                (9 * square - 1, [8, 1]),
+                (4 * square, [4, 4, 1]),
+                (square, [1] * 9),
+            ):
+                monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", limit)
+                assert check(0, m + 1) == want, limit
             monkeypatch.undo()
-        # A count past N is refused by the stacked gather too.
-        prefix[:, -1] += ds.n_cases + 1
+        # A count past N is refused by the gather of its chunk, the one
+        # chunk of a row or the second of three.
+        prefix[5, -1] += ds.n_cases + 1
         with pytest.raises(IndexError):
-            problem._slice_terms(problem._state_counts(prefix, m, m + 1), a)
-        assert gathers == ["stacked"]
+            check(m, m + 1)
+        assert gathers == [9]
+        monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 4 * square)
+        with pytest.raises(IndexError):
+            check(0, m + 1)
+        assert gathers == [4, 4]
 
     @pytest.mark.parametrize("a", [1.0, 1.5])
     def test_tally_keeps_live_states_of_full_tables(self, a):
@@ -1011,7 +1052,7 @@ class TestMemoryGuard:
         for part in ("'depth'", "N=40", "M=39", "round the column", "discrete"):
             assert part in message
 
-    @pytest.mark.parametrize("inputs", ["chain", "children", "stacked", "untied"])
+    @pytest.mark.parametrize("inputs", ["chain", "children", "one-chunk", "untied"])
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     @pytest.mark.parametrize("density", ["uniform", "multinomial"])
     def test_guard_charges_the_measured_peak(self, monkeypatch, mode, density, inputs):
@@ -1023,14 +1064,14 @@ class TestMemoryGuard:
             i, (ds, policy, structure) = 0, children_problem()
         else:
             # 27 live states: over M = 28 tied cuts every block of the own
-            # family gathers its states as one stack; over M = 80 untied
+            # family gathers its states as one chunk; over M = 80 untied
             # ones it takes the row recurrence.
             i = 0
             ds, policy, structure = TestBlockedCutProblem.three_parent_inputs(
-                inputs == "stacked"
+                inputs == "one-chunk"
             )
             cells = (len(ds.candidate_thresholds(0)) + 1) ** 2
-            assert (27 * cells <= cutdp._BLOCK_FLOATS) == (inputs == "stacked")
+            assert (27 * cells <= cutdp._BLOCK_FLOATS) == (inputs == "one-chunk")
         prior = PriorSpec(dirichlet_mode=mode, density_model=density)
         peak = solve_peak(ds, policy, structure, prior, i)
         monkeypatch.setattr(scoring, "MEMORY_LIMIT_BYTES", peak - 1)
