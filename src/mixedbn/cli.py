@@ -18,7 +18,9 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 import time
@@ -213,9 +215,11 @@ def _json(obj) -> str:
 
 
 def _csv_text(names, matrix, cell) -> str:
-    """A header row, then one line per row of ``matrix``, each entry
-    written by ``cell``."""
-    lines = [",".join(names)]
+    """A header row, each name quoted where it needs it, then one line per
+    row of ``matrix``, each entry written by ``cell``."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(names)
+    lines = [header.getvalue()[:-1]]
     lines += [",".join(map(cell, row)) for row in matrix.tolist()]
     return "\n".join(lines) + "\n"
 

@@ -118,10 +118,12 @@ def to_dot(structure: DagStructure, names: Sequence[str] | None = None) -> str:
         raise ValidationError(
             f"{len(names)} names given for {structure.n} nodes"
         )
+    # A quoted DOT ID escapes its double quotes.
+    ids = [name.replace('"', '\\"') for name in names]
     lines = ["digraph structure {"]
-    for name in names:
+    for name in ids:
         lines.append(f'  "{name}";')
     for p, c in structure.edges():
-        lines.append(f'  "{names[p]}" -> "{names[c]}";')
+        lines.append(f'  "{ids[p]}" -> "{ids[c]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -180,6 +180,26 @@ class TestDiscretize:
         scale = max(1.0, abs(manifest["total_score"]))
         assert abs(manifest["score_drift"]) <= 1e-6 * scale
 
+    def test_codes_csv_loads_back_under_quoted_names(self, tmp_path):
+        # Names holding a comma or a double quote are quoted in the codes'
+        # header, as in the data's, so the file loads back with its names.
+        rng = np.random.default_rng(3)
+        rows = np.c_[rng.normal(size=(30, 2)), rng.integers(0, 2, 30)]
+        data = tmp_path / "quoted.csv"
+        data.write_text(
+            '"a,b","q""uote",c\n'
+            + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+        )
+        names = ["a,b", 'q"uote', "c"]
+        assert list(load_dataset(data).names) == names
+        rc = run_cli("discretize", "--data", str(data), "--out", str(tmp_path / "fit"))
+        assert rc == 0
+        written = tmp_path / "fit.data.csv"
+        assert written.read_text().splitlines()[0] == '"a,b","q""uote",c'
+        codes = load_dataset(written)
+        assert list(codes.names) == names
+        assert codes.n_cases == 30
+
     @pytest.mark.parametrize("flag", ["--seed", "--max-parents"])
     def test_edge_scan_flags_are_learn_only(self, tmp_path, capsys, flag):
         # discretize scans no edges, so neither flag could change its result.

@@ -124,3 +124,13 @@ class TestToDot:
         s = chain(2)
         text = to_dot(s)
         assert '"x1" -> "x2"' in text
+
+    def test_double_quotes_in_names_are_escaped(self):
+        s = chain(2)
+        text = to_dot(s, ["a,b", 'q"uote'])
+        assert text.splitlines()[1:] == [
+            '  "a,b";',
+            '  "q\\"uote";',
+            '  "a,b" -> "q\\"uote";',
+            "}",
+        ]
