@@ -46,7 +46,7 @@ from .generator import (
     random_mechanism,
     sample_dataset,
 )
-from .graph import DagStructure, empty_structure, to_dot, validate_dag
+from .graph import DagStructure, dot_ids, empty_structure, to_dot, validate_dag
 from .scoring import BDEU, K2, POISSON_PRIOR, PriorSpec, network_score
 from .search import (
     InitSpec,
@@ -351,9 +351,13 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    dataset, structure, policy, trace, manifest = _search(
-        args, "learn", hill_climb_structure
-    )
+
+    def run(dataset: Dataset, prior: PriorSpec, config: SearchConfig):
+        # The DOT artifact is written after the search: check its IDs first.
+        dot_ids(dataset.names)
+        return hill_climb_structure(dataset, prior, config)
+
+    dataset, structure, policy, trace, manifest = _search(args, "learn", run)
     manifest["n_edges"] = len(structure.edges())
     names = dataset.names
     paths = _write_run(args.out, [

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dataset import Dataset, DiscretizationPolicy, InternalError, NetworkPolicy
-from .graph import DagStructure
+from .graph import DagStructure, _solve_inputs
 from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
@@ -47,26 +47,6 @@ _BLOCK_FLOATS = 1 << 15
 _WORK_BLOCKS = 16
 
 
-def _blanket(structure: DagStructure, v: int) -> set[int]:
-    """The parents of ``v``, its children and its children's other parents:
-    the variables whose solve key holds the policy of ``v``."""
-    out = set(structure.parents[v])
-    for c in structure.children[v]:
-        out.add(c)
-        out |= structure.parents[c]
-    out.discard(v)
-    return out
-
-
-def _solve_inputs(structure: DagStructure, i: int) -> tuple[list[int], tuple]:
-    """What a policy solve of ``i`` reads: the sorted members of its Markov
-    blanket, ``i`` included, and its families as (head, parent set), the
-    heads ``i`` then its children in sorted order."""
-    heads = (i, *sorted(structure.children[i]))
-    families = tuple((v, structure.parents[v]) for v in heads)
-    return sorted(_blanket(structure, i) | {i}), families
-
-
 class _CutProblem:
     """Interval-decomposed local score of one continuous variable, kept by
     a search for its whole life.
@@ -88,9 +68,11 @@ class _CutProblem:
     and the interval-count log priors up to ``r_cap``; each :meth:`solve`
     tallies the family part, keeping the count rows of the states that hold
     cases.  Across solves the problem holds, read-only, its lnΓ tables,
-    shifted and as increments too, by pseudo-count and, from its second
-    solve on, its emission blocks by rows, within ``room`` floats; past it
-    a solve builds its own, as a problem with room 0 does.
+    shifted and as increments too, by pseudo-count, from its second solve
+    on its emission blocks by rows, and the count tables of its last
+    solve's families, within ``room`` floats; past it a solve builds its
+    own, as a problem with room 0 does.  The count tables yield their room
+    to the others.
     """
 
     def __init__(
@@ -124,9 +106,16 @@ class _CutProblem:
         self._luts: dict[tuple[float, str], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._below: dict[int, np.ndarray] = {}
+        # The kept count tables, by family key.
+        self._tables = {}
 
     def _hold(self, array: np.ndarray) -> bool:
-        """Charge ``array`` to the room and make it read-only, if it fits."""
+        """Charge ``array`` to the room and make it read-only, if it fits;
+        the kept count tables give up their room if only that lets it in."""
+        kept = sum(a.size for tables in self._tables.values() for a in tables)
+        if self.room < array.size <= self.room + kept:
+            self.room += kept
+            self._tables = {}
         fits = array.size <= self.room
         if fits:
             self.room -= array.size
@@ -141,18 +130,30 @@ class _CutProblem:
         :func:`_solve_inputs` in ``codes`` (in a search, the state's own),
         the variable's replaced by its fine code: the variable cut at every
         candidate.  Only live rows, states holding cases, are kept; state
-        counts, own totals and margins come from the full tables."""
+        counts, own totals and margins come from the full tables.
+
+        A family's tables depend only on its key: its head, its parent set
+        and the policies of its other members.  The last solve's tables are
+        kept, so only the families whose key changed are tallied; a kept
+        family this solve does not read gives its room back, and a tallied
+        one is kept if it fits."""
         i = self.i
         members, families = _solve_inputs(structure, i)
+        keys = [
+            (v, ps, tuple(policy[u] for u in sorted(ps | {v}) if u != i))
+            for v, ps in families
+        ]
+        for key in self._tables.keys() - set(keys):
+            self.room += sum(a.size for a in self._tables.pop(key))
+        fresh = [key for key in keys if key not in self._tables]
         place = {v: k for k, v in enumerate(members)}
         codes = codes[:, members]
         codes[:, place[i]] = self.fine
-        arities = [self.m + 1 if v == i else policy[v].arity for v in members]
-        sets = [frozenset(place[p] for p in ps) for _, ps in families]
-        own, *child_counts = family_tables(
+        sets = [frozenset(place[p] for p in ps) for _, ps, _ in fresh]
+        tallied = family_tables(
             codes,
-            arities,
-            [(place[v], ps, [ps]) for (v, _), ps in zip(families, sets)],
+            [self.m + 1 if v == i else policy[v].arity for v in members],
+            [(place[v], ps, [ps]) for (v, _, _), ps in zip(fresh, sets)],
             names=[self.names[v] for v in members],
         )
 
@@ -164,22 +165,30 @@ class _CutProblem:
             np.cumsum(counts, axis=1, out=out[:, 1:])
             return out
 
-        self.q_own = len(own)
-        self.own_totals = own.sum(axis=1)
-        self.own_prefix = live_prefix(own)
-
-        self.child_tables: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for (child, _), ps, counts in zip(families[1:], sets[1:], child_counts):
-            r_child = policy[child].arity
-            before = math.prod(arities[k] for k in ps if k < place[i])
-            # With i's axis last, the rows are (configuration of the other
-            # parents, child code).
-            cells = counts.reshape(before, self.m + 1, -1).swapaxes(1, 2)
-            q_other = len(counts) // (self.m + 1)
-            margins = cells.reshape(q_other, r_child, -1).sum(axis=1)
-            self.child_tables.append(
-                (r_child, q_other, live_prefix(cells), live_prefix(margins))
-            )
+        tables = dict(self._tables)
+        for key, counts in zip(fresh, tallied):
+            v, ps, _ = key
+            if v == i:
+                new = counts.sum(axis=1), live_prefix(counts)
+            else:
+                before = math.prod(policy[p].arity for p in ps if p < i)
+                # With i's axis last, the rows are (configuration of the
+                # other parents, child code).
+                cells = counts.reshape(before, self.m + 1, -1).swapaxes(1, 2)
+                margins = cells.reshape(-1, policy[v].arity, self.m + 1).sum(axis=1)
+                new = live_prefix(cells), live_prefix(margins)
+            tables[key] = new
+            if sum(a.size for a in new) <= self.room:
+                self._tables[key] = new
+                for a in new:
+                    self._hold(a)
+        self.own_totals, self.own_prefix = tables[keys[0]]
+        self.q_own = len(self.own_totals)
+        self.child_tables = [
+            (policy[v].arity, math.prod(policy[p].arity for p in ps - {i}),
+             *tables[v, ps, others])
+            for v, ps, others in keys[1:]
+        ]
         self.one_state = all(len(prefix) == 1 for prefix in self._prefixes())
 
     def _prefixes(self) -> list[np.ndarray]:

@@ -11,7 +11,13 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .dataset import ValidationError
+
+# Edge edit kinds, in the order the edge scan lists them; the scan's op
+# codes index this tuple.
+_EDIT_OPS = ("add", "delete", "reverse")
 
 
 class CycleError(ValidationError):
@@ -110,6 +116,71 @@ def empty_structure(n: int) -> DagStructure:
     return validate_dag([()] * n)
 
 
+def _blanket(structure: DagStructure, v: int) -> set[int]:
+    """The parents of ``v``, its children and its children's other parents:
+    the variables whose solve key holds the policy of ``v``."""
+    out = set(structure.parents[v])
+    for c in structure.children[v]:
+        out.add(c)
+        out |= structure.parents[c]
+    out.discard(v)
+    return out
+
+
+def _solve_inputs(structure: DagStructure, i: int) -> tuple[list[int], tuple]:
+    """What a policy solve of ``i`` reads: the sorted members of its Markov
+    blanket, ``i`` included, and its families as (head, parent set), the
+    heads ``i`` then its children in sorted order."""
+    heads = (i, *sorted(structure.children[i]))
+    families = tuple((v, structure.parents[v]) for v in heads)
+    return sorted(_blanket(structure, i) | {i}), families
+
+
+def _edit_candidates(
+    structure: DagStructure, max_parents: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every legal single-edge edit, as index arrays of op code (into
+    ``_EDIT_OPS``), parent and child: additions in (parent, child) order,
+    then deletions and reversals in edge order."""
+    n = structure.n
+    parents = structure.parents
+    edge = np.zeros(n * n, dtype=bool)
+    edge[[p * n + c for c, ps in enumerate(parents) for p in ps]] = True
+    edge = edge.reshape(n, n)
+    # reach[a, b]: a is a proper ancestor of b.  Each squaring doubles the
+    # path length covered; float matmul is the fast one in numpy.
+    reach = edge
+    while True:
+        steps = reach.astype(np.float64)
+        grown = reach | (steps @ steps > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    full = np.array([len(ps) >= max_parents for ps in parents], dtype=bool)
+    # Adding u -> v closes a cycle exactly when v is an ancestor of u.
+    add = ~(edge | reach.T | full)
+    np.fill_diagonal(add, False)
+    # Reversing u -> v closes a cycle exactly when u reaches v another way,
+    # that is, when u is an ancestor of another parent of v; such a path
+    # cannot use u -> v itself, which would make a cycle.
+    reverse = edge & ~(reach.astype(np.float64) @ edge > 0) & ~full[:, None]
+    # Row-major order over [op, parent, child] is the order above.
+    return np.nonzero(np.stack((add, edge, reverse)))
+
+
+def dot_ids(names: Sequence[str]) -> list[str]:
+    """The quoted DOT IDs of ``names``, less their quotes: each double quote
+    escaped.  DOT has no escape for a final backslash, which would escape
+    the closing quote, so a name ending in one raises ValidationError."""
+    for name in names:
+        if name.endswith("\\"):
+            raise ValidationError(
+                f"column name {name!r} ends in a backslash, which no DOT ID "
+                "can end in; rename the column"
+            )
+    return [name.replace('"', '\\"') for name in names]
+
+
 def to_dot(structure: DagStructure, names: Sequence[str] | None = None) -> str:
     """Graphviz source for a structure; node order and edges are sorted."""
     if names is None:
@@ -118,8 +189,7 @@ def to_dot(structure: DagStructure, names: Sequence[str] | None = None) -> str:
         raise ValidationError(
             f"{len(names)} names given for {structure.n} nodes"
         )
-    # A quoted DOT ID escapes its double quotes.
-    ids = [name.replace('"', '\\"') for name in names]
+    ids = dot_ids(names)
     lines = ["digraph structure {"]
     for name in ids:
         lines.append(f'  "{name}";')

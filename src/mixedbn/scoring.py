@@ -157,6 +157,8 @@ def family_tables(
         return col
 
     out = []
+    # Each added parent's index is built in this one buffer.
+    buffer = None
     for child, parents, sets in families:
         order = sorted(parents)
         dims = [int(arities[p]) for p in order]
@@ -186,7 +188,11 @@ def family_tables(
             if added:
                 (a,) = added
                 d = int(arities[a])
-                joint = np.bincount(column(a) * size + index, minlength=d * size)
+                if buffer is None:
+                    buffer = np.empty_like(index)
+                np.multiply(column(a), size, out=buffer)
+                buffer += index
+                joint = np.bincount(buffer, minlength=d * size)
                 # Axes (a, parents before a, the rest): swap the first two.
                 before = math.prod(dims[: bisect_left(order, a)])
                 table = joint.reshape(d, before, -1).swapaxes(0, 1)
@@ -201,7 +207,34 @@ def family_tables(
     return out
 
 
-def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]:
+class LogGammaTables:
+    """``lnG(a + n)`` at the counts ``n`` of tables over ``n_cases`` cases,
+    gathered from a held table of ``lnG(a + 0..n_cases)`` once pseudo-count
+    ``a`` is asked for a second time, while the held tables fit in ``room``
+    floats; else computed.  Either way each entry is ``gammaln`` of the same
+    float ``a + n``, so both give the same bits."""
+
+    def __init__(self, n_cases: int, room: int) -> None:
+        self.n_cases = n_cases
+        self.room = room
+        # None marks a pseudo-count asked for once, or one that did not fit.
+        self.tables: dict[float, np.ndarray | None] = {}
+
+    def __call__(self, a: float, counts: np.ndarray) -> np.ndarray:
+        table = self.tables.get(a)
+        if table is None and a in self.tables and self.n_cases < self.room:
+            table = self.tables[a] = gammaln(a + np.arange(self.n_cases + 1))
+            table.flags.writeable = False
+            self.room -= table.size
+        self.tables.setdefault(a, None)
+        return gammaln(a + counts) if table is None else table[counts]
+
+
+def family_scores(
+    tables: Sequence[np.ndarray],
+    prior: PriorSpec,
+    log_gamma: LogGammaTables | None = None,
+) -> list[float]:
     """Log marginal likelihood of the child codes of each count table.
 
     ``tables[t][j, k]`` counts cases with parent configuration ``j`` and
@@ -209,12 +242,15 @@ def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]
     of Dirichlet normalizers before and after observing its row of counts,
     so a child with a single code scores exactly zero.  The tables of one
     shape ``(q, r)`` are stacked as a ``(k, q, r)`` array, and each lnΓ
-    term is taken in one call per shape.  Each family's row terms and cell
-    terms are the rows of ``(k, q)`` and ``(k, q·r)`` arrays, summed along
-    the row: numpy reduces a contiguous row with the same pairwise sum as
-    the 1-D ``sum`` of that row alone, so every score is bitwise the one it
-    gets when scored alone.
+    term is taken in one call per shape, or with ``log_gamma``, the tables
+    of a search over the same cases, gathered from its held table.  Each
+    family's row terms and cell terms are the rows of ``(k, q)`` and
+    ``(k, q·r)`` arrays, summed along the row: numpy reduces a contiguous
+    row with the same pairwise sum as the 1-D ``sum`` of that row alone, so
+    every score is bitwise the one it gets when scored alone, with or
+    without ``log_gamma``.
     """
+    lookup = log_gamma or (lambda a, counts: gammaln(a + counts))
     shapes: dict[tuple[int, int], list[int]] = {}
     for t, table in enumerate(tables):
         shapes.setdefault(table.shape, []).append(t)
@@ -223,8 +259,8 @@ def family_scores(tables: Sequence[np.ndarray], prior: PriorSpec) -> list[float]
         stack = np.array([tables[t] for t in members])
         a_cell = prior.cell_weight(r, q)
         a_row = a_cell * r
-        row_terms = gammaln(a_row) - gammaln(a_row + stack.sum(axis=2))
-        cell_terms = gammaln(a_cell + stack) - gammaln(a_cell)
+        row_terms = gammaln(a_row) - lookup(a_row, stack.sum(axis=2))
+        cell_terms = lookup(a_cell, stack) - gammaln(a_cell)
         scores[members] = (
             row_terms.sum(axis=1) + cell_terms.reshape(len(members), -1).sum(axis=1)
         )

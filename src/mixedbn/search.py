@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import cutdp, scoring
-from .cutdp import _blanket, _CutProblem, _solve_inputs
+from .cutdp import _CutProblem
 from .dataset import (
     Dataset,
     DiscretizationPolicy,
@@ -37,7 +37,15 @@ from .dataset import (
     trivial_network_policy,
     validate_network_policy,
 )
-from .graph import DagStructure, empty_structure, validate_dag
+from .graph import (
+    _EDIT_OPS,
+    DagStructure,
+    _blanket,
+    _edit_candidates,
+    _solve_inputs,
+    empty_structure,
+    validate_dag,
+)
 from .scoring import (
     BDEU,
     PriorSpec,
@@ -50,11 +58,6 @@ from .scoring import (
 
 EQFREQ = "eqfreq"
 EQWIDTH = "eqwidth"
-
-# Edge edit kinds, in the order the edge scan lists them; the scan's op
-# codes index this tuple.
-_EDIT_OPS = ("add", "delete", "reverse")
-
 
 @dataclass(frozen=True)
 class InitSpec:
@@ -289,14 +292,15 @@ class _SearchState:
     = family(v, P_v | {u})`` and ``FD[u, v] = family(v, P_v - {u})``, whose
     diagonal ``FD[v, v]`` is the current family of ``v``: the edge scan
     reads its entries and :meth:`local` its diagonal.  One staleness rule
-    guards it: a new parent set at ``v`` makes column ``v`` stale, and a
-    policy change at ``w`` makes row ``w``, column ``w`` and the column of
-    every child of ``w`` stale, and the start has every entry stale.
-    :meth:`_fill` is the only code that writes the table: it tallies and
-    scores the stale entries asked for in one batched pass
-    (:func:`family_tables`, :func:`family_scores`), every score bitwise the
-    one its table gets scored alone.  The cut problem counts through the
-    same tally, so the search has one.
+    guards it: a new parent set at ``v`` makes column ``v`` stale, less
+    what :meth:`apply_edit` carries, and a policy change at ``w`` makes row
+    ``w``, column ``w`` and the column of every child of ``w`` stale, and
+    the start has every entry stale.  :meth:`_fill` is the only code that
+    writes the table: it tallies and scores the stale entries asked for in
+    one batched pass (:func:`family_tables`, :func:`family_scores` with the
+    state's lnΓ tables), every score bitwise the one its table gets scored
+    alone.  The cut problem counts through the same tally, so the search
+    has one.
 
     A policy solve is memoized on :meth:`solve_key`, exactly what the cut
     problem reads.  That key also decides what to solve again: a policy
@@ -333,6 +337,7 @@ class _SearchState:
         self._solves: dict[tuple, DiscretizationPolicy] = {}
         self.problems: dict[int, _CutProblem] = {}
         self._terms: dict[tuple, tuple[float, float]] = {}
+        self._log_gamma = scoring.LogGammaTables(dataset.n_cases, cutdp._BLOCK_FLOATS)
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
         self._fresh = np.zeros((2, n, n), dtype=bool)
@@ -343,15 +348,18 @@ class _SearchState:
         self._fresh[:, v] = False
         self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
-    def _fill(self, entries: Sequence[tuple[int, int, int]]) -> list[float]:
+    def _fill(self, entries: Sequence[tuple[int, int, int]], known={}) -> list[float]:
         """The scores at the distinct table entries ``entries``, each
         ``(0 for FA or 1 for FD, edited parent, child)``.
 
-        The stale ones are refilled first under the current policy and
-        marked fresh: grouped by child, tallied from the child's current
-        parent set by one :func:`family_tables` call and scored by one
-        :func:`family_scores` call.
+        Entries of ``known`` take its scores.  The stale ones are refilled
+        first under the current policy and marked fresh: grouped by child,
+        tallied from the child's current parent set by one
+        :func:`family_tables` call and scored by one :func:`family_scores`
+        call.
         """
+        for entry, score in known.items():
+            self._table[entry], self._fresh[entry] = score, True
         groups: dict[int, list[tuple[int, int, int]]] = {}
         for entry in entries:
             if not self._fresh[entry]:
@@ -364,7 +372,7 @@ class _SearchState:
                 for c, group in groups.items()
             ], names=self.dataset.names)
             refilled = tuple(zip(*chain.from_iterable(groups.values())))
-            self._table[refilled] = family_scores(tables, self.prior)
+            self._table[refilled] = family_scores(tables, self.prior, self._log_gamma)
             self._fresh[refilled] = True
             self.trace.stats.families_computed += len(tables)
         return [self._table.item(e) for e in entries]
@@ -467,16 +475,23 @@ class _SearchState:
     def apply_edit(self, edit: tuple[str, int, int], delta: float) -> set[int]:
         """Apply one edge edit; returns the variables whose solve key it
         changed: both endpoints and every parent set in :meth:`replaced`.
-        Each replaced family's column goes stale.
+        Each replaced family's column goes stale, less the fresh families
+        the edit moves to another entry.
         """
         _, u, v = edit
         sets = list(self.structure.parents)
-        rekeyed = {u, v}
+        rekeyed, known = {u, v}, {}
         for c, new in self.replaced(edit):
+            a = u + v - c
+            k = int(a not in new)
+            for e, old in ((1, c, c), (k, a, c)), ((1 - k, a, c), (1, c, c)):
+                if self._fresh[old]:
+                    known[e] = self._table[old]
             self._fresh[:, :, c] = False
             sets[c] = new
             rekeyed |= new
         self.structure = validate_dag(sets)
+        self._fill([], known)
         self.total += delta
         return rekeyed
 
@@ -580,38 +595,6 @@ def coordinate_ascent(
     state = _SearchState(structure, policy, dataset, prior, config)
     state.ascend()
     return state.policy, state.trace
-
-
-def _edit_candidates(
-    structure: DagStructure, max_parents: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every legal single-edge edit, as index arrays of op code (into
-    ``_EDIT_OPS``), parent and child: additions in (parent, child) order,
-    then deletions and reversals in edge order."""
-    n = structure.n
-    parents = structure.parents
-    edge = np.zeros(n * n, dtype=bool)
-    edge[[p * n + c for c, ps in enumerate(parents) for p in ps]] = True
-    edge = edge.reshape(n, n)
-    # reach[a, b]: a is a proper ancestor of b.  Each squaring doubles the
-    # path length covered; float matmul is the fast one in numpy.
-    reach = edge
-    while True:
-        steps = reach.astype(np.float64)
-        grown = reach | (steps @ steps > 0)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    full = np.array([len(ps) >= max_parents for ps in parents], dtype=bool)
-    # Adding u -> v closes a cycle exactly when v is an ancestor of u.
-    add = ~(edge | reach.T | full)
-    np.fill_diagonal(add, False)
-    # Reversing u -> v closes a cycle exactly when u reaches v another way,
-    # that is, when u is an ancestor of another parent of v; such a path
-    # cannot use u -> v itself, which would make a cycle.
-    reverse = edge & ~(reach.astype(np.float64) @ edge > 0) & ~full[:, None]
-    # Row-major order over [op, parent, child] is the order above.
-    return np.nonzero(np.stack((add, edge, reverse)))
 
 
 def hill_climb_structure(

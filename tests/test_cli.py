@@ -675,6 +675,27 @@ class TestLearn:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: continuous column 'a'")
 
+    def test_name_ending_in_a_backslash_is_refused_before_the_search(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # No DOT ID can end in a backslash: it would escape the closing
+        # quote.  A search there would exit 3, so exit 2 means none ran.
+        data = tmp_path / "slash.csv"
+        data.write_text("a\\,b\n0.1,0.5\n0.2,0.25\n0.3,0.75\n")
+
+        def searched(*args, **kwargs):
+            raise InternalError("searched")
+
+        monkeypatch.setattr("mixedbn.cli.hill_climb_structure", searched)
+        capsys.readouterr()
+        rc = run_cli("learn", "--data", str(data), "--out", str(tmp_path / "fit"))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: column name 'a\\\\' ends in a backslash, which no DOT ID "
+            "can end in; rename the column\n"
+        )
+        assert not list(tmp_path.glob("fit*"))
+
     def test_subnormal_bdeu_cell_weight_is_a_data_error(self, tmp_path, capsys):
         # ess itself is normal, but ess / (r q) is not for a family of three
         # intervals or more.

@@ -125,6 +125,12 @@ class TestToDot:
         text = to_dot(s)
         assert '"x1" -> "x2"' in text
 
+    def test_name_ending_in_a_backslash_raises(self):
+        with pytest.raises(ValidationError, match="ends in a backslash"):
+            to_dot(chain(2), ["a\\", "b"])
+        # A backslash elsewhere is written as it is.
+        assert '"a\\b" -> "c";' in to_dot(chain(2), ["a\\b", "c"])
+
     def test_double_quotes_in_names_are_escaped(self):
         s = chain(2)
         text = to_dot(s, ["a,b", 'q"uote'])

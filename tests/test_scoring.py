@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from conftest import (
@@ -214,6 +216,54 @@ class TestFamilyScores:
 
     def test_no_tables(self):
         assert family_scores([], PriorSpec()) == []
+
+    @given(
+        prior=st.sampled_from(PRIORS),
+        n_cases=st.integers(1, 400),
+        rooms=st.sampled_from([0, 1, 3, 10**6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_held_log_gamma_tables_give_the_plain_floats(
+        self, prior, n_cases, rooms, seed
+    ):
+        """Scored with a search's lnΓ tables, tables of ``n_cases`` cases get
+        exactly the floats of the plain call: on a pseudo-count's first use,
+        which computes, on its second and later ones, which gather while
+        the held tables fit in the room, and with a room too small for any
+        table (0 or N floats)."""
+        rng = np.random.default_rng(seed)
+        room = rooms * (n_cases + 1) - (rooms == 1)
+        log_gamma = scoring.LogGammaTables(n_cases, room)
+
+        def table(q, r):
+            return rng.multinomial(n_cases, np.full(q * r, 1 / (q * r))).reshape(q, r)
+
+        def check(tables):
+            assert family_scores(tables, prior, log_gamma) == family_scores(
+                tables, prior
+            )
+            held = [t for t in log_gamma.tables.values() if t is not None]
+            assert sum(t.size for t in held) + log_gamma.room == room
+            for t in held:
+                assert t.shape == (n_cases + 1,) and not t.flags.writeable
+            return held
+
+        # First use: a cell and a row pseudo-count, each asked once.
+        assert check([table(int(rng.integers(1, 6)), int(rng.integers(2, 5)))]) == []
+        # Counts 0 and N: every case in one cell, the other rows empty.
+        corner = np.zeros((3, 2), dtype=np.int64)
+        corner[1, 0] = n_cases
+        tables = [corner, *(table(*rng.integers(1, 6, size=2)) for _ in range(8))]
+        check(tables)
+        # Every pseudo-count of ``tables`` is asked again: each gets its table
+        # while they fit.
+        held = check(tables[::-1])
+        asked = set()
+        for q, r in (t.shape for t in tables):
+            a = prior.cell_weight(r, q)
+            asked |= {a, a * r}
+        assert len(held) == min(len(asked), room // (n_cases + 1))
+        check(tables)
 
 
 class TestFamilyTables:

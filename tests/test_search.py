@@ -37,9 +37,9 @@ from mixedbn import (
 )
 from mixedbn.dataset import discretize_all
 from mixedbn.generator import Mechanism
-from mixedbn.graph import CycleError, empty_structure, validate_dag
+from mixedbn.graph import CycleError, _blanket, empty_structure, validate_dag
 from mixedbn import cutdp, scoring, search
-from mixedbn.cutdp import TIE_TOLERANCE, _blanket, _CutProblem
+from mixedbn.cutdp import TIE_TOLERANCE, _CutProblem
 from mixedbn.search import _edit_candidates, _SearchState
 from oracles import (
     DenseCutProblem,
@@ -1118,7 +1118,8 @@ class TestHeldInvariants:
 
     @staticmethod
     def held(problem):
-        return [*problem._luts.values(), *problem._blocks.values()]
+        tables = itertools.chain.from_iterable(problem._tables.values())
+        return [*problem._luts.values(), *problem._blocks.values(), *tables]
 
     @staticmethod
     def spy_emission(monkeypatch, problem):
@@ -1280,6 +1281,131 @@ class TestHeldInvariants:
         budget = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
         assert sum(a.size for a in held) <= budget
 
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    def test_kept_count_tables_tally_only_changed_families(self, monkeypatch, mode):
+        """A problem keeps the count tables of its last solve's families,
+        read-only and charged to its room, and tallies only the families
+        whose key changed: a child's policy retallies that child's family,
+        a co-parent's the family it is in, a parent's the own family.  A
+        replaced family gives its room back.  Each solve returns what a
+        throwaway problem, which keeps nothing, returns."""
+        ds, _ = sample_dataset(random_mechanism(5, 2, 3, seed=6), 200)
+        assert len(ds.continuous_indices()) == 5
+        # x1's own family {x2}; child x3 with co-parent x4; child x5.
+        structure = validate_dag([{1}, set(), {0, 3}, set(), {0}])
+        prior = PriorSpec(dirichlet_mode=mode)
+        config = SearchConfig(r_max=6)
+        state = _SearchState(structure, initial_policy(ds, config), ds, prior, config)
+        tallied = []
+        real = cutdp.family_tables
+
+        def spy(codes, arities, families, *, names):
+            families = list(families)
+            if families:
+                tallied.append(sorted(names[c] for c, _, _ in families))
+            return real(codes, arities, families, names=names)
+
+        monkeypatch.setattr(cutdp, "family_tables", spy)
+
+        def solve():
+            tallied.clear()
+            got = optimize_variable(
+                0, state.policy, state.structure, ds, prior, config,
+                codes=state.codes, problems=state.problems,
+            )
+            bare = optimize_variable(0, state.policy, state.structure, ds, prior, config)
+            assert got == bare
+            problem = state.problems[0]
+            held = self.held(problem)
+            share = budget // len(ds.continuous_indices())
+            assert sum(a.size for a in held) + problem.room == share
+            assert not any(a.flags.writeable for a in held)
+            kept = sorted(ds.names[key[0]] for key in problem._tables)
+            return tallied[:-1], kept
+
+        def recut(v):
+            # A policy of v that differs from its current one.
+            cands = ds.candidate_thresholds(v)
+            current = state.policy[v].thresholds
+            cut = next(float(c) for c in cands[1::2] if (float(c),) != current)
+            state.set_policy(v, DiscretizationPolicy((cut,), *ds.policy_bounds(v)))
+
+        budget = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
+        # The bare solve's one tally is dropped from each log: [:-1].
+        assert solve() == ([["x1", "x3", "x5"]], ["x1", "x3", "x5"])
+        assert solve() == ([], ["x1", "x3", "x5"])
+        recut(4)
+        assert solve() == ([["x5"]], ["x1", "x3", "x5"])
+        recut(3)
+        assert solve() == ([["x3"]], ["x1", "x3", "x5"])
+        recut(1)
+        assert solve() == ([["x1"]], ["x1", "x3", "x5"])
+        # A policy of x1 itself is in no key.
+        recut(0)
+        assert solve() == ([], ["x1", "x3", "x5"])
+        # Without the edge to x5, its family is released.
+        state.structure = validate_dag([{1}, set(), {0, 3}, set(), set()])
+        problem = state.problems[0]
+        room = problem.room
+        assert solve() == ([], ["x1", "x3"])
+        assert problem.room > room
+        for array in self.held(problem):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("work_blocks", [16, 12])
+    def test_kept_count_tables_push_out_no_held_array(self, monkeypatch, work_blocks):
+        """learn-cont's learn (six continuous columns, N = 300, Poisson
+        prior) builds no more emission blocks, and holds the same blocks
+        and lnΓ tables, as one whose problems keep no count tables: at the
+        default budget, and at a smaller one where the kept tables give up
+        their room to blocks."""
+        monkeypatch.setattr(cutdp, "_WORK_BLOCKS", work_blocks)
+        ds, _ = sample_dataset(random_mechanism(6, 2, 3, seed=1), 300)
+        prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)
+        init, emission, tally, hold = (
+            _CutProblem.__init__, _CutProblem._emission, _CutProblem._tally,
+            _CutProblem._hold,
+        )
+
+        def learn(keep):
+            problems, built, released = [], [], []
+
+            def spy_init(problem, *args):
+                problems.append(problem)
+                init(problem, *args)
+
+            def spy_emission(problem, lo, hi):
+                built.append((problem.i, lo, hi))
+                return emission(problem, lo, hi)
+
+            def spy_tally(problem, *args):
+                tally(problem, *args)
+                if not keep:
+                    tables = problem._tables.values()
+                    problem.room += sum(a.size for t in tables for a in t)
+                    problem._tables = {}
+
+            def spy_hold(problem, array):
+                kept = bool(problem._tables)
+                fits = hold(problem, array)
+                released.append(kept and not problem._tables)
+                return fits
+
+            monkeypatch.setattr(_CutProblem, "__init__", spy_init)
+            monkeypatch.setattr(_CutProblem, "_emission", spy_emission)
+            monkeypatch.setattr(_CutProblem, "_tally", spy_tally)
+            monkeypatch.setattr(_CutProblem, "_hold", spy_hold)
+            structure, policy, trace = hill_climb_structure(ds, prior, SearchConfig())
+            held = {p.i: (sorted(p._blocks), sorted(p._luts)) for p in problems}
+            return (structure, policy, trace.records), built, held, any(released)
+
+        kept, forgot = learn(True), learn(False)
+        assert kept[0] == forgot[0]
+        assert len(kept[1]) == len(forgot[1])
+        assert kept[2] == forgot[2]
+        # Only the smaller budget makes kept tables give way.
+        assert kept[3] == (work_blocks < 16) and not forgot[3]
 
 class TestBlanket:
     """Hand-built structures for the re-solve sets of ``_SearchState``."""
@@ -1860,9 +1986,10 @@ class TestSearchState:
 
     def test_only_fill_writes_the_table(self):
         """A new state holds no fresh entry, an edit makes every entry of each
-        replaced family's column stale, and through edits and policy changes
-        every fresh entry equals a fresh family score: ``_fill`` alone writes
-        the table."""
+        replaced family's column stale but the diagonal and the edited
+        parent's entry, which it carries from the scan, and through edits
+        and policy changes every fresh entry equals a fresh family score:
+        ``_fill`` alone writes the table."""
         rng = np.random.default_rng(89)
         prior, config = PriorSpec(), SearchConfig()
         ops = set()
@@ -1884,7 +2011,9 @@ class TestSearchState:
                 state.apply_edit(edit, 0.0)
                 for c, new in replaced:
                     assert state.structure.parents[c] == new
-                    assert not state._fresh[:, :, c].any(), (edit, c)
+                    a = edit[1] + edit[2] - c
+                    fresh = np.argwhere(state._fresh[:, :, c]).tolist()
+                    assert sorted(fresh) == sorted([[1, c], [int(a in new), a]])
                 assert self.check_table(state, prior) > 0
                 if not ds.continuous_indices():
                     continue
@@ -1939,7 +2068,8 @@ class TestSearchState:
             state = _SearchState(structure, policy, ds, prior, config)
             twin = _SearchState(structure, policy, ds, prior, config)
 
-            def sequential(entries, twin=twin):
+            def sequential(entries, known={}, twin=twin):
+                _SearchState._fill(twin, [], known)
                 return [_SearchState._fill(twin, [entry])[0] for entry in entries]
 
             twin._fill = sequential
