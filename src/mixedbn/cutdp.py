@@ -35,13 +35,13 @@ TIE_TOLERANCE = 1e-9
 # holds about this many float64 (256 KiB), so the block and its gather and
 # max-plus temporaries stay in a core's L2 cache while its rows amortize
 # the per-call work of its slice terms: a gather per chunk of states, or
-# under the row recurrence a gather per table and one row summed exactly.
+# under the row recurrence a gather per table.
 _BLOCK_FLOATS = 1 << 15
 # Block-sized arrays alive at once while a block is built and swept, with
 # headroom: the tracemalloc peak of one solve over N = 600 cases with a
 # parent and a child, less its layer vectors, its lnΓ tables in every form
-# and its held counts (3.0 blocks under shared sample size), measures at
-# most 6.4 blocks under the uniform emission and 13.7 under the multinomial
+# and its held counts (2.9 blocks under shared sample size), measures at
+# most 6.3 blocks under the uniform emission and 13.7 under the multinomial
 # one; a solve whose 27 states are gathered as one chunk and folded, 2.2,
 # and one whose 27 untied states take the row recurrence, 2.3.
 _WORK_BLOCKS = 16
@@ -60,14 +60,18 @@ class _CutProblem:
     has its own, and only the emission costs are shared.  No cost matrix is
     ever held whole: the DP builds its upper triangle a block of rows at a
     time, from the last row up, and the top DP layer of each matrix only at
-    row 0, the one row a solve reads it at.  Under shared sample size only
-    the lnΓ tables differ between counts, so a block's count-independent
-    inputs, its case counts, are built once and held while the counts read
-    them.  The constructor builds what depends only on the variable and the
-    prior: the column's cut positions, values and distinct-value prefixes,
-    and the interval-count log priors up to ``r_cap``; each :meth:`solve`
-    tallies the family part, keeping the count rows of the states that hold
-    cases.  Across solves the problem holds, read-only, its lnΓ tables,
+    row 0, the one row a solve reads it at.  Each block hands the slice
+    terms of its first row up, one row per cost matrix, and a block under
+    the row recurrence is anchored on the row handed up from below it: the
+    increments chain from row M up, re-anchored exactly only where a block
+    is summed state by state.  Under shared sample size only the lnΓ tables
+    differ between counts, so a block's count-independent inputs, its case
+    counts, are built once and held while the counts read them.  The
+    constructor builds what depends only on the variable and the prior: the
+    column's cut positions, values and distinct-value prefixes, and the
+    interval-count log priors up to ``r_cap``; each :meth:`solve` tallies
+    the family part, keeping the count rows of the states that hold cases.
+    Across solves the problem holds, read-only, its lnΓ tables,
     shifted and as increments too, by pseudo-count, from its second solve
     on its emission blocks by rows, and the count tables of its last
     solve's families, within ``room`` floats; past it a solve builds its
@@ -106,6 +110,8 @@ class _CutProblem:
         self._luts: dict[tuple[float, str], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._below: dict[int, np.ndarray] = {}
+        # Each cost matrix's row handed up by the last block built, by r.
+        self._anchors: dict[int, np.ndarray] = {}
         # The kept count tables, by family key.
         self._tables = {}
 
@@ -136,7 +142,7 @@ class _CutProblem:
         and the policies of its other members.  The last solve's tables are
         kept, so only the families whose key changed are tallied; a kept
         family this solve does not read gives its room back, and a tallied
-        one is kept if it fits."""
+        one is kept if it fits.  With no family fresh, nothing is tallied."""
         i = self.i
         members, families = _solve_inputs(structure, i)
         keys = [
@@ -146,16 +152,18 @@ class _CutProblem:
         for key in self._tables.keys() - set(keys):
             self.room += sum(a.size for a in self._tables.pop(key))
         fresh = [key for key in keys if key not in self._tables]
-        place = {v: k for k, v in enumerate(members)}
-        codes = codes[:, members]
-        codes[:, place[i]] = self.fine
-        sets = [frozenset(place[p] for p in ps) for _, ps, _ in fresh]
-        tallied = family_tables(
-            codes,
-            [self.m + 1 if v == i else policy[v].arity for v in members],
-            [(place[v], ps, [ps]) for (v, _, _), ps in zip(fresh, sets)],
-            names=[self.names[v] for v in members],
-        )
+        tallied = []
+        if fresh:
+            place = {v: k for k, v in enumerate(members)}
+            codes = codes[:, members]
+            codes[:, place[i]] = self.fine
+            sets = [frozenset(place[p] for p in ps) for _, ps, _ in fresh]
+            tallied = family_tables(
+                codes,
+                [self.m + 1 if v == i else policy[v].arity for v in members],
+                [(place[v], ps, [ps]) for (v, _, _), ps in zip(fresh, sets)],
+                names=[self.names[v] for v in members],
+            )
 
         def live_prefix(counts: np.ndarray) -> np.ndarray:
             # The live rows, in order, cumulated along i's axis, the last,
@@ -317,24 +325,22 @@ class _CutProblem:
 
     def _recurs(self, lo: int, hi: int) -> bool:
         """Whether rows ``lo..hi-1`` take :meth:`_recurrence`: the tables
-        hold more live states than one per table, and each row but the
-        last, of two or more, starts a one-case fine segment."""
-        # Every fine segment holds a case, so each of rows lo..hi-2 starts a
-        # one-case segment when they start hi - 1 - lo cases in all.
+        hold more live states than one per table, and each of the rows, two
+        or more, starts a one-case fine segment."""
+        # Every fine segment holds a case, so each of rows lo..hi-1 starts a
+        # one-case segment when they start hi - lo cases in all.
         return (
             not self.one_state
             and hi - lo > 1
-            and self.positions[hi - 1] - self.positions[lo] == hi - 1 - lo
+            and self.positions[hi] - self.positions[lo] == hi - lo
         )
 
     def _counts(self, lo: int, hi: int, keep: bool = False):
         """What the slice terms of rows ``lo..hi-1`` gather at, whatever the
         interval count, in the order :meth:`_costs` reads it: each table's
-        :meth:`_state_counts`, tables in the order of :meth:`_prefixes`.
-        Where the rows take the row recurrence, first the exact last row's
-        counts, a list as the exact path reads them with each table's
-        chunks built, then each table's increment counts, checked against
-        the lnΓ tables.
+        :meth:`_state_counts`, tables in the order of :meth:`_prefixes`, or,
+        where the rows take the row recurrence, each table's increment
+        counts, checked against the lnΓ tables.
 
         Lazy, one table at a time: the increments go into one buffer reused
         from table to table, each read before the next is built, unless
@@ -345,28 +351,24 @@ class _CutProblem:
             for prefix in prefixes:
                 yield self._state_counts(prefix, lo, hi)
             return
-        yield [
-            c if isinstance(c, np.ndarray) else list(c)
-            for c in self._counts(hi - 1, hi)
-        ]
         n = None
         for prefix in prefixes:
             # Moving an interval's start from u+1 to u adds fine segment u's
             # one case, in one state s per table, so the table's terms grow
             # at the count n = P_s[v] - P_s[u].
-            state = (prefix[:, lo + 1:hi] - prefix[:, lo:hi - 1]).argmax(axis=0)
+            state = (prefix[:, lo + 1:hi + 1] - prefix[:, lo:hi]).argmax(axis=0)
             n = np.take(
                 prefix[:, lo + 1:], state, axis=0, mode="clip",
                 out=None if keep else n,
             )
-            n -= prefix[state, np.arange(lo, hi - 1)][:, None]
+            n -= prefix[state, np.arange(lo, hi)][:, None]
             # Prefix rows never decrease: a row's last count is its largest.
             if n[:, -1].max() > self.n_cases:
                 raise IndexError(f"a count past N = {self.n_cases}")
             yield n
 
     def _costs(
-        self, r: int, lo: int, hi: int, emission: np.ndarray | float, counts=None
+        self, r: int, lo: int, hi: int, emission: np.ndarray, counts=None
     ) -> np.ndarray:
         """Rows ``lo..hi-1`` of the cost matrix for ``r`` intervals, columns
         ``lo+1..M+1``, with ``-inf`` wherever ``v <= u`` from ``emission``:
@@ -375,7 +377,11 @@ class _CutProblem:
         :meth:`_recurrence` where the rows take it, else table by table
         with the emission after the own family's.  ``counts`` are the rows'
         :meth:`_counts` when held across interval counts; without them each
-        table's are built as it is read."""
+        table's are built as it is read.
+
+        The slice terms of row ``lo`` are handed up, by ``r``, to anchor the
+        block above: under the recurrence taken before the emission is
+        added, else as the row less its emission."""
         tables = [(self.prior.cell_weight(r, self.q_own), np.add)]
         for r_child, q_other, _, _ in self.child_tables:
             a_cell = self.prior.cell_weight(r_child, r * q_other)
@@ -383,12 +389,14 @@ class _CutProblem:
         counts = iter(self._counts(lo, hi) if counts is None else counts)
         if self._recurs(lo, hi):
             g = self._recurrence(r, tables, counts, lo, hi)
+            self._anchors[r] = g[0].copy()
             g += emission
             return g
         g = self._slice_terms(next(counts), tables[0][0])
         g += emission
         for a, op in tables[1:]:
             op(g, self._slice_terms(next(counts), a), out=g)
+        self._anchors[r] = g[0] - emission[0]
         return g
 
     def _recurrence(
@@ -396,18 +404,20 @@ class _CutProblem:
     ) -> np.ndarray:
         """The slice terms of :meth:`_costs`'s ``tables`` by the row
         recurrence of optimal partitioning (Jackson et al. 2005), read from
-        the rows' :meth:`_counts`."""
+        the rows' :meth:`_counts`, anchored on row ``hi`` as the block below
+        handed it up for ``r``: the bottom block's row ``M+1`` holds no
+        interval."""
         # Each row is the row below plus its increments, lnG(a + n) -
         # lnG(a + n - 1) at each table's count n: one gather per table and
-        # cell.  The last row, summed exactly, anchors the block.
-        last = next(counts)
+        # cell.
         g = np.zeros((hi - lo, self.m + 1 - lo))
         terms = None
         for (a, op), n in zip(tables, counts):
             # Clipping reads counts <= 0, at v <= u, at the 0 entry.
             terms = np.take(self._lut(a, "steps"), n, mode="clip", out=terms)
-            op(g[:-1], terms, out=g[:-1])
-        g[-1, hi - lo - 1:] = self._costs(r, hi - 1, hi, 0.0, last)[0]
+            op(g, terms, out=g)
+        if hi <= self.m:
+            g[-1, hi - lo:] += self._anchors[r]
         below = g[-1]
         for row in g[-2::-1]:
             row += below
@@ -423,16 +433,18 @@ class _CutProblem:
         one pass over row blocks from the bottom up fills every layer.  The
         top layer ``k = r`` is defined only at row 0, the one row
         :meth:`solve` reads; the count ``r = 1``, whose one layer is the top,
-        builds costs only in the block holding row 0.  That block, the last
-        built, is kept for the backtrack.  Every max-plus step adds into one
-        buffer, reshaped to each block.
+        builds only row 0, by the exact path.  Every other count builds
+        every block, so each block that takes the row recurrence has the
+        row :meth:`_costs` handed up from the block below it to anchor on.
+        The top block, the last built, is kept for the backtrack.  Every
+        max-plus step adds into one buffer, reshaped to each block.
 
         When two or more counts read a block that takes the row recurrence,
         or whose tables each hold one live state, its :meth:`_counts` are
-        built once, one array per table and the last row's, and held until
-        every count has read them: each count then gathers from its own
-        lnΓ tables and adds, cell by cell, as a lone count does with the
-        counts it builds, so every layer is the same bit for bit.  Other
+        built once, one array per table, and held until every count has
+        read them: each count then gathers from its own lnΓ tables and adds,
+        cell by cell, as a lone count does with the counts it builds, so
+        every layer is the same bit for bit.  Other
         blocks, and a lone count, build them table by table.
 
         A step adds the whole contiguous cost block, columns ``lo+1..M+1``,
@@ -456,12 +468,17 @@ class _CutProblem:
                 held = list(self._counts(lo, hi, keep=True))
             for r in readers:
                 table = layers[r]
+                if r == 1:
+                    # No block below anchors r = 1: its one row is exact.
+                    g = self._costs(r, 0, 1, emission[:1])
+                    table[0, 0] = g[0, -1]
+                    continue
                 g = self._costs(r, lo, hi, emission, held)
                 table[0, lo:hi] = g[:, -1]
                 for k in range(1, r - 1):
                     np.add(g, table[k - 1, lo + 1:], out=scores)
                     scores.max(axis=1, initial=-np.inf, out=table[k, lo:hi])
-                if lo == 0 and r > 1:
+                if lo == 0:
                     top = np.add(g[0], table[r - 2, 1:], out=buffer[: m + 1])
                     table[r - 1, 0] = top.max(initial=-np.inf)
         self._kept = (r, g)
@@ -541,4 +558,5 @@ class _CutProblem:
         # The held lnΓ tables are the read-only ones.
         self._luts = {k: t for k, t in self._luts.items() if not t.flags.writeable}
         del self.own_prefix, self.own_totals, self.child_tables, self._kept
+        self._anchors.clear()
         return DiscretizationPolicy(thresholds, self.lower, self.upper)

@@ -237,14 +237,14 @@ def optimize_variable(
 
     # Charged in float64-sized words: prefix count tables (the own family's,
     # and a cell and a margin table per child), as much again for the
-    # tallied tables and again for the counts of a block's exact last row,
-    # DP layer vectors (r_cap for the one shared cost matrix, or r for the
-    # matrix of each interval count r), log-gamma tables, shifted and as
-    # increments too (at most three each per table and cost matrix), the
-    # tally's code matrix over i and its blanket plus two index columns, the
-    # working row blocks, which hold the row recurrence's temporaries too,
-    # a block of counts per table when several cost matrices read them, and
-    # in a search the held budget.
+    # tallied tables, DP layer vectors (r_cap for the one shared cost
+    # matrix, or r for the matrix of each interval count r), the one row
+    # each cost matrix carries up from block to block, log-gamma tables,
+    # shifted and as increments too (at most three each per table and cost
+    # matrix), the tally's code matrix over i and its blanket plus two index
+    # columns, the working row blocks, which hold the row recurrence's
+    # temporaries too, a block of counts per table when several cost
+    # matrices read them, and in a search the held budget.
     n_costs = r_cap if prior.dirichlet_mode == BDEU else 1
     budget = 0 if problems is None else cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
     rows = states(structure.parents[i]) + sum(
@@ -255,7 +255,7 @@ def optimize_variable(
     tables = 1 + 2 * len(structure.children[i])
     held = tables if n_costs > 1 else 0
     estimate = 8 * (
-        (3 * rows + vectors) * (m + 2)
+        (2 * rows + vectors + n_costs) * (m + 2)
         + 3 * n_costs * tables * (dataset.n_cases + 1)
         + (len(_blanket(structure, i)) + 3) * dataset.n_cases
         + (cutdp._WORK_BLOCKS + held) * max(cutdp._BLOCK_FLOATS, m + 2)
@@ -348,17 +348,17 @@ class _SearchState:
         self._fresh[:, v] = False
         self._fresh[:, :, [v, *self.structure.children[v]]] = False
 
-    def _fill(self, entries: Sequence[tuple[int, int, int]], known={}) -> list[float]:
+    def _fill(self, entries: Sequence[tuple[int, int, int]], known=()) -> list[float]:
         """The scores at the distinct table entries ``entries``, each
         ``(0 for FA or 1 for FD, edited parent, child)``.
 
-        Entries of ``known`` take its scores.  The stale ones are refilled
-        first under the current policy and marked fresh: grouped by child,
-        tallied from the child's current parent set by one
-        :func:`family_tables` call and scored by one :func:`family_scores`
-        call.
+        The entries of ``known``, ``(entry, score)`` pairs, take their
+        scores.  The stale ones are refilled first under the current policy
+        and marked fresh: grouped by child, tallied from the child's current
+        parent set by one :func:`family_tables` call and scored by one
+        :func:`family_scores` call.
         """
-        for entry, score in known.items():
+        for entry, score in known:
             self._table[entry], self._fresh[entry] = score, True
         groups: dict[int, list[tuple[int, int, int]]] = {}
         for entry in entries:
@@ -491,7 +491,7 @@ class _SearchState:
             sets[c] = new
             rekeyed |= new
         self.structure = validate_dag(sets)
-        self._fill([], known)
+        self._fill([], known.items())
         self.total += delta
         return rekeyed
 

@@ -575,11 +575,17 @@ class TestBlockedCutProblem:
     and solved policies exactly."""
 
     @staticmethod
-    def problem_inputs(n=48, tied=True):
+    def problem_inputs(n=48, tied=True, tie_at=None):
+        """x0 with a parent and a child, the child with another parent; x0
+        rounded to one decimal if ``tied``, or given one tie, its value of
+        rank ``tie_at`` set to the next one up."""
         rng = np.random.default_rng(17)
         x = rng.uniform(0.0, 3.0, n)
         if tied:
             x = np.round(x, 1)
+        if tie_at is not None:
+            order = np.argsort(x)
+            x[order[tie_at]] = x[order[tie_at + 1]]
         parent = (x + rng.normal(0.0, 0.8, n) > 1.5).astype(float)
         child = np.round(x + rng.normal(0.0, 1.0, n), 1)
         other = np.round(rng.uniform(0.0, 1.0, n), 2)
@@ -686,6 +692,7 @@ class TestBlockedCutProblem:
             policy, structure, discretize_all(ds, policy)
         )
         assert got == dense.dense_solve()
+        return set(built)
 
     def test_dense_reference_tallies_apart(self, monkeypatch):
         # The dense DP takes its counts from reference_prefix_tables alone,
@@ -725,7 +732,15 @@ class TestBlockedCutProblem:
         every = problem._layers(range(1, 13))
         # Tied blocks of many states build their counts per interval count.
         assert any(kept) == (inputs != "tied")
-        assert bool(built) == (inputs == "untied")
+        if inputs == "untied":
+            # Every block of two or more rows recurs, for every count past
+            # one.
+            step = problem.step
+            blocks = [(max(0, hi - step), hi) for hi in range(m + 1, 0, -step)]
+            multi = [(lo, hi) for lo, hi in blocks if hi - lo > 1]
+            assert built == [b for b in multi for _ in range(2, 13)]
+        else:
+            assert not built
         for r in range(1, 13):
             kept.clear()
             one = problem._layers([r])[r]
@@ -751,13 +766,15 @@ class TestBlockedCutProblem:
         kinds = set()
         for r in (2, 12):
             want = dense._interval_matrix(r)
+            # Bottom-up, as the DP builds them: a block under the row
+            # recurrence is anchored on the row the block below handed up.
             for hi in range(m + 1, 0, -problem.step):
                 lo = max(0, hi - problem.step)
                 got = problem._costs(r, lo, hi, problem._emission(lo, hi))
                 cells = want[lo:hi, lo + 1:]
                 # Only the cells v > u are costs.
                 upper = ~np.tri(*got.shape, k=-1, dtype=bool)
-                untied = (np.diff(problem.positions[lo:hi]) == 1).all()
+                untied = (np.diff(problem.positions[lo:hi + 1]) == 1).all()
                 if hi - lo > 1 and untied:
                     kinds.add("recurrence")
                     assert built == [(lo, hi)]
@@ -772,6 +789,54 @@ class TestBlockedCutProblem:
             assert "exact" in kinds
         else:
             assert kinds == {"recurrence"}
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    def test_anchor_chain_matches_dense_reference(self, monkeypatch, mode, rows):
+        # Every block above the bottom one is anchored on the row the block
+        # below handed up, so one chain of increments runs through 40 or
+        # more blocks.  The one tied segment, mid-range, sends its block to
+        # the exact path, which hands its row up to blocks that recur.
+        n = 150
+        ds, policy, family = self.problem_inputs(n, tied=False, tie_at=n // 2)
+        m = len(ds.candidate_thresholds(0))
+        assert m == n - 2
+        monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", rows * (m + 2))
+        blocks = [(max(0, hi - rows), hi) for hi in range(m + 1, 0, -rows)]
+        assert len(blocks) >= 40
+        positions, _ = ds.cut_segments(0)
+        (tie,) = np.flatnonzero(np.diff(positions) == 2)
+        exact = {(lo, hi) for lo, hi in blocks if hi - lo == 1 or lo <= tie < hi}
+        built = self.check(ds, policy, family, mode, "uniform", "uniform")
+        assert built == set(blocks) - exact
+        # The tied block is multi-row and blocks above it recur.
+        ((lo, hi),) = [b for b in exact if b[0] <= tie < b[1]]
+        assert hi - lo > 1 and any(b[1] <= lo for b in built)
+
+    def test_bdeu_single_interval_builds_row_zero(self, monkeypatch):
+        # r = 1 reads its one layer only at row 0, cell M+1, which no block
+        # below anchors: it builds that row alone, state by state, so the
+        # cell is the dense reference's bit for bit while every other count
+        # takes the row recurrence.
+        ds, policy, family = self.problem_inputs(n=120, tied=False)
+        m = len(ds.candidate_thresholds(0))
+        monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 3 * (m + 2))
+        prior = PriorSpec(dirichlet_mode="bdeu", ess=3.0)
+        problem = cut_problem(0, policy, family, ds, prior)
+        built = spy_recurrence(problem)
+        calls = []
+        costs = problem._costs
+
+        def spy(r, lo, hi, emission, counts=None):
+            calls.append((r, lo, hi))
+            return costs(r, lo, hi, emission, counts)
+
+        problem._costs = spy
+        layers = problem._layers(range(1, 13))
+        assert [c for c in calls if c[0] == 1] == [(1, 0, 1)]
+        assert built and (0, 1) not in built
+        want = DenseCutProblem(0, policy, family, ds, prior).table(1)[1][1][0]
+        assert layers[1][0, 0] == want
 
     @pytest.mark.parametrize("path", ["one-chunk", "chunks", "recurrence"])
     def test_count_outside_the_log_gamma_table_raises(self, monkeypatch, path):
@@ -795,8 +860,7 @@ class TestBlockedCutProblem:
         with pytest.raises(IndexError):
             problem._layers([3])
         if path == "recurrence":
-            # The increments refuse it before the block's last row is summed
-            # state by state.
+            # The increments refuse it; no row is summed state by state.
             assert built and gathers == []
         else:
             # The first chunk of the own table, which holds the state,
@@ -1300,9 +1364,9 @@ class TestHeldInvariants:
         real = cutdp.family_tables
 
         def spy(codes, arities, families, *, names):
-            families = list(families)
-            if families:
-                tallied.append(sorted(names[c] for c, _, _ in families))
+            # A solve whose families are all kept tallies nothing.
+            assert families
+            tallied.append(sorted(names[c] for c, _, _ in families))
             return real(codes, arities, families, names=names)
 
         monkeypatch.setattr(cutdp, "family_tables", spy)
@@ -2068,7 +2132,7 @@ class TestSearchState:
             state = _SearchState(structure, policy, ds, prior, config)
             twin = _SearchState(structure, policy, ds, prior, config)
 
-            def sequential(entries, known={}, twin=twin):
+            def sequential(entries, known=(), twin=twin):
                 _SearchState._fill(twin, [], known)
                 return [_SearchState._fill(twin, [entry])[0] for entry in entries]
 
