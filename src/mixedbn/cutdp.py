@@ -20,6 +20,7 @@ from .graph import DagStructure, _solve_inputs
 from .scoring import (
     BDEU,
     MULTINOMIAL_DENSITY,
+    LogGammaTables,
     PriorSpec,
     family_tables,
     interval_count_log_priors,
@@ -58,29 +59,23 @@ class _CutProblem:
     only defined for ``v > u``.  Under per-cell pseudo-counts one cost
     matrix serves every interval count; under shared sample size each count
     has its own, and only the emission costs are shared.  No cost matrix is
-    ever held whole: the DP builds its upper triangle a block of rows at a
-    time, from the last row up, and the top DP layer of each matrix only at
-    row 0, the one row a solve reads it at.  Each block hands the slice
-    terms of its first row up, one row per cost matrix, and a block under
-    the row recurrence is anchored on the row handed up from below it: the
-    increments chain from row M up, re-anchored exactly only where a block
-    is summed state by state.  Under shared sample size only the lnΓ tables
-    differ between counts, so a block's count-independent inputs, its case
-    counts, are built once and held while the counts read them.  The
-    constructor builds what depends only on the variable and the prior: the
-    column's cut positions, values and distinct-value prefixes, and the
-    interval-count log priors up to ``r_cap``; each :meth:`solve` tallies
-    the family part, keeping the count rows of the states that hold cases.
-    Across solves the problem holds, read-only, its lnΓ tables,
-    shifted and as increments too, by pseudo-count, from its second solve
-    on its emission blocks by rows, and the count tables of its last
-    solve's families, within ``room`` floats; past it a solve builds its
-    own, as a problem with room 0 does.  The count tables yield their room
-    to the others.
+    ever held whole: :meth:`_layers` builds its upper triangle a block of
+    rows at a time, from the last row up, a block under the row recurrence
+    anchored on the one below.  The constructor builds what depends only on
+    the variable and the prior: the column's cut positions, values and
+    distinct-value prefixes, and the interval-count log priors up to
+    ``r_cap``; each :meth:`solve` tallies the family part, keeping the
+    count rows of the states that hold cases.  Every lnΓ table comes from
+    ``log_gamma``, the search's one store.  Within ``room`` floats the
+    problem holds across solves, read-only, from its second solve on its
+    emission blocks by rows, and the count tables of its last solve's
+    families, which yield their room to the blocks; past it a solve builds
+    its own, as a problem with room 0 does.
     """
 
     def __init__(
-        self, i: int, dataset: Dataset, prior: PriorSpec, r_cap: int, room: int
+        self, i: int, dataset: Dataset, prior: PriorSpec, r_cap: int, room: int,
+        log_gamma: LogGammaTables,
     ) -> None:
         self.i = i
         self.prior = prior
@@ -92,6 +87,7 @@ class _CutProblem:
         self.step = max(1, _BLOCK_FLOATS // (self.m + 2))
         self.r_cap = r_cap
         self.room = room
+        self.log_gamma = log_gamma
         self.solves = 0
 
         positions, self.fine = dataset.cut_segments(i)
@@ -107,7 +103,6 @@ class _CutProblem:
             self.d_pos = d_pos.astype(np.float64)
             self.occurrence_prefixes = [(c, s.astype(np.float64)) for c, s in seen]
         self.log_priors = interval_count_log_priors(r_cap, self.m, prior, self.n_cases)
-        self._luts: dict[tuple[float, str], np.ndarray] = {}
         self._blocks: dict[tuple[int, int], np.ndarray] = {}
         self._below: dict[int, np.ndarray] = {}
         # Each cost matrix's row handed up by the last block built, by r.
@@ -205,24 +200,6 @@ class _CutProblem:
         children = chain.from_iterable(t[2:] for t in self.child_tables)
         return [self.own_prefix, *children]
 
-    def _lut(self, a: float, form: str = "") -> np.ndarray:
-        """``lnG(a + n)`` for ``n = 0..N``; in the ``"shifted"`` form less
-        ``lnG(a)``, in the ``"steps"`` form its increments over ``n - 1``,
-        0 at ``n = 0``."""
-        lut = self._luts.get((a, form))
-        if lut is None:
-            if form:
-                full = self._lut(a)
-                if form == "shifted":
-                    lut = full - full[0]
-                else:
-                    lut = np.diff(full, prepend=full[0])
-            else:
-                lut = gammaln(a + np.arange(self.n_cases + 1))
-            self._luts[a, form] = lut
-            self._hold(lut)
-        return lut
-
     def _block(self, lo: int, hi: int) -> np.ndarray:
         """The emission block of rows ``lo..hi-1``, held or built."""
         block = self._blocks.get((lo, hi))
@@ -303,8 +280,8 @@ class _CutProblem:
         table raises IndexError.
         """
         if isinstance(counts, np.ndarray):
-            return self._lut(a, "shifted")[counts]
-        lut = self._lut(a)
+            return self.log_gamma.table(a, "shifted")[counts]
+        lut = self.log_gamma.table(a)
         # x - 0.0 == x for every float x: lnG(1) and lnG(2) are +0.0.
         base = None if lut[0] == 0.0 and not np.signbit(lut[0]) else lut[0]
         out = None
@@ -414,7 +391,7 @@ class _CutProblem:
         terms = None
         for (a, op), n in zip(tables, counts):
             # Clipping reads counts <= 0, at v <= u, at the 0 entry.
-            terms = np.take(self._lut(a, "steps"), n, mode="clip", out=terms)
+            terms = np.take(self.log_gamma.table(a, "steps"), n, mode="clip", out=terms)
             op(g, terms, out=g)
         if hi <= self.m:
             g[-1, hi - lo:] += self._anchors[r]
@@ -444,8 +421,8 @@ class _CutProblem:
         built once, one array per table, and held until every count has
         read them: each count then gathers from its own lnΓ tables and adds,
         cell by cell, as a lone count does with the counts it builds, so
-        every layer is the same bit for bit.  Other
-        blocks, and a lone count, build them table by table.
+        every layer is the same bit for bit.  Other blocks, and a lone
+        count, build them table by table.
 
         A step adds the whole contiguous cost block, columns ``lo+1..M+1``,
         to layer ``k - 1`` at rows ``lo+1..M+1``.  Row ``M+1`` of a layer is
@@ -508,9 +485,7 @@ class _CutProblem:
         )[:, None]
         return (gammaln(a_rows) - gammaln(a_rows + self.own_totals)).sum(axis=1)
 
-    def _reconstruct(
-        self, cost_r: int, table: np.ndarray, r: int
-    ) -> tuple[float, ...]:
+    def _reconstruct(self, cost_r: int, table: np.ndarray, r: int) -> tuple[float, ...]:
         cuts: list[int] = []
         u = 0
         for k in range(r, 1, -1):
@@ -531,7 +506,7 @@ class _CutProblem:
     ) -> DiscretizationPolicy:
         """Best policy of the variable under ``policy`` and ``structure``;
         ``codes`` is the code matrix under ``policy``.  Only the held
-        arrays outlive the solve."""
+        arrays, the problem's and the store's, outlive the solve."""
         self._tally(policy, structure, codes)
         self.solves += 1
         r_cap = self.r_cap
@@ -555,8 +530,7 @@ class _CutProblem:
                 k for k, t in enumerate(totals) if t >= best_total - TIE_TOLERANCE
             )
             thresholds = self._reconstruct(cost_count(r), layers[cost_count(r)], r)
-        # The held lnΓ tables are the read-only ones.
-        self._luts = {k: t for k, t in self._luts.items() if not t.flags.writeable}
+        self.log_gamma.release()
         del self.own_prefix, self.own_totals, self.child_tables, self._kept
         self._anchors.clear()
         return DiscretizationPolicy(thresholds, self.lower, self.upper)

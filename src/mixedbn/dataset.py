@@ -631,9 +631,10 @@ def _policy_entry(meta: VariableMeta, entry: dict) -> DiscretizationPolicy:
         )
     thresholds = entry.get("thresholds", [])
     bounds = entry.get("bounds")
-    if bounds is None or len(bounds) != 2:
+    if not all(isinstance(x, list) for x in (thresholds, bounds)) or len(bounds) != 2:
         raise ValidationError(
-            f"variable {meta.name!r}: policy needs [lower, upper] bounds"
+            f"variable {meta.name!r}: policy needs a list of thresholds and "
+            "[lower, upper] bounds"
         )
     return DiscretizationPolicy(
         tuple(float(t) for t in thresholds), float(bounds[0]), float(bounds[1])

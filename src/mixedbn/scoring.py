@@ -208,26 +208,46 @@ def family_tables(
 
 
 class LogGammaTables:
-    """``lnG(a + n)`` at the counts ``n`` of tables over ``n_cases`` cases,
-    gathered from a held table of ``lnG(a + 0..n_cases)`` once pseudo-count
-    ``a`` is asked for a second time, while the held tables fit in ``room``
-    floats; else computed.  Either way each entry is ``gammaln`` of the same
-    float ``a + n``, so both give the same bits."""
+    """A search's one lnΓ store.  :meth:`table` gives ``lnG(a + n)`` for
+    ``n = 0..n_cases``, in the ``"shifted"`` form less ``lnG(a)``, in the
+    ``"steps"`` form less the entry below; each is built once and held,
+    read-only, while the held tables fit in ``room`` floats, else kept
+    until :meth:`release` ends the cut-DP solve that built it.  Called, it
+    gives ``lnG(a + counts)``, gathered from the plain table once that
+    exists or ``a`` comes a second time, else computed: the same bits."""
 
     def __init__(self, n_cases: int, room: int) -> None:
         self.n_cases = n_cases
         self.room = room
-        # None marks a pseudo-count asked for once, or one that did not fit.
-        self.tables: dict[float, np.ndarray | None] = {}
+        # By (a, form); the writeable ones are not held.
+        self.tables: dict[tuple[float, str], np.ndarray] = {}
+        self._asked: set[float] = set()
+
+    def table(self, a: float, form: str = "") -> np.ndarray:
+        lut = self.tables.get((a, form))
+        if lut is not None:
+            return lut
+        if not form:
+            lut = gammaln(a + np.arange(self.n_cases + 1))
+        elif form == "shifted":
+            lut = self.table(a) - self.table(a)[0]
+        else:
+            lut = np.diff(self.table(a), prepend=self.table(a)[0])
+        self.tables[a, form] = lut
+        if lut.size <= self.room:
+            self.room -= lut.size
+            lut.flags.writeable = False
+        return lut
+
+    def release(self) -> None:
+        """Drop the tables past the room."""
+        self.tables = {k: t for k, t in self.tables.items() if not t.flags.writeable}
 
     def __call__(self, a: float, counts: np.ndarray) -> np.ndarray:
-        table = self.tables.get(a)
-        if table is None and a in self.tables and self.n_cases < self.room:
-            table = self.tables[a] = gammaln(a + np.arange(self.n_cases + 1))
-            table.flags.writeable = False
-            self.room -= table.size
-        self.tables.setdefault(a, None)
-        return gammaln(a + counts) if table is None else table[counts]
+        if (a, "") in self.tables or (a in self._asked and self.n_cases < self.room):
+            return self.table(a)[counts]
+        self._asked.add(a)
+        return gammaln(a + counts)
 
 
 def family_scores(
@@ -242,13 +262,12 @@ def family_scores(
     of Dirichlet normalizers before and after observing its row of counts,
     so a child with a single code scores exactly zero.  The tables of one
     shape ``(q, r)`` are stacked as a ``(k, q, r)`` array, and each lnΓ
-    term is taken in one call per shape, or with ``log_gamma``, the tables
-    of a search over the same cases, gathered from its held table.  Each
-    family's row terms and cell terms are the rows of ``(k, q)`` and
-    ``(k, q·r)`` arrays, summed along the row: numpy reduces a contiguous
-    row with the same pairwise sum as the 1-D ``sum`` of that row alone, so
-    every score is bitwise the one it gets when scored alone, with or
-    without ``log_gamma``.
+    term is taken in one call per shape, or with ``log_gamma``, the lnΓ
+    store of a search over the same cases.  Each family's row terms and
+    cell terms are the rows of ``(k, q)`` and ``(k, q·r)`` arrays, summed
+    along the row: numpy reduces a contiguous row with the same pairwise
+    sum as the 1-D ``sum`` of that row alone, so every score is bitwise the
+    one it gets when scored alone, with or without ``log_gamma``.
     """
     lookup = log_gamma or (lambda a, counts: gammaln(a + counts))
     shapes: dict[tuple[int, int], list[int]] = {}
@@ -275,9 +294,7 @@ def continuous_component(
     Each case contributes the log reciprocal width of its interval.  The
     degenerate single-point policy of a constant column contributes zero.
     """
-    if policy.trivial:
-        return 0.0
-    if policy.lower == policy.upper:
+    if policy.trivial or policy.lower == policy.upper:
         return 0.0
     codes = apply_policy(column, policy)
     counts = np.bincount(codes, minlength=policy.arity)

@@ -106,9 +106,7 @@ class SearchConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_r_max(self, n_cases: int) -> int:
-        if self.r_max is not None:
-            return self.r_max
-        return max(1, min(12, n_cases - 1))
+        return self.r_max if self.r_max is not None else max(1, min(12, n_cases - 1))
 
 
 @dataclass
@@ -199,6 +197,15 @@ def initial_policy(dataset: Dataset, config: SearchConfig) -> NetworkPolicy:
     return NetworkPolicy(tuple(policies))
 
 
+class _Problems(dict):
+    """A search's :class:`_CutProblem` per variable, and the lnΓ store of
+    ``room`` floats that they and the search's family scores read."""
+
+    def __init__(self, n_cases: int, room: int) -> None:
+        super().__init__()
+        self.log_gamma = scoring.LogGammaTables(n_cases, room)
+
+
 def optimize_variable(
     i: int,
     policy: NetworkPolicy,
@@ -208,7 +215,7 @@ def optimize_variable(
     config: SearchConfig,
     *,
     codes: np.ndarray | None = None,
-    problems: dict[int, _CutProblem] | None = None,
+    problems: _Problems | None = None,
 ) -> DiscretizationPolicy:
     """Best threshold policy for variable ``i`` with everything else fixed.
 
@@ -218,9 +225,9 @@ def optimize_variable(
     smallest threshold sequence.  ``codes`` is the code matrix under
     ``policy``, as :func:`discretize_all` gives it; a search passes its
     state's, and without it one is built.  ``problems`` is a search's
-    :class:`_CutProblem` per variable, for one dataset, prior and config;
-    a problem added to it gets an equal share of 4 MiB to hold arrays in.
-    Without it a throwaway problem, which holds nothing, is built.
+    :class:`_CutProblem` per variable, for one dataset, prior and config; a
+    problem added to it reads its lnΓ store and holds arrays in an equal
+    share of 4 MiB.  Without it a throwaway problem holds nothing.
     """
     if not dataset.is_continuous(i):
         raise ValidationError(
@@ -272,10 +279,10 @@ def optimize_variable(
         )
     if codes is None:
         codes = discretize_all(dataset, policy)
-    problems = {} if problems is None else problems
+    problems = _Problems(dataset.n_cases, 0) if problems is None else problems
     if i not in problems:
         share = budget // len(dataset.continuous_indices())
-        problems[i] = _CutProblem(i, dataset, prior, r_cap, share)
+        problems[i] = _CutProblem(i, dataset, prior, r_cap, share, problems.log_gamma)
     return problems[i].solve(policy, structure, codes)
 
 
@@ -298,7 +305,7 @@ class _SearchState:
     the start has every entry stale.  :meth:`_fill` is the only code that
     writes the table: it tallies and scores the stale entries asked for in
     one batched pass (:func:`family_tables`, :func:`family_scores` with the
-    state's lnΓ tables), every score bitwise the one its table gets scored
+    search's lnΓ store), every score bitwise the one its table gets scored
     alone.  The cut problem counts through the same tally, so the search
     has one.
 
@@ -306,9 +313,9 @@ class _SearchState:
     problem reads.  That key also decides what to solve again: a policy
     change at ``v`` changes the keys of ``_blanket(structure, v)`` and
     nothing else.  Each continuous variable keeps one :class:`_CutProblem`
-    in ``problems``, holding at most an equal share of 4 MiB, and
-    :meth:`local` keeps each continuous term pair by variable and policy.
-    Every cache lives as long as the state.
+    in ``problems``, holding at most an equal share of 4 MiB, beside the
+    one lnΓ store of one block; :meth:`local` keeps each continuous term
+    pair by variable and policy.  Every cache lives as long as the state.
 
     The start policy must score a finite total; a policy outside the
     policy prior's support raises ValidationError.
@@ -335,9 +342,8 @@ class _SearchState:
         self.total = score.finite_total(dataset.names, "start policy")
         self.trace = SearchTrace()
         self._solves: dict[tuple, DiscretizationPolicy] = {}
-        self.problems: dict[int, _CutProblem] = {}
+        self.problems = _Problems(dataset.n_cases, cutdp._BLOCK_FLOATS)
         self._terms: dict[tuple, tuple[float, float]] = {}
-        self._log_gamma = scoring.LogGammaTables(dataset.n_cases, cutdp._BLOCK_FLOATS)
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
         self._fresh = np.zeros((2, n, n), dtype=bool)
@@ -372,7 +378,8 @@ class _SearchState:
                 for c, group in groups.items()
             ], names=self.dataset.names)
             refilled = tuple(zip(*chain.from_iterable(groups.values())))
-            self._table[refilled] = family_scores(tables, self.prior, self._log_gamma)
+            scores = family_scores(tables, self.prior, self.problems.log_gamma)
+            self._table[refilled] = scores
             self._fresh[refilled] = True
             self.trace.stats.families_computed += len(tables)
         return [self._table.item(e) for e in entries]

@@ -968,6 +968,8 @@ class TestScore:
             ("fit.policy.json", ["variables", "x1"], 5),
             ("fit.policy.json", ["variables", "x1", "thresholds"], ["abc"]),
             ("fit.policy.json", ["variables", "x1", "bounds"], 0),
+            ("fit.policy.json", ["variables", "x1", "bounds"], {"a": 0, "b": 1}),
+            ("fit.policy.json", ["variables", "x1", "thresholds"], {"0.5": 1}),
             ("fit.structure.json", ["edges"], 5),
             ("fit.structure.json", ["variables"], 5),
             ("sim.schema.json", [0, "bounds"], ["a", "b"]),
@@ -975,7 +977,8 @@ class TestScore:
             ("sim.mechanism.json", ["variables", 0, "thresholds"], ["x"]),
         ],
         ids=[
-            "policy-entry", "policy-thresholds", "policy-bounds", "structure-edges",
+            "policy-entry", "policy-thresholds", "policy-bounds",
+            "policy-bounds-object", "policy-thresholds-object", "structure-edges",
             "structure-variables", "schema-bounds", "schema-arity",
             "mechanism-thresholds",
         ],
@@ -1003,4 +1006,7 @@ class TestScore:
             ]
         capsys.readouterr()
         assert run_cli(*argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if name == "fit.policy.json":
+            assert "'x1'" in err

@@ -226,11 +226,14 @@ class TestFamilyScores:
     def test_held_log_gamma_tables_give_the_plain_floats(
         self, prior, n_cases, rooms, seed
     ):
-        """Scored with a search's lnΓ tables, tables of ``n_cases`` cases get
+        """Scored with a search's lnΓ store, tables of ``n_cases`` cases get
         exactly the floats of the plain call: on a pseudo-count's first use,
         which computes, on its second and later ones, which gather while
         the held tables fit in the room, and with a room too small for any
-        table (0 or N floats)."""
+        table (0 or N floats).  The cut DP's forms hold ``gammaln``'s
+        floats less ``lnG(a)`` and less the entry below; the held tables
+        and the room left add up to the room given, and a table past it
+        is gone once the solve that built it releases it."""
         rng = np.random.default_rng(seed)
         room = rooms * (n_cases + 1) - (rooms == 1)
         log_gamma = scoring.LogGammaTables(n_cases, room)
@@ -242,7 +245,7 @@ class TestFamilyScores:
             assert family_scores(tables, prior, log_gamma) == family_scores(
                 tables, prior
             )
-            held = [t for t in log_gamma.tables.values() if t is not None]
+            held = list(log_gamma.tables.values())
             assert sum(t.size for t in held) + log_gamma.room == room
             for t in held:
                 assert t.shape == (n_cases + 1,) and not t.flags.writeable
@@ -264,6 +267,23 @@ class TestFamilyScores:
             asked |= {a, a * r}
         assert len(held) == min(len(asked), room // (n_cases + 1))
         check(tables)
+
+        # The cut DP's forms, of an asked and of a new pseudo-count.
+        for a in (max(asked), 0.1234):
+            full = gammaln(a + np.arange(n_cases + 1))
+            shifted = log_gamma.table(a, "shifted")
+            steps = log_gamma.table(a, "steps")
+            assert np.array_equal(log_gamma.table(a), full)
+            assert np.array_equal(shifted, full - gammaln(a))
+            assert steps[0] == 0.0 and np.array_equal(steps[1:], full[1:] - full[:-1])
+            assert log_gamma.table(a, "shifted") is shifted
+        tables = log_gamma.tables
+        held = {key for key, t in tables.items() if not t.flags.writeable}
+        assert sum(tables[key].size for key in held) + log_gamma.room == room
+        # Only a room for every table holds all six forms.
+        assert (held == tables.keys()) == (rooms == 10**6)
+        log_gamma.release()
+        assert set(log_gamma.tables) == held
 
 
 class TestFamilyTables:

@@ -64,11 +64,16 @@ def edit_list(candidates):
     ]
 
 
+def bare_problem(i, ds, prior, r_cap):
+    """The cut problem of ``i`` as a lone solve builds it: holding nothing,
+    on an lnΓ store of its own with room 0."""
+    return _CutProblem(i, ds, prior, r_cap, 0, scoring.LogGammaTables(ds.n_cases, 0))
+
+
 def cut_problem(i, policy, structure, ds, prior):
     """The cut problem of ``i``, holding nothing, under the default interval
     cap, tallied from a fresh code matrix."""
-    r_cap = min(12, len(ds.candidate_thresholds(i)) + 1)
-    problem = _CutProblem(i, ds, prior, r_cap, 0)
+    problem = bare_problem(i, ds, prior, min(12, len(ds.candidate_thresholds(i)) + 1))
     problem._tally(policy, structure, discretize_all(ds, policy))
     return problem
 
@@ -112,9 +117,9 @@ class LoggedTable(np.ndarray):
 
 def spy_gathers(problem):
     """Record the state count of each gather of ``problem``'s slice terms
-    from its lnΓ tables."""
+    from the tables of its lnΓ store."""
     gathers = []
-    real = problem._lut
+    real = problem.log_gamma.table
 
     def spy(a, form=""):
         table = real(a, form)
@@ -124,7 +129,7 @@ def spy_gathers(problem):
         table.gathers = gathers
         return table
 
-    problem._lut = spy
+    problem.log_gamma.table = spy
     return gathers
 
 
@@ -688,7 +693,7 @@ class TestBlockedCutProblem:
             assert problem._reconstruct(cost_r, table, r) == (
                 dense._dense_reconstruct(*dense.table(r), r)
             )
-        got = _CutProblem(0, ds, prior, r_cap, 0).solve(
+        got = bare_problem(0, ds, prior, r_cap).solve(
             policy, structure, discretize_all(ds, policy)
         )
         assert got == dense.dense_solve()
@@ -1061,7 +1066,7 @@ class TestBlockedCutProblem:
                         weights.add(bdeu.cell_weight(r_child, r * q) * r_child)
         zeros = 0
         for a in sorted(weights):
-            lut = problem._lut(a)
+            lut = problem.log_gamma.table(a)
             assert len(lut) == 601
             assert not np.signbit(lut[lut == 0.0]).any(), a
             zeros += int((lut == 0.0).sum())
@@ -1159,7 +1164,8 @@ class TestHeldInvariants:
     """A search keeps one cut problem per continuous variable.  Its solves
     read what the problem holds across them bit for bit as a bare solve
     builds it, within the problem's share of the budget, and hold emission
-    blocks only from the second solve on."""
+    blocks only from the second solve on.  Every problem reads its lnΓ
+    tables from the search's one store, which its family scores read too."""
 
     @staticmethod
     def inputs(rows, monkeypatch):
@@ -1183,7 +1189,7 @@ class TestHeldInvariants:
     @staticmethod
     def held(problem):
         tables = itertools.chain.from_iterable(problem._tables.values())
-        return [*problem._luts.values(), *problem._blocks.values(), *tables]
+        return [*problem._blocks.values(), *tables]
 
     @staticmethod
     def spy_emission(monkeypatch, problem):
@@ -1214,7 +1220,9 @@ class TestHeldInvariants:
         state = _SearchState(structure, policy, ds, prior, config)
         # Small blocks outgrow a share of the budget; here every block is
         # to be held.
-        problem = state.problems[0] = _CutProblem(0, ds, prior, 12, 1 << 30)
+        problem = state.problems[0] = _CutProblem(
+            0, ds, prior, 12, 1 << 30, state.problems.log_gamma
+        )
         assert state.solve(0) == bare
         assert not problem._blocks
         again = optimize_variable(
@@ -1260,11 +1268,14 @@ class TestHeldInvariants:
         assert state.trace.stats.solves == 3
         assert state.trace.stats.solve_hits >= 3
         assert sorted(state.problems) == [0, 1, 2]
+        store = state.problems.log_gamma
         for problem in state.problems.values():
             assert problem.solves == 1
             assert problem._blocks == {}
-            # The lnΓ tables are held from the first solve.
-            assert problem._luts
+            assert problem.log_gamma is store
+        # The store holds lnΓ tables from the first solve.
+        assert store.tables
+        assert not any(t.flags.writeable for t in store.tables.values())
 
     def test_budget_caps_what_is_held(self, monkeypatch):
         ds, policy, family, m = self.inputs(None, monkeypatch)
@@ -1307,15 +1318,17 @@ class TestHeldInvariants:
                 codes=state.codes, problems=state.problems,
             )
         problem = state.problems[0]
-        assert problem._luts and problem._blocks
-        for array in self.held(problem):
+        tables = state.problems.log_gamma.tables
+        assert tables and problem._blocks
+        for array in [*self.held(problem), *tables.values()]:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     def test_learn_keeps_one_problem_per_variable(self, monkeypatch):
         # A budget of six small blocks, split over five continuous
-        # variables: each share holds some lnΓ tables and small blocks.
+        # variables: each share holds some small blocks, and the lnΓ store
+        # one small block of tables.
         monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 4096)
         monkeypatch.setattr(cutdp, "_WORK_BLOCKS", 6)
         ds, _ = sample_dataset(random_mechanism(5, 3, 2, seed=4), 150)
@@ -1338,12 +1351,59 @@ class TestHeldInvariants:
         assert sorted(p.i for p in built) == sorted(solved)
         assert trace.stats.solves > len(built)
         assert any(p._blocks for p in built)
-        # Between solves a problem keeps only held arrays, though under
-        # BDeu's many pseudo-counts some of its lnΓ tables did not fit.
+        # Between solves a problem keeps only held arrays, and the store
+        # only held tables, though under BDeu's many pseudo-counts some of
+        # them did not fit.
         held = [a for p in built for a in self.held(p)]
         assert not any(a.flags.writeable for a in held)
         budget = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
         assert sum(a.size for a in held) <= budget
+        (store,) = {id(p.log_gamma): p.log_gamma for p in built}.values()
+        assert not any(t.flags.writeable for t in store.tables.values())
+        assert sum(t.size for t in store.tables.values()) + store.room == 4096
+        assert store.room <= ds.n_cases
+
+    @pytest.mark.parametrize("mode", ["k2", "bdeu"])
+    def test_search_builds_each_log_gamma_table_once(self, monkeypatch, mode):
+        """A learn's family scores and every cut problem read the state's
+        one lnΓ store, and the store builds each (pseudo-count, form) table
+        once: here every table fits in its block, so none is rebuilt."""
+        ds, _ = sample_dataset(random_mechanism(6, 2, 3, seed=1), 300)
+        prior = PriorSpec(dirichlet_mode=mode, policy_prior="poisson", poisson_rate=2.0)
+        states, problems, readers, built = [], [], set(), []
+        init_state, init_problem = _SearchState.__init__, _CutProblem.__init__
+        table, scores = scoring.LogGammaTables.table, search.family_scores
+
+        def spy_state(state, *args):
+            states.append(state)
+            init_state(state, *args)
+
+        def spy_problem(problem, *args):
+            problems.append(problem)
+            init_problem(problem, *args)
+
+        def spy_table(store, a, form=""):
+            if (a, form) not in store.tables:
+                built.append((id(store), a, form))
+            return table(store, a, form)
+
+        def spy_scores(tables, prior, log_gamma):
+            readers.add(id(log_gamma))
+            return scores(tables, prior, log_gamma)
+
+        monkeypatch.setattr(_SearchState, "__init__", spy_state)
+        monkeypatch.setattr(_CutProblem, "__init__", spy_problem)
+        monkeypatch.setattr(scoring.LogGammaTables, "table", spy_table)
+        monkeypatch.setattr(search, "family_scores", spy_scores)
+        hill_climb_structure(ds, prior, SearchConfig())
+        (state,) = states
+        store = state.problems.log_gamma
+        assert sorted(p.i for p in problems) == list(ds.continuous_indices())
+        assert all(p.log_gamma is store for p in problems)
+        assert readers == {id(store)}
+        assert len(built) == len(set(built)) > 0
+        assert {(id(store), *key) for key in store.tables} == set(built)
+        assert {form for _, _, form in built} == {"", "shifted", "steps"}
 
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     def test_kept_count_tables_tally_only_changed_families(self, monkeypatch, mode):
@@ -1417,7 +1477,7 @@ class TestHeldInvariants:
             with pytest.raises(ValueError):
                 array[0] = 0
 
-    @pytest.mark.parametrize("work_blocks", [16, 12])
+    @pytest.mark.parametrize("work_blocks", [16, 7])
     def test_kept_count_tables_push_out_no_held_array(self, monkeypatch, work_blocks):
         """learn-cont's learn (six continuous columns, N = 300, Poisson
         prior) builds no more emission blocks, and holds the same blocks
@@ -1461,7 +1521,8 @@ class TestHeldInvariants:
             monkeypatch.setattr(_CutProblem, "_tally", spy_tally)
             monkeypatch.setattr(_CutProblem, "_hold", spy_hold)
             structure, policy, trace = hill_climb_structure(ds, prior, SearchConfig())
-            held = {p.i: (sorted(p._blocks), sorted(p._luts)) for p in problems}
+            held = {p.i: sorted(p._blocks) for p in problems}
+            held["lnΓ"] = sorted(problems[0].log_gamma.tables)
             return (structure, policy, trace.records), built, held, any(released)
 
         kept, forgot = learn(True), learn(False)
