@@ -44,7 +44,8 @@ _BLOCK_FLOATS = 1 << 15
 # and its held counts (2.9 blocks under shared sample size), measures at
 # most 6.3 blocks under the uniform emission and 13.7 under the multinomial
 # one; a solve whose 27 states are gathered as one chunk and folded, 2.2,
-# and one whose 27 untied states take the row recurrence, 2.3.
+# and one whose 27 untied states take the row recurrence, 2.3.  It sizes
+# the one budget a search holds across its solves too: as many blocks.
 _WORK_BLOCKS = 16
 
 
@@ -66,15 +67,15 @@ class _CutProblem:
     distinct-value prefixes, and the interval-count log priors up to
     ``r_cap``; each :meth:`solve` tallies the family part, keeping the
     count rows of the states that hold cases.  Every lnΓ table comes from
-    ``log_gamma``, the search's one store.  Within ``room`` floats the
-    problem holds across solves, read-only, from its second solve on its
-    emission blocks by rows, and the count tables of its last solve's
-    families, which yield their room to the blocks; past it a solve builds
-    its own, as a problem with room 0 does.
+    ``log_gamma``, the search's one store, which holds the search's one
+    budget: the problem holds across solves what the store lets it hold,
+    read-only, from its second solve on its emission blocks by rows, and
+    the count tables of its last solve's families.  Whatever does not fit
+    a solve builds for itself, as every solve on a store of room 0 does.
     """
 
     def __init__(
-        self, i: int, dataset: Dataset, prior: PriorSpec, r_cap: int, room: int,
+        self, i: int, dataset: Dataset, prior: PriorSpec, r_cap: int,
         log_gamma: LogGammaTables,
     ) -> None:
         self.i = i
@@ -86,7 +87,6 @@ class _CutProblem:
         self.m = len(cands)
         self.step = max(1, _BLOCK_FLOATS // (self.m + 2))
         self.r_cap = r_cap
-        self.room = room
         self.log_gamma = log_gamma
         self.solves = 0
 
@@ -110,19 +110,6 @@ class _CutProblem:
         # The kept count tables, by family key.
         self._tables = {}
 
-    def _hold(self, array: np.ndarray) -> bool:
-        """Charge ``array`` to the room and make it read-only, if it fits;
-        the kept count tables give up their room if only that lets it in."""
-        kept = sum(a.size for tables in self._tables.values() for a in tables)
-        if self.room < array.size <= self.room + kept:
-            self.room += kept
-            self._tables = {}
-        fits = array.size <= self.room
-        if fits:
-            self.room -= array.size
-            array.flags.writeable = False
-        return fits
-
     def _tally(
         self, policy: NetworkPolicy, structure: DagStructure, codes: np.ndarray
     ) -> None:
@@ -136,8 +123,9 @@ class _CutProblem:
         A family's tables depend only on its key: its head, its parent set
         and the policies of its other members.  The last solve's tables are
         kept, so only the families whose key changed are tallied; a kept
-        family this solve does not read gives its room back, and a tallied
-        one is kept if it fits.  With no family fresh, nothing is tallied."""
+        family this solve does not read gives its floats back to the store,
+        and a tallied one is kept if the store holds it.  With no family
+        fresh, nothing is tallied."""
         i = self.i
         members, families = _solve_inputs(structure, i)
         keys = [
@@ -145,7 +133,7 @@ class _CutProblem:
             for v, ps in families
         ]
         for key in self._tables.keys() - set(keys):
-            self.room += sum(a.size for a in self._tables.pop(key))
+            self.log_gamma.room += sum(a.size for a in self._tables.pop(key))
         fresh = [key for key in keys if key not in self._tables]
         tallied = []
         if fresh:
@@ -181,10 +169,8 @@ class _CutProblem:
                 margins = cells.reshape(-1, policy[v].arity, self.m + 1).sum(axis=1)
                 new = live_prefix(cells), live_prefix(margins)
             tables[key] = new
-            if sum(a.size for a in new) <= self.room:
+            if self.log_gamma.hold(*new):
                 self._tables[key] = new
-                for a in new:
-                    self._hold(a)
         self.own_totals, self.own_prefix = tables[keys[0]]
         self.q_own = len(self.own_totals)
         self.child_tables = [
@@ -205,7 +191,7 @@ class _CutProblem:
         block = self._blocks.get((lo, hi))
         if block is None:
             block = self._emission(lo, hi)
-            if self.solves > 1 and self._hold(block):
+            if self.solves > 1 and self.log_gamma.hold(block):
                 self._blocks[lo, hi] = block
         return block
 
@@ -376,9 +362,7 @@ class _CutProblem:
         self._anchors[r] = g[0] - emission[0]
         return g
 
-    def _recurrence(
-        self, r: int, tables: list, counts, lo: int, hi: int
-    ) -> np.ndarray:
+    def _recurrence(self, r: int, tables: list, counts, lo: int, hi: int) -> np.ndarray:
         """The slice terms of :meth:`_costs`'s ``tables`` by the row
         recurrence of optimal partitioning (Jackson et al. 2005), read from
         the rows' :meth:`_counts`, anchored on row ``hi`` as the block below

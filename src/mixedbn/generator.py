@@ -68,9 +68,7 @@ class Mechanism:
                     f"({q}, {r})"
                 )
             if (cpt < 0).any() or np.abs(cpt.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
-                raise ValidationError(
-                    f"variable {i}: table rows must be distributions"
-                )
+                raise ValidationError(f"variable {i}: table rows must be distributions")
 
     @property
     def n(self) -> int:
@@ -80,9 +78,7 @@ class Mechanism:
         return tuple(f"x{i + 1}" for i in range(self.n))
 
 
-def random_mechanism(
-    n: int, max_parents: int, arity: int, seed: int
-) -> Mechanism:
+def random_mechanism(n: int, max_parents: int, arity: int, seed: int) -> Mechanism:
     """Random mechanism: each node picks parents among earlier nodes,
     tables are symmetric-Dirichlet draws, and every policy cuts ``[0, 1]``
     into ``arity`` equal intervals."""
@@ -110,9 +106,7 @@ def random_mechanism(
     return Mechanism(structure, tuple(cpts), tuple(policy for _ in range(n)), seed)
 
 
-def sample_dataset(
-    mechanism: Mechanism, n_cases: int
-) -> tuple[Dataset, np.ndarray]:
+def sample_dataset(mechanism: Mechanism, n_cases: int) -> tuple[Dataset, np.ndarray]:
     """Draw cases; returns the continuous dataset and the latent codes.
 
     One random stream per variable, split from the mechanism seed, consumed
@@ -195,26 +189,32 @@ def mechanism_from_obj(payload: dict) -> Mechanism:
     policies = []
     for pos, entry in enumerate(entries):
         try:
-            parent_sets.append([int(p) for p in entry["parents"]])
-            cpts.append(np.asarray(entry["cpt"], dtype=np.float64))
-            bounds = entry["bounds"]
-            policies.append(
-                DiscretizationPolicy(
-                    tuple(float(t) for t in entry["thresholds"]),
-                    float(bounds[0]),
-                    float(bounds[1]),
-                )
+            parents, thresholds, bounds = (
+                entry[key] for key in ("parents", "thresholds", "bounds")
             )
+            if not (
+                all(isinstance(x, list) for x in (parents, thresholds, bounds))
+                and all(type(p) is int for p in parents) and len(bounds) == 2
+            ):
+                raise ValidationError(
+                    f"mechanism variable {pos}: needs a list of integer parents, "
+                    "a list of thresholds and [lower, upper] bounds"
+                )
+            parent_sets.append(parents)
+            cpts.append(np.asarray(entry["cpt"], dtype=np.float64))
+            policies.append(DiscretizationPolicy(
+                tuple(float(t) for t in thresholds), float(bounds[0]), float(bounds[1])
+            ))
         except ValidationError:
             raise
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(
                 f"mechanism variable {pos} is malformed: {exc}"
             ) from None
-    structure = validate_dag(parent_sets)
-    return Mechanism(
-        structure, tuple(cpts), tuple(policies), int(payload.get("seed", 0))
-    )
+    seed = payload.get("seed", 0)
+    if type(seed) is not int:
+        raise ValidationError(f"mechanism seed must be a JSON integer, got {seed!r}")
+    return Mechanism(validate_dag(parent_sets), tuple(cpts), tuple(policies), seed)
 
 
 def load_mechanism(source) -> Mechanism:

@@ -208,20 +208,33 @@ def family_tables(
 
 
 class LogGammaTables:
-    """A search's one lnΓ store.  :meth:`table` gives ``lnG(a + n)`` for
-    ``n = 0..n_cases``, in the ``"shifted"`` form less ``lnG(a)``, in the
-    ``"steps"`` form less the entry below; each is built once and held,
-    read-only, while the held tables fit in ``room`` floats, else kept
-    until :meth:`release` ends the cut-DP solve that built it.  Called, it
-    gives ``lnG(a + counts)``, gathered from the plain table once that
-    exists or ``a`` comes a second time, else computed: the same bits."""
+    """A search's one lnΓ store and the one ``room`` it holds arrays in.
+    :meth:`table` gives ``lnG(a + n)`` for ``n = 0..n_cases``, in the
+    ``"shifted"`` form less ``lnG(a)``, in the ``"steps"`` form less the
+    entry below; each is built once and held, else kept until
+    :meth:`release` ends the cut-DP solve that built it.  Called, it gives
+    ``lnG(a + counts)``, gathered from the plain table once that exists or
+    ``a`` comes a second time, else computed: the same bits."""
 
     def __init__(self, n_cases: int, room: int) -> None:
         self.n_cases = n_cases
         self.room = room
+        self.refused = 0
         # By (a, form); the writeable ones are not held.
         self.tables: dict[tuple[float, str], np.ndarray] = {}
         self._asked: set[float] = set()
+
+    def hold(self, *arrays: np.ndarray) -> bool:
+        """Charge ``arrays`` to the room and make them read-only if they fit,
+        first come, first held; else count the refusal."""
+        size = sum(a.size for a in arrays)
+        if size > self.room:
+            self.refused += 1
+            return False
+        self.room -= size
+        for a in arrays:
+            a.flags.writeable = False
+        return True
 
     def table(self, a: float, form: str = "") -> np.ndarray:
         lut = self.tables.get((a, form))
@@ -234,13 +247,11 @@ class LogGammaTables:
         else:
             lut = np.diff(self.table(a), prepend=self.table(a)[0])
         self.tables[a, form] = lut
-        if lut.size <= self.room:
-            self.room -= lut.size
-            lut.flags.writeable = False
+        self.hold(lut)
         return lut
 
     def release(self) -> None:
-        """Drop the tables past the room."""
+        """Drop the tables not held."""
         self.tables = {k: t for k, t in self.tables.items() if not t.flags.writeable}
 
     def __call__(self, a: float, counts: np.ndarray) -> np.ndarray:
@@ -286,9 +297,7 @@ def family_scores(
     return scores.tolist()
 
 
-def continuous_component(
-    column: np.ndarray, policy: DiscretizationPolicy
-) -> float:
+def continuous_component(column: np.ndarray, policy: DiscretizationPolicy) -> float:
     """Log-density of the column under per-interval uniform emission.
 
     Each case contributes the log reciprocal width of its interval.  The

@@ -115,9 +115,10 @@ class SearchStats:
     them.  ``noop_solves`` counts the solves that returned the policy they
     were given, ``candidates`` sums M over the solves.  ``best_edit_delta``
     is the best delta of the last edge scan, ``None`` before any scan or
-    when no edit is legal.  ``solve_s`` and ``scan_s`` are the wall seconds
-    spent in policy solves and in edge-scan deltas; stats compare equal
-    whatever their times."""
+    when no edit is legal.  ``holds_refused`` counts the holds that the
+    held budget turned away.  ``solve_s`` and ``scan_s`` are the wall
+    seconds spent in policy solves and in edge-scan deltas; stats compare
+    equal whatever their times."""
 
     solves: int = 0
     solve_hits: int = 0
@@ -126,6 +127,7 @@ class SearchStats:
     families_computed: int = 0
     edits_scanned: int = 0
     best_edit_delta: float | None = None
+    holds_refused: int = 0
     solve_s: float = field(default=0.0, compare=False)
     scan_s: float = field(default=0.0, compare=False)
 
@@ -226,8 +228,8 @@ def optimize_variable(
     ``policy``, as :func:`discretize_all` gives it; a search passes its
     state's, and without it one is built.  ``problems`` is a search's
     :class:`_CutProblem` per variable, for one dataset, prior and config; a
-    problem added to it reads its lnΓ store and holds arrays in an equal
-    share of 4 MiB.  Without it a throwaway problem holds nothing.
+    problem added to it reads its lnΓ store and holds arrays within the
+    store's one budget.  Without it a throwaway problem holds nothing.
     """
     if not dataset.is_continuous(i):
         raise ValidationError(
@@ -281,8 +283,7 @@ def optimize_variable(
         codes = discretize_all(dataset, policy)
     problems = _Problems(dataset.n_cases, 0) if problems is None else problems
     if i not in problems:
-        share = budget // len(dataset.continuous_indices())
-        problems[i] = _CutProblem(i, dataset, prior, r_cap, share, problems.log_gamma)
+        problems[i] = _CutProblem(i, dataset, prior, r_cap, problems.log_gamma)
     return problems[i].solve(policy, structure, codes)
 
 
@@ -313,8 +314,8 @@ class _SearchState:
     problem reads.  That key also decides what to solve again: a policy
     change at ``v`` changes the keys of ``_blanket(structure, v)`` and
     nothing else.  Each continuous variable keeps one :class:`_CutProblem`
-    in ``problems``, holding at most an equal share of 4 MiB, beside the
-    one lnΓ store of one block; :meth:`local` keeps each continuous term
+    in ``problems``; they and the lnΓ tables share the store's one 4 MiB
+    budget, first come, first held.  :meth:`local` keeps each continuous term
     pair by variable and policy.  Every cache lives as long as the state.
 
     The start policy must score a finite total; a policy outside the
@@ -342,7 +343,8 @@ class _SearchState:
         self.total = score.finite_total(dataset.names, "start policy")
         self.trace = SearchTrace()
         self._solves: dict[tuple, DiscretizationPolicy] = {}
-        self.problems = _Problems(dataset.n_cases, cutdp._BLOCK_FLOATS)
+        budget = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
+        self.problems = _Problems(dataset.n_cases, budget)
         self._terms: dict[tuple, tuple[float, float]] = {}
         # [FA, FD] and which of their entries are fresh.
         self._table = np.zeros((2, n, n))
@@ -524,6 +526,7 @@ class _SearchState:
             codes=self.codes, problems=self.problems,
         )
         stats.solve_s += time.perf_counter() - started
+        stats.holds_refused = self.problems.log_gamma.refused
         if result.thresholds == self.policy[i].thresholds:
             stats.noop_solves += 1
         self._solves[key] = result

@@ -485,7 +485,7 @@ class DenseCutProblem(_CutProblem):
 
     def __init__(self, i, policy, structure, dataset, prior, r_cap=12):
         super().__init__(
-            i, dataset, prior, r_cap, 0, scoring.LogGammaTables(dataset.n_cases, 0)
+            i, dataset, prior, r_cap, scoring.LogGammaTables(dataset.n_cases, 0)
         )
         self.positions, self.q_own, self.own_prefix, self.child_tables = (
             reference_prefix_tables(i, policy, structure, dataset)

@@ -265,7 +265,8 @@ class TestDiscretize:
         stats = manifest["stats"]
         assert set(stats) == {
             "best_edit_delta", "edits_scanned", "families_computed", "solves",
-            "solve_hits", "noop_solves", "candidates", "solve_s", "scan_s",
+            "solve_hits", "noop_solves", "candidates", "holds_refused", "solve_s",
+            "scan_s",
         }
         # The ascent runs under a fixed structure: no edge scan at all.
         assert stats["best_edit_delta"] is None
@@ -276,6 +277,8 @@ class TestDiscretize:
         assert stats["solves"] >= 4 and stats["solve_hits"] >= 4
         assert stats["families_computed"] > 0
         assert 0 <= stats["noop_solves"] <= stats["solves"]
+        # The one held budget turns nothing away on this small input.
+        assert stats["holds_refused"] == 0
         ds = load_dataset(str(prefix) + ".csv")
         m = [len(ds.candidate_thresholds(i)) for i in ds.continuous_indices()]
         # Each column is solved once: no edge joins two of them.
@@ -442,7 +445,8 @@ class TestLearn:
         stats = manifest["stats"]
         assert set(stats) == {
             "best_edit_delta", "edits_scanned", "families_computed", "solves",
-            "solve_hits", "noop_solves", "candidates", "solve_s", "scan_s",
+            "solve_hits", "noop_solves", "candidates", "holds_refused", "solve_s",
+            "scan_s",
         }
         # The fixed-point certificate: no legal edit gains more than epsilon.
         assert stats["best_edit_delta"] <= manifest["search"]["epsilon"]
@@ -454,6 +458,7 @@ class TestLearn:
         assert stats["solves"] > 0
         assert 0 <= stats["noop_solves"] <= stats["solves"]
         assert stats["candidates"] >= stats["solves"]
+        assert stats["holds_refused"] == 0
         for suffix in (".structure.json", ".structure.dot", ".policy.json",
                        ".trace.jsonl"):
             text = (tmp_path / ("fit" + suffix)).read_text()
@@ -975,12 +980,24 @@ class TestScore:
             ("sim.schema.json", [0, "bounds"], ["a", "b"]),
             ("sim.schema.json", [0], {"name": "x1", "kind": "discrete", "arity": "3"}),
             ("sim.mechanism.json", ["variables", 0, "thresholds"], ["x"]),
+            ("sim.mechanism.json", ["variables", 0, "thresholds"], {"0.25": 1}),
+            ("sim.mechanism.json", ["variables", 1, "parents"], [0.7]),
+            ("sim.mechanism.json", ["variables", 1, "parents"], {"0": 1}),
+            ("sim.mechanism.json", ["variables", 0, "bounds"], "01"),
+            ("sim.mechanism.json", ["variables", 0, "bounds"], [0, 1, 7]),
+            ("sim.mechanism.json", ["seed"], True),
+            ("sim.mechanism.json", ["seed"], 1.7),
+            ("sim.mechanism.json", ["seed"], "abc"),
+            ("sim.mechanism.json", ["seed"], None),
         ],
         ids=[
             "policy-entry", "policy-thresholds", "policy-bounds",
             "policy-bounds-object", "policy-thresholds-object", "structure-edges",
             "structure-variables", "schema-bounds", "schema-arity",
-            "mechanism-thresholds",
+            "mechanism-thresholds", "mechanism-thresholds-object",
+            "mechanism-parents-float", "mechanism-parents-object",
+            "mechanism-bounds-string", "mechanism-bounds-three", "mechanism-seed-bool",
+            "mechanism-seed-float", "mechanism-seed-string", "mechanism-seed-null",
         ],
     )
     def test_malformed_json_is_a_data_error(self, tmp_path, capsys, name, path, value):
@@ -1010,3 +1027,7 @@ class TestScore:
         assert err.startswith("error:")
         if name == "fit.policy.json":
             assert "'x1'" in err
+        if name == "sim.mechanism.json":
+            # Every mechanism case names the variable at its position, or
+            # the seed.
+            assert ("seed" if path == ["seed"] else f"variable {path[1]}") in err

@@ -285,6 +285,21 @@ class TestFamilyScores:
         log_gamma.release()
         assert set(log_gamma.tables) == held
 
+    def test_hold_charges_first_come_first_held(self):
+        """The store's room is one budget: :meth:`hold` charges its arrays
+        as one and makes them read-only, or refuses them, leaving them
+        writeable and the room as it was, and counts the refusal; the
+        store's own tables draw on the same room."""
+        store = scoring.LogGammaTables(10, 20)
+        a, b, c = np.zeros(8), np.zeros(6), np.zeros(7)
+        assert store.hold(a, b) and store.room == 6
+        assert not (a.flags.writeable or b.flags.writeable)
+        assert not store.hold(c) and c.flags.writeable and store.room == 6
+        # An lnΓ table of 11 floats does not fit either.
+        assert store.table(1.0).flags.writeable
+        assert store.refused == 2
+        assert store.hold(np.zeros(6)) and store.room == 0 and store.refused == 2
+
 
 class TestFamilyTables:
     @staticmethod

@@ -67,7 +67,7 @@ def edit_list(candidates):
 def bare_problem(i, ds, prior, r_cap):
     """The cut problem of ``i`` as a lone solve builds it: holding nothing,
     on an lnΓ store of its own with room 0."""
-    return _CutProblem(i, ds, prior, r_cap, 0, scoring.LogGammaTables(ds.n_cases, 0))
+    return _CutProblem(i, ds, prior, r_cap, scoring.LogGammaTables(ds.n_cases, 0))
 
 
 def cut_problem(i, policy, structure, ds, prior):
@@ -1163,9 +1163,11 @@ class TestMemoryGuard:
 class TestHeldInvariants:
     """A search keeps one cut problem per continuous variable.  Its solves
     read what the problem holds across them bit for bit as a bare solve
-    builds it, within the problem's share of the budget, and hold emission
-    blocks only from the second solve on.  Every problem reads its lnΓ
-    tables from the search's one store, which its family scores read too."""
+    builds it, and hold emission blocks only from the second solve on.
+    Every problem reads its lnΓ tables from the search's one store, which
+    its family scores read too, and the store's one room is the search's
+    one budget: its tables, every problem's blocks and kept count tables,
+    and the room left add up to it."""
 
     @staticmethod
     def inputs(rows, monkeypatch):
@@ -1190,6 +1192,18 @@ class TestHeldInvariants:
     def held(problem):
         tables = itertools.chain.from_iterable(problem._tables.values())
         return [*problem._blocks.values(), *tables]
+
+    @classmethod
+    def charged(cls, problems):
+        """The floats the search holds, every held array read-only, plus
+        the store's room."""
+        store = problems.log_gamma
+        held = [
+            *store.tables.values(),
+            *itertools.chain.from_iterable(map(cls.held, problems.values())),
+        ]
+        assert not any(a.flags.writeable for a in held)
+        return sum(a.size for a in held) + store.room
 
     @staticmethod
     def spy_emission(monkeypatch, problem):
@@ -1218,12 +1232,10 @@ class TestHeldInvariants:
         config = SearchConfig(r_max=12)
         bare = optimize_variable(0, policy, structure, ds, prior, config)
         state = _SearchState(structure, policy, ds, prior, config)
-        # Small blocks outgrow a share of the budget; here every block is
-        # to be held.
-        problem = state.problems[0] = _CutProblem(
-            0, ds, prior, 12, 1 << 30, state.problems.log_gamma
-        )
+        # Small blocks make a small budget; here every block is to be held.
+        state.problems.log_gamma.room = 1 << 30
         assert state.solve(0) == bare
+        problem = state.problems[0]
         assert not problem._blocks
         again = optimize_variable(
             0, policy, structure, ds, prior, config,
@@ -1254,6 +1266,7 @@ class TestHeldInvariants:
             )
         assert problem.solve(policy, structure, state.codes) == bare
         assert built == []
+        assert state.problems.log_gamma.refused == 0
 
     def test_one_solve_per_variable_holds_no_block(self):
         # discretize under no structure: coordinate ascent over the empty
@@ -1279,11 +1292,11 @@ class TestHeldInvariants:
 
     def test_budget_caps_what_is_held(self, monkeypatch):
         ds, policy, family, m = self.inputs(None, monkeypatch)
-        # The budget split over the four continuous variables: a share of
-        # one block's worth of floats each.
-        assert len(ds.continuous_indices()) == 4
-        monkeypatch.setattr(cutdp, "_WORK_BLOCKS", 4)
-        share = cutdp._BLOCK_FLOATS
+        # A budget of one block, charged first come, first held: the lnΓ
+        # tables and kept count tables of the first solve, then the blocks
+        # of the second that still fit.
+        monkeypatch.setattr(cutdp, "_WORK_BLOCKS", 1)
+        budget = cutdp._BLOCK_FLOATS
         prior, config = PriorSpec(), SearchConfig(r_max=12)
         state = _SearchState(family, policy, ds, prior, config)
         bare = optimize_variable(0, policy, family, ds, prior, config)
@@ -1293,11 +1306,11 @@ class TestHeldInvariants:
                 codes=state.codes, problems=state.problems,
             )
             assert got == bare
-        problem = state.problems[0]
-        held = self.held(problem)
-        assert 0 <= problem.room
-        assert sum(a.size for a in held) + problem.room == share
+        problem, store = state.problems[0], state.problems.log_gamma
+        assert self.charged(state.problems) == budget
+        assert 0 <= store.room < problem.step * (m + 2)
         assert 0 < len(problem._blocks) < math.ceil((m + 1) / problem.step)
+        assert store.refused > 0
 
         built = self.spy_emission(monkeypatch, problem)
         problem._tally(policy, family, state.codes)
@@ -1306,7 +1319,7 @@ class TestHeldInvariants:
         assert np.array_equal(got[12], want[12])
         # The blocks past the budget are built, the held ones read.
         assert built and not set(built) & set(problem._blocks)
-        assert problem.room == share - sum(a.size for a in held)
+        assert self.charged(state.problems) == budget
 
     def test_held_arrays_are_read_only(self, monkeypatch):
         ds, policy, family, _ = self.inputs(3, monkeypatch)
@@ -1326,15 +1339,20 @@ class TestHeldInvariants:
                 array[0] = 0.0
 
     def test_learn_keeps_one_problem_per_variable(self, monkeypatch):
-        # A budget of six small blocks, split over five continuous
-        # variables: each share holds some small blocks, and the lnΓ store
-        # one small block of tables.
+        # A budget of six small blocks over five continuous variables and
+        # the lnΓ tables of BDeu's many pseudo-counts: it binds.
         monkeypatch.setattr(cutdp, "_BLOCK_FLOATS", 4096)
         monkeypatch.setattr(cutdp, "_WORK_BLOCKS", 6)
         ds, _ = sample_dataset(random_mechanism(5, 3, 2, seed=4), 150)
         assert len(ds.continuous_indices()) == 5
-        built, solved = [], set()
-        init, solve = _CutProblem.__init__, _CutProblem.solve
+        states, built, solved = [], [], set()
+        init_state, init, solve = (
+            _SearchState.__init__, _CutProblem.__init__, _CutProblem.solve,
+        )
+
+        def spy_state(state, *args):
+            states.append(state)
+            init_state(state, *args)
 
         def spy_init(problem, i, *args):
             built.append(problem)
@@ -1344,30 +1362,28 @@ class TestHeldInvariants:
             solved.add(problem.i)
             return solve(problem, *args)
 
+        monkeypatch.setattr(_SearchState, "__init__", spy_state)
         monkeypatch.setattr(_CutProblem, "__init__", spy_init)
         monkeypatch.setattr(_CutProblem, "solve", spy_solve)
         prior = PriorSpec(dirichlet_mode="bdeu", ess=10.0)
         _, _, trace = hill_climb_structure(ds, prior, SearchConfig())
+        (state,) = states
         assert sorted(p.i for p in built) == sorted(solved)
+        assert sorted(state.problems.values(), key=id) == sorted(built, key=id)
         assert trace.stats.solves > len(built)
         assert any(p._blocks for p in built)
-        # Between solves a problem keeps only held arrays, and the store
-        # only held tables, though under BDeu's many pseudo-counts some of
-        # them did not fit.
-        held = [a for p in built for a in self.held(p)]
-        assert not any(a.flags.writeable for a in held)
-        budget = cutdp._WORK_BLOCKS * cutdp._BLOCK_FLOATS
-        assert sum(a.size for a in held) <= budget
-        (store,) = {id(p.log_gamma): p.log_gamma for p in built}.values()
-        assert not any(t.flags.writeable for t in store.tables.values())
-        assert sum(t.size for t in store.tables.values()) + store.room == 4096
-        assert store.room <= ds.n_cases
+        # Between solves the problems and the store keep only held arrays,
+        # charged to the store's one room, which turned some away.
+        store = state.problems.log_gamma
+        assert {id(p.log_gamma) for p in built} == {id(store)}
+        assert self.charged(state.problems) == 6 * 4096
+        assert trace.stats.holds_refused == store.refused > 0
 
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     def test_search_builds_each_log_gamma_table_once(self, monkeypatch, mode):
         """A learn's family scores and every cut problem read the state's
         one lnΓ store, and the store builds each (pseudo-count, form) table
-        once: here every table fits in its block, so none is rebuilt."""
+        once: here every table fits in the budget, so none is rebuilt."""
         ds, _ = sample_dataset(random_mechanism(6, 2, 3, seed=1), 300)
         prior = PriorSpec(dirichlet_mode=mode, policy_prior="poisson", poisson_rate=2.0)
         states, problems, readers, built = [], [], set(), []
@@ -1408,11 +1424,12 @@ class TestHeldInvariants:
     @pytest.mark.parametrize("mode", ["k2", "bdeu"])
     def test_kept_count_tables_tally_only_changed_families(self, monkeypatch, mode):
         """A problem keeps the count tables of its last solve's families,
-        read-only and charged to its room, and tallies only the families
-        whose key changed: a child's policy retallies that child's family,
-        a co-parent's the family it is in, a parent's the own family.  A
-        replaced family gives its room back.  Each solve returns what a
-        throwaway problem, which keeps nothing, returns."""
+        read-only and charged to the store's room, and tallies only the
+        families whose key changed: a child's policy retallies that child's
+        family, a co-parent's the family it is in, a parent's the own
+        family.  A replaced family gives its floats back to the room.  Each
+        solve returns what a throwaway problem, which keeps nothing,
+        returns."""
         ds, _ = sample_dataset(random_mechanism(5, 2, 3, seed=6), 200)
         assert len(ds.continuous_indices()) == 5
         # x1's own family {x2}; child x3 with co-parent x4; child x5.
@@ -1440,10 +1457,7 @@ class TestHeldInvariants:
             bare = optimize_variable(0, state.policy, state.structure, ds, prior, config)
             assert got == bare
             problem = state.problems[0]
-            held = self.held(problem)
-            share = budget // len(ds.continuous_indices())
-            assert sum(a.size for a in held) + problem.room == share
-            assert not any(a.flags.writeable for a in held)
+            assert self.charged(state.problems) == budget
             kept = sorted(ds.names[key[0]] for key in problem._tables)
             return tallied[:-1], kept
 
@@ -1467,33 +1481,31 @@ class TestHeldInvariants:
         # A policy of x1 itself is in no key.
         recut(0)
         assert solve() == ([], ["x1", "x3", "x5"])
-        # Without the edge to x5, its family is released.
+        # Without the edge to x5, its family is released, and its floats
+        # return to the room.
         state.structure = validate_dag([{1}, set(), {0, 3}, set(), set()])
-        problem = state.problems[0]
-        room = problem.room
+        problem, store = state.problems[0], state.problems.log_gamma
+        (x5,) = (t for key, t in problem._tables.items() if key[0] == 4)
+        room = store.room
         assert solve() == ([], ["x1", "x3"])
-        assert problem.room > room
+        assert store.room == room + sum(a.size for a in x5)
         for array in self.held(problem):
             with pytest.raises(ValueError):
                 array[0] = 0
 
-    @pytest.mark.parametrize("work_blocks", [16, 7])
-    def test_kept_count_tables_push_out_no_held_array(self, monkeypatch, work_blocks):
+    def test_kept_count_tables_push_out_no_held_array(self, monkeypatch):
         """learn-cont's learn (six continuous columns, N = 300, Poisson
         prior) builds no more emission blocks, and holds the same blocks
         and lnΓ tables, as one whose problems keep no count tables: at the
-        default budget, and at a smaller one where the kept tables give up
-        their room to blocks."""
-        monkeypatch.setattr(cutdp, "_WORK_BLOCKS", work_blocks)
+        default budget the kept tables push out no held array."""
         ds, _ = sample_dataset(random_mechanism(6, 2, 3, seed=1), 300)
         prior = PriorSpec(policy_prior="poisson", poisson_rate=2.0)
-        init, emission, tally, hold = (
+        init, emission, tally = (
             _CutProblem.__init__, _CutProblem._emission, _CutProblem._tally,
-            _CutProblem._hold,
         )
 
         def learn(keep):
-            problems, built, released = [], [], []
+            problems, built = [], []
 
             def spy_init(problem, *args):
                 problems.append(problem)
@@ -1507,30 +1519,22 @@ class TestHeldInvariants:
                 tally(problem, *args)
                 if not keep:
                     tables = problem._tables.values()
-                    problem.room += sum(a.size for t in tables for a in t)
+                    problem.log_gamma.room += sum(a.size for t in tables for a in t)
                     problem._tables = {}
-
-            def spy_hold(problem, array):
-                kept = bool(problem._tables)
-                fits = hold(problem, array)
-                released.append(kept and not problem._tables)
-                return fits
 
             monkeypatch.setattr(_CutProblem, "__init__", spy_init)
             monkeypatch.setattr(_CutProblem, "_emission", spy_emission)
             monkeypatch.setattr(_CutProblem, "_tally", spy_tally)
-            monkeypatch.setattr(_CutProblem, "_hold", spy_hold)
             structure, policy, trace = hill_climb_structure(ds, prior, SearchConfig())
             held = {p.i: sorted(p._blocks) for p in problems}
             held["lnΓ"] = sorted(problems[0].log_gamma.tables)
-            return (structure, policy, trace.records), built, held, any(released)
+            assert trace.stats.holds_refused == 0
+            return (structure, policy, trace.records), built, held
 
         kept, forgot = learn(True), learn(False)
         assert kept[0] == forgot[0]
         assert len(kept[1]) == len(forgot[1])
         assert kept[2] == forgot[2]
-        # Only the smaller budget makes kept tables give way.
-        assert kept[3] == (work_blocks < 16) and not forgot[3]
 
 class TestBlanket:
     """Hand-built structures for the re-solve sets of ``_SearchState``."""
